@@ -1,6 +1,6 @@
 """Generate a small reproducible graph corpus and run the bench pipeline on it.
 
-Usage: python3 scripts/run_bench.py [outdir] [--seed S] [--threads T]
+Usage: python3 scripts/run_bench.py [outdir] [--seed S]
 Writes the graphs to outdir/graphs/, the report to outdir/bench.json and
 outdir/bench.csv, and prints the per-row timing summary.
 """
@@ -32,7 +32,6 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="bench_out")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     graphs = os.path.join(args.outdir, "graphs")
@@ -52,13 +51,11 @@ def main() -> int:
             return rc
 
     rc = run_command(["bench", "--dir", graphs,
-                      "--out", os.path.join(args.outdir, "bench.json"),
-                      "--threads", str(args.threads)])
+                      "--out", os.path.join(args.outdir, "bench.json")])
     if rc != 0:
         return rc
     rc = run_command(["bench", "--dir", graphs,
-                      "--out", os.path.join(args.outdir, "bench.csv"),
-                      "--threads", str(args.threads)])
+                      "--out", os.path.join(args.outdir, "bench.csv")])
     if rc != 0:
         return rc
 

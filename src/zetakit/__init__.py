@@ -14,9 +14,9 @@ from .bounds import (ComponentLambda, GroupedBound, Inapplicable,
 from .cheap_sets import (CheapSet, CheapSetSearchError, VerifyResult,
                          cheap_weight, find_1_cheap, find_2_cheap,
                          find_k_cheap_forest, verify_k_cheap)
-from .degeneracy import (LayerDecomposition, ZetaProfile, cheap_vertices,
-                         is_zeta_regular, layer_decomposition, zeta_oracle,
-                         zeta_profile)
+from .degeneracy import (LayerDecomposition, Residual, ZetaProfile,
+                         cheap_vertices, is_zeta_regular, layer_decomposition,
+                         zeta_oracle, zeta_profile)
 from .graph import (Graph, GraphInputError, build_graph, closed_neighborhood,
                     connected_components, is_forest, remove_vertices,
                     smallest_last_order)
@@ -32,7 +32,7 @@ __all__ = [
     "Graph", "GraphInputError", "build_graph", "closed_neighborhood",
     "connected_components", "is_forest", "remove_vertices",
     "smallest_last_order",
-    "ZetaProfile", "LayerDecomposition", "zeta_profile", "zeta_oracle",
+    "ZetaProfile", "LayerDecomposition", "Residual", "zeta_profile", "zeta_oracle",
     "is_zeta_regular", "cheap_vertices", "layer_decomposition",
     "Inapplicable", "ComponentLambda", "GroupedBound", "z_bound", "caro_wei",
     "turan_zeta", "baseline_bounds", "component_lambdas",

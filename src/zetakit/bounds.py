@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .degeneracy import ZetaProfile, cheap_vertices, zeta_profile
+from .degeneracy import Residual, ZetaProfile, cheap_vertices, profile_of, zeta_profile
 from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
 
 
@@ -96,7 +96,8 @@ def baseline_bounds(g: Graph) -> dict[str, BoundValue]:
 
 # ── lambda machinery over independent sets of cheap vertices ────────────────
 
-def _check_cheap_independent(g: Graph, profile: ZetaProfile, s: frozenset[int]) -> None:
+def _check_cheap_independent(g: Graph | Residual, profile: ZetaProfile | Residual,
+                             s: frozenset[int]) -> None:
     if not s:
         raise GraphInputError("subset must be nonempty")
     cheap = cheap_vertices(g, profile)
@@ -109,7 +110,7 @@ def _check_cheap_independent(g: Graph, profile: ZetaProfile, s: frozenset[int]) 
             raise GraphInputError(f"subset is not independent: edge ({u},{min(hit)})")
 
 
-def component_lambdas(g: Graph, profile: ZetaProfile,
+def component_lambdas(g: Graph | Residual, profile: ZetaProfile | Residual,
                       s: frozenset[int]) -> list[ComponentLambda]:
     """Split the bipartite graph (S, N(S)) into components and compute lambda.
 
@@ -142,7 +143,7 @@ def component_lambdas(g: Graph, profile: ZetaProfile,
     return comps
 
 
-def strong_bound_component(g: Graph, profile: ZetaProfile,
+def strong_bound_component(g: Graph | Residual, profile: ZetaProfile | Residual,
                            s: frozenset[int]) -> BoundValue:
     """Per-component lambda-strengthened bound on the independence number.
 
@@ -162,12 +163,12 @@ def strong_bound_component(g: Graph, profile: ZetaProfile,
     for c in comps:
         covered |= c.vertices
         total += sum((1 / (zeta[v] + c.lam) for v in c.vertices), Fraction(0))
-    total += sum((Fraction(1, zeta[v] + 1) for v in range(g.n) if v not in covered),
+    total += sum((Fraction(1, zeta[v] + 1) for v in g.vertices() if v not in covered),
                  Fraction(0))
     return total
 
 
-def select_dense_subset(g: Graph, s: frozenset[int]) -> frozenset[int]:
+def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int]:
     """Peel lowest-degree members off S and keep the prefix minimizing lambda.
 
     lambda(S') = 1 + (|N(S')| - e(S'))/|S'|; ties keep the largest subset.
@@ -199,71 +200,18 @@ def select_dense_subset(g: Graph, s: frozenset[int]) -> frozenset[int]:
     return frozenset(order[best_j:])
 
 
-def independent_cheap_set(g: Graph, profile: ZetaProfile | None = None) -> frozenset[int]:
+def independent_cheap_set(g: Graph | Residual,
+                          profile: ZetaProfile | Residual | None = None) -> frozenset[int]:
     """Greedy maximal independent subset of the cheap vertices.
 
     Min-degree-first (degree inside the induced cheap subgraph), smallest id
     on ties — the same construction the certified greedy uses each round.
     """
-    prof = profile or zeta_profile(g)
-    cheap = cheap_vertices(g, prof)
-    alive = set(cheap)
-    deg = {u: len(g.adj[u] & cheap) for u in cheap}
-    out = set()
-    while alive:
-        u = min(alive, key=lambda v: (deg[v], v))
-        out.add(u)
-        dead = (g.adj[u] & alive) | {u}
-        for w in dead:
-            alive.discard(w)
-        for w in dead:
-            for x in g.adj[w]:
-                if x in alive:
-                    deg[x] -= 1
-    return frozenset(out)
+    return _greedy_mis(g, cheap_vertices(g, profile or profile_of(g)))
 
 
-def strong_bound_grouped(g: Graph, profile: ZetaProfile | None = None) -> GroupedBound | Inapplicable:
-    """Group cheap vertices by zeta, pick the group subset of minimal lambda.
-
-    Within each zeta-class: greedy maximal independent subset, then
-    select_dense_subset.  The minimum-lambda subset is used for the bound;
-    inapplicable when that lambda makes a denominator nonpositive.
-    """
-    if g.n == 0:
-        return Inapplicable("empty graph")
-    prof = profile or zeta_profile(g)
-    zeta = prof.zeta
-    cheap = cheap_vertices(g, prof)
-    groups: dict[int, set[int]] = {}
-    for u in cheap:
-        groups.setdefault(zeta[u], set()).add(u)
-
-    best: tuple[Fraction, int, frozenset[int]] | None = None
-    for zval in sorted(groups):
-        grp = frozenset(groups[zval])
-        seed = _greedy_mis_induced(g, grp)
-        subset = select_dense_subset(g, seed)
-        nbhd = closed_neighborhood(g, subset) - subset
-        e = sum(len(g.adj[u]) for u in subset)
-        lam = 1 + Fraction(len(nbhd) - e, len(subset))
-        if best is None or lam < best[0]:
-            best = (lam, zval, subset)
-    assert best is not None
-    lam, zval, subset = best
-    closed = closed_neighborhood(g, subset)
-    low = min(zeta[v] for v in closed)
-    if low + lam <= 0:
-        return Inapplicable(
-            f"lambda {lam} yields nonpositive denominator on N[S] (min zeta {low})")
-    value = sum((1 / (zeta[v] + lam) for v in closed), Fraction(0))
-    value += sum((Fraction(1, zeta[v] + 1) for v in range(g.n) if v not in closed),
-                 Fraction(0))
-    return GroupedBound(value=value, subset=subset, lam=lam, group_zeta=zval)
-
-
-def _greedy_mis_induced(g: Graph, pool: frozenset[int]) -> frozenset[int]:
-    """Greedy maximal independent set inside G[pool], min-degree-first."""
+def _greedy_mis(g: Graph | Residual, pool: frozenset[int]) -> frozenset[int]:
+    """Greedy maximal independent set inside G[pool], min-degree-first, smallest id on ties."""
     alive = set(pool)
     deg = {u: len(g.adj[u] & pool) for u in pool}
     out = set()
@@ -278,6 +226,46 @@ def _greedy_mis_induced(g: Graph, pool: frozenset[int]) -> frozenset[int]:
                 if x in alive:
                     deg[x] -= 1
     return frozenset(out)
+
+
+def strong_bound_grouped(g: Graph | Residual, profile: ZetaProfile | Residual | None = None
+                         ) -> GroupedBound | Inapplicable:
+    """Group cheap vertices by zeta, pick the group subset of minimal lambda.
+
+    Within each zeta-class: greedy maximal independent subset, then
+    select_dense_subset.  The minimum-lambda subset is used for the bound;
+    inapplicable when that lambda makes a denominator nonpositive.
+    """
+    if g.n == 0:
+        return Inapplicable("empty graph")
+    prof = profile or profile_of(g)
+    zeta = prof.zeta
+    cheap = cheap_vertices(g, prof)
+    groups: dict[int, set[int]] = {}
+    for u in cheap:
+        groups.setdefault(zeta[u], set()).add(u)
+
+    best: tuple[Fraction, int, frozenset[int]] | None = None
+    for zval in sorted(groups):
+        grp = frozenset(groups[zval])
+        seed = _greedy_mis(g, grp)
+        subset = select_dense_subset(g, seed)
+        nbhd = closed_neighborhood(g, subset) - subset
+        e = sum(len(g.adj[u]) for u in subset)
+        lam = 1 + Fraction(len(nbhd) - e, len(subset))
+        if best is None or lam < best[0]:
+            best = (lam, zval, subset)
+    assert best is not None
+    lam, zval, subset = best
+    closed = closed_neighborhood(g, subset)
+    low = min(zeta[v] for v in closed)
+    if low + lam <= 0:
+        return Inapplicable(
+            f"lambda {lam} yields nonpositive denominator on N[S] (min zeta {low})")
+    value = sum((1 / (zeta[v] + lam) for v in closed), Fraction(0))
+    value += sum((Fraction(1, zeta[v] + 1) for v in g.vertices() if v not in closed),
+                 Fraction(0))
+    return GroupedBound(value=value, subset=subset, lam=lam, group_zeta=zval)
 
 
 def forest_z_closed_form(n: int, isolated: int, k: int) -> Fraction:

@@ -14,9 +14,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterator
 
-from .degeneracy import ZetaProfile, cheap_vertices, layer_decomposition, zeta_profile
+from .degeneracy import (Residual, ZetaProfile, cheap_layers, cheap_vertices,
+                         profile_of, residual_of)
 from .graph import (Graph, GraphInputError, closed_neighborhood,
-                    connected_components, is_forest, remove_vertices)
+                    connected_components, is_forest)
 
 
 class CheapSetSearchError(RuntimeError):
@@ -43,7 +44,7 @@ class VerifyResult:
         return self.ok
 
 
-def cheap_weight(g: Graph, zeta: tuple[int, ...], s, level: int) -> Fraction:
+def cheap_weight(g: Graph | Residual, zeta, s, level: int) -> Fraction:
     """Contribution of N[S] to Z_{level+1} (isolated vertices clamp at 1)."""
     shift = Fraction(1, level + 1)
     one = Fraction(1)
@@ -51,15 +52,15 @@ def cheap_weight(g: Graph, zeta: tuple[int, ...], s, level: int) -> Fraction:
                 for v in closed_neighborhood(g, s)), Fraction(0))
 
 
-def verify_k_cheap(g: Graph, s, level: int,
-                   profile: ZetaProfile | None = None) -> VerifyResult:
+def verify_k_cheap(g: Graph | Residual, s, level: int,
+                   profile: ZetaProfile | Residual | None = None) -> VerifyResult:
     """Exact-arithmetic check of both cheapness conditions, with diagnostics."""
     if level < 0:
         raise GraphInputError(f"cheapness level must be >= 0, got {level}")
     sset = frozenset(s)
     if not sset:
         return VerifyResult(False, "empty set", Fraction(0), 0, 0)
-    zeta = (profile or zeta_profile(g)).zeta
+    zeta = (profile or profile_of(g)).zeta
     inner = max(len(g.adj[v] & sset) for v in sset)
     weight = cheap_weight(g, zeta, sset, level)
     if inner > level:
@@ -71,17 +72,18 @@ def verify_k_cheap(g: Graph, s, level: int,
     return VerifyResult(True, None, weight, len(sset), inner)
 
 
-def _require_no_isolated(g: Graph) -> None:
+def _require_no_isolated(g: Graph | Residual) -> None:
     if g.n == 0:
         raise GraphInputError("graph is empty")
-    for v in range(g.n):
+    for v in g.vertices():
         if not g.adj[v]:
             raise GraphInputError(f"vertex {v} is isolated; strip isolated vertices first")
 
 
 # ── level 1 ──────────────────────────────────────────────────────────────────
 
-def find_1_cheap(g: Graph, profile: ZetaProfile | None = None) -> CheapSet:
+def find_1_cheap(g: Graph | Residual,
+                 profile: ZetaProfile | Residual | None = None) -> CheapSet:
     """Return a two-vertex 1-cheap set of one of the three minimal patterns.
 
     type-I:   two adjacent cheap vertices.
@@ -90,7 +92,7 @@ def find_1_cheap(g: Graph, profile: ZetaProfile | None = None) -> CheapSet:
               neighbor (and w stays cheap in G minus u).
     """
     _require_no_isolated(g)
-    prof = profile or zeta_profile(g)
+    prof = profile or profile_of(g)
     cheap = cheap_vertices(g, prof)
 
     for u in sorted(cheap):
@@ -98,24 +100,23 @@ def find_1_cheap(g: Graph, profile: ZetaProfile | None = None) -> CheapSet:
             if w > u:
                 return _checked(g, prof, {u, w}, 1, "type-I")
 
-    for p in range(g.n):
+    for p in g.vertices():
         cn = sorted(g.adj[p] & cheap)
         for i in range(len(cn)):
             for j in range(i + 1, len(cn)):
                 if cn[j] not in g.adj[cn[i]]:
                     return _checked(g, prof, {cn[i], cn[j]}, 1, "type-III")
 
-    sub = remove_vertices(g, cheap)
-    prof_h = zeta_profile(sub.graph)
-    cheap_h = cheap_vertices(sub.graph, prof_h)
-    for w_new in sorted(cheap_h, key=lambda x: sub.old_of[x]):
-        w = sub.old_of[w_new]
+    h = residual_of(g)
+    h.delete(cheap)
+    for w in sorted(cheap_vertices(h)):
         partners = sorted(g.adj[w] & cheap)
         if len(partners) != 1:
             continue            # theory: exactly one; skip defensively
         u = partners[0]
-        sub2 = remove_vertices(g, {u})
-        if sub2.new_of[w] not in cheap_vertices(sub2.graph):
+        without_u = residual_of(g)
+        without_u.delete({u})
+        if w not in cheap_vertices(without_u):
             continue            # definitional certificate failed; keep scanning
         res = verify_k_cheap(g, {u, w}, 1, prof)
         if res.ok:
@@ -123,7 +124,8 @@ def find_1_cheap(g: Graph, profile: ZetaProfile | None = None) -> CheapSet:
     raise CheapSetSearchError("no 1-cheap set found; the search invariant is broken")
 
 
-def _checked(g: Graph, prof: ZetaProfile, s: set[int], level: int, kind: str) -> CheapSet:
+def _checked(g: Graph | Residual, prof: ZetaProfile | Residual, s: set[int],
+             level: int, kind: str) -> CheapSet:
     res = verify_k_cheap(g, s, level, prof)
     if not res.ok:
         raise CheapSetSearchError(
@@ -133,7 +135,7 @@ def _checked(g: Graph, prof: ZetaProfile, s: set[int], level: int, kind: str) ->
 
 # ── level 2 ──────────────────────────────────────────────────────────────────
 
-def find_2_cheap(g: Graph, profile: ZetaProfile | None = None,
+def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = None,
                  anomaly_log: list | None = None) -> CheapSet:
     """Return a 2-cheap set via the layered candidate chain.
 
@@ -143,11 +145,24 @@ def find_2_cheap(g: Graph, profile: ZetaProfile | None = None,
     works, so a nonempty log is reportable as a bug).
     """
     _require_no_isolated(g)
-    prof = profile or zeta_profile(g)
+    prof = profile or profile_of(g)
     log = anomaly_log if anomaly_log is not None else []
-    dec = layer_decomposition(g)
-    layers, lof = dec.layers, dec.layer_of
-    t = len(layers)
+    # the layers are stripped only as far as the candidates reach; a vertex
+    # not stripped yet has a layer index above every real one
+    stream = cheap_layers(g)
+    layers: list[frozenset[int]] = []
+    lof = [len(g.adj)] * len(g.adj)
+
+    def reach(i: int) -> bool:
+        """Strip until layers[i] is known; False when there are fewer layers."""
+        while len(layers) <= i:
+            layer = next(stream, None)
+            if layer is None:
+                return False
+            for v in layer:
+                lof[v] = len(layers)
+            layers.append(layer)
+        return True
 
     def down(v: int) -> int | None:
         below = [u for u in g.adj[v] if lof[u] == lof[v] - 1]
@@ -185,16 +200,17 @@ def find_2_cheap(g: Graph, profile: ZetaProfile | None = None,
         return sa | sb
 
     def candidates() -> Iterator[tuple[set[int], str]]:
+        reach(0)
         c1 = layers[0]
         for u in sorted(c1):
             for w in sorted(g.adj[u] & c1):
                 if w > u:
                     yield {u, w}, "adjacent-pair"
-        for p in range(g.n):
+        for p in g.vertices():
             cn = sorted(g.adj[p] & c1)
             if len(cn) >= 3:
                 yield set(cn[:3]), "triple-common-neighbor"
-        if t >= 2:
+        if reach(1):
             c2 = layers[1]
             for p in sorted(c2):
                 cn = sorted(g.adj[p] & c1)
@@ -213,7 +229,8 @@ def find_2_cheap(g: Graph, profile: ZetaProfile | None = None,
         # upward sweep: each layer's down-multiplicities, jumping edges, and
         # chain merges, in that order — every union's side conditions were
         # scanned at a lower layer, so the first structural hit verifies
-        for i in range(2, t):
+        i = 2
+        while reach(i):
             li = sorted(layers[i])
             for u in li:
                 dn = sorted(v for v in g.adj[u] if lof[v] == i - 1)
@@ -246,15 +263,16 @@ def find_2_cheap(g: Graph, profile: ZetaProfile | None = None,
                     c = chain(x)
                     if c is not None:
                         yield {ups[0], *c}, "layer-path"
+            i += 1
         # same-layer edges above the second layer, after all chains are clean
-        for i in range(2, t):
+        for i in range(2, len(layers)):
             for u in sorted(layers[i]):
                 for w in sorted(g.adj[u] & layers[i]):
                     if w > u:
                         s = pair_union(u, w, joined=True)
                         if s is not None:
                             yield s, "layer-path-pair-bridge"
-        yield set(range(g.n)), "whole-path-union"
+        yield set(g.vertices()), "whole-path-union"
 
     for s, kind in candidates():
         res = verify_k_cheap(g, s, 2, prof)
@@ -272,8 +290,8 @@ def _anomaly(kind: str, vertices: tuple[int, ...], reason: str) -> dict:
 
 # ── forests, arbitrary level ─────────────────────────────────────────────────
 
-def find_k_cheap_forest(g: Graph, k: int,
-                        profile: ZetaProfile | None = None) -> CheapSet:
+def find_k_cheap_forest(g: Graph | Residual, k: int,
+                        profile: ZetaProfile | Residual | None = None) -> CheapSet:
     """k-cheap set in a forest by reverse leaf-insertion with verified repairs.
 
     Each component is processed independently (unions of per-component k-cheap
@@ -287,7 +305,7 @@ def find_k_cheap_forest(g: Graph, k: int,
     if not is_forest(g):
         raise GraphInputError("graph is not a forest")
     _require_no_isolated(g)
-    prof = profile or zeta_profile(g)
+    prof = profile or profile_of(g)
     total: set[int] = set()
     for comp in connected_components(g):
         total |= _tree_k_cheap(g, comp, k)
@@ -298,7 +316,7 @@ def find_k_cheap_forest(g: Graph, k: int,
     return CheapSet(frozenset(total), k, "forest-leaf")
 
 
-def _tree_k_cheap(g: Graph, comp: list[int], k: int) -> set[int]:
+def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
     compset = set(comp)
     if len(comp) <= k + 1:
         return compset
@@ -368,7 +386,7 @@ def _tree_k_cheap(g: Graph, comp: list[int], k: int) -> set[int]:
     return s
 
 
-def _tree_max_k_independent(g: Graph, vertices: set[int], k: int) -> set[int]:
+def _tree_max_k_independent(g: Graph | Residual, vertices: set[int], k: int) -> set[int]:
     """Exact maximum k-independent set on an induced subtree, by DP.
 
     Per vertex: best size with the vertex out of S, in S with spare child

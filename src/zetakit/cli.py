@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
@@ -147,15 +146,34 @@ def serialize_dimacs(doc: GraphDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The file, or stdin for '-', decoded as UTF-8; undecodable bytes are a parse error."""
+    try:
+        if path != "-":
+            return Path(path).read_bytes().decode("utf-8")
+        raw = getattr(sys.stdin, "buffer", None)     # absent on a replaced text stream
+        return raw.read().decode("utf-8") if raw is not None else sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def _has_dimacs_header(text: str) -> bool:
+    """True when the first line that is not blank or a comment reads 'p edge ...'.
+
+    Such a line has more than two tokens, so it is never a valid edge-list line.
+    """
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if tokens and tokens[0] != "c":
+            return tokens[:2] == ["p", "edge"] and len(tokens) > 2
+    return False
+
+
 def _load(path: str, fmt: str) -> GraphDocument:
-    if path == "-":
-        text = sys.stdin.read()
-        name = "<stdin>"
-    else:
-        text = Path(path).read_text()
-        name = path
+    text = _read_text(path)
     if fmt == "auto":
-        fmt = "dimacs" if Path(name).suffix in (".dimacs", ".col") else "edges"
+        dimacs = Path(path).suffix in (".dimacs", ".col") or _has_dimacs_header(text)
+        fmt = "dimacs" if dimacs else "edges"
     if fmt == "dimacs":
         return parse_dimacs(text)
     return parse_edge_list(text)
@@ -470,9 +488,7 @@ def _cmd_bench(args) -> dict | None:
     if out.suffix not in (".json", ".csv"):
         raise _UsageError("--out must end in .json or .csv")
 
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(pool.map(lambda p: _bench_row(p, args.oracle_n), files))
-    rows.sort(key=lambda r: r["name"])
+    rows = [_bench_row(p, args.oracle_n) for p in files]
 
     if out.suffix == ".json":
         payload = {"schema": SCHEMA, "command": "bench",
@@ -544,7 +560,6 @@ def _build_parser() -> _Parser:
     b = sub.add_parser("bench", help="analyze a directory of graph files")
     b.add_argument("--dir", required=True)
     b.add_argument("--out", required=True, help="report path (.json or .csv)")
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--oracle-n", type=int, default=18,
                    help="solve alpha0 exactly when n is at most this")
 

@@ -4,12 +4,20 @@ zeta(v) is the largest minimum degree over all induced subgraphs containing v
 — equivalently v's coreness.  It is computed in near-linear time from a
 smallest-last elimination: walking the order backwards, zeta of the next
 vertex is the running maximum of residual degrees seen so far.
+
+A `Residual` is the mutable graph that the greedy rounds and the layer
+decomposition delete from.  It keeps the original vertex ids and carries its
+own coreness: built with one `zeta_profile`, then repaired locally after each
+deletion instead of being recomputed.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from itertools import compress
+from typing import Iterable, Iterator
 
-from .graph import Graph, SmallestLastResult, remove_vertices, smallest_last_order
+from .graph import Graph, GraphInputError, SmallestLastResult, smallest_last_order
 
 
 @dataclass(frozen=True)
@@ -22,7 +30,7 @@ class ZetaProfile:
 @dataclass(frozen=True)
 class LayerDecomposition:
     layers: tuple[frozenset[int], ...]   # layers[0] is the first stripped set
-    layer_of: tuple[int, ...]            # vertex -> index into layers
+    layer_of: tuple[int, ...]            # vertex -> index into layers (-1: not live)
 
 
 def zeta_profile(g: Graph) -> ZetaProfile:
@@ -34,6 +42,98 @@ def zeta_profile(g: Graph) -> ZetaProfile:
         running = max(running, d)
         zeta[v] = running
     return ZetaProfile(tuple(zeta), running if g.n else 0, sl)
+
+
+class Residual:
+    """A graph under deletion, keyed by the vertex ids of the Graph it was built from.
+
+    adj[v] is the set of v's live neighbours (empty once v is deleted),
+    zeta[v] the coreness of v in the live graph (0 once deleted), n and m
+    count the live vertices and edges.  It answers the read-only calls the
+    finders and bound helpers make of a Graph (vertices(), adj, n, m), and
+    it serves as its own zeta profile wherever one is taken.
+    """
+
+    def __init__(self, g: Graph):
+        self.adj: list[set[int]] = [set(a) for a in g.adj]
+        self.alive = [True] * g.n
+        self.zeta = list(zeta_profile(g).zeta)
+        self.n = g.n
+        self.m = g.m
+
+    def vertices(self) -> Iterator[int]:
+        """The live vertex ids in ascending order."""
+        return compress(range(len(self.alive)), self.alive)
+
+    def copy(self) -> Residual:
+        twin = copy.copy(self)
+        twin.adj = [set(a) for a in self.adj]
+        twin.alive = self.alive[:]
+        twin.zeta = self.zeta[:]
+        return twin
+
+    def delete(self, s: Iterable[int]) -> set[int]:
+        """Delete the live vertices S; return the live vertices whose degree or zeta changed.
+
+        Coreness is repaired locally.  A vertex's value drops to the h-index
+        of its neighbours' values, capped at its current value, and each
+        neighbour w with new < zeta[w] <= old is then rechecked.  The first
+        vertices checked are the neighbours of S that lost a neighbour whose
+        zeta was at least their own; no other vertex lost support at its own
+        level.  The old coreness bounds the new one from above and a step
+        never raises a value, so the process stops at the largest fixed point
+        below the old coreness.  At any fixed point every set
+        {v : zeta[v] >= k} has minimum degree >= k, so that fixed point is
+        the new coreness.
+        """
+        adj, alive, zeta = self.adj, self.alive, self.zeta
+        drop = set(s)
+        for v in drop:
+            if not (0 <= v < len(alive) and alive[v]):
+                raise GraphInputError(f"vertex {v} is not live")
+        for v in drop:
+            alive[v] = False
+        changed: set[int] = set()
+        pending: set[int] = set()
+        lost = 0                            # edges leaving S, plus twice those inside S
+        for v in drop:
+            zv = zeta[v]
+            for u in adj[v]:
+                if alive[u]:
+                    adj[u].discard(v)
+                    changed.add(u)
+                    if zeta[u] <= zv:
+                        pending.add(u)
+                    lost += 2
+                else:
+                    lost += 1
+            adj[v] = set()
+            zeta[v] = 0
+        self.n -= len(drop)
+        self.m -= lost // 2
+        while pending:
+            v = pending.pop()
+            old = zeta[v]
+            # capped h-index: the largest h <= old with h neighbours of zeta >= h
+            values = sorted([zeta[w] for w in adj[v]], reverse=True)
+            new = min(old, len(values))
+            while new and values[new - 1] < new:
+                new -= 1
+            if new < old:
+                zeta[v] = new
+                changed.add(v)
+                pending.update([w for w in adj[v] if new < zeta[w] <= old])
+        return changed
+
+
+def profile_of(g: Graph | Residual) -> ZetaProfile | Residual:
+    """The zeta profile of g: a Residual carries its own, a Graph gets one computed."""
+    return g if isinstance(g, Residual) else zeta_profile(g)
+
+
+def residual_of(g: Graph | Residual) -> Residual:
+    """A Residual to delete from without touching g: a copy, or one built from the Graph."""
+    return g.copy() if isinstance(g, Residual) else Residual(g)
 
 
 def zeta_oracle(g: Graph) -> tuple[int, ...]:
@@ -76,40 +176,48 @@ def is_zeta_regular(g: Graph, profile: ZetaProfile | None = None) -> bool:
     return all(z == prof.zeta[0] for z in prof.zeta)
 
 
-def cheap_vertices(g: Graph, profile: ZetaProfile | None = None) -> frozenset[int]:
+def cheap_vertices(g: Graph | Residual,
+                   profile: ZetaProfile | Residual | None = None) -> frozenset[int]:
     """Vertices u with zeta(u) == deg(u) and zeta(u) minimal on N[u].
 
     Every minimum-degree vertex qualifies, so the set is nonempty whenever
     the graph is.
     """
-    prof = profile or zeta_profile(g)
-    z = prof.zeta
-    out = set()
-    for u in range(g.n):
-        if z[u] != len(g.adj[u]):
-            continue
-        if all(z[u] <= z[v] for v in g.adj[u]):
-            out.add(u)
-    return frozenset(out)
+    return _cheap_among(g, (profile or profile_of(g)).zeta, g.vertices())
 
 
-def layer_decomposition(g: Graph) -> LayerDecomposition:
-    """Iteratively strip the cheap vertices; zeta is recomputed per residual.
+def _cheap_among(g: Graph | Residual, zeta, candidates: Iterable[int]) -> frozenset[int]:
+    adj = g.adj
+    return frozenset(u for u in candidates
+                     if zeta[u] == len(adj[u]) and all(zeta[u] <= zeta[v] for v in adj[u]))
 
-    layers[i] holds original vertex ids removed at step i+1; every vertex is
-    assigned a layer because each nonempty residual has a cheap vertex.
+
+def cheap_layers(g: Graph | Residual) -> Iterator[frozenset[int]]:
+    """The cheap layers of g in stripping order, each stripped when it is asked for.
+
+    The stripping runs on one Residual (a copy when g is one), so zeta is
+    computed at most once and then repaired by each layer's delete.  After a
+    delete only the vertices whose degree or zeta changed are rechecked: the
+    others were not cheap, and a deletion only lowers their neighbours' zeta,
+    which cannot make them cheap.  Each nonempty residual has a cheap vertex,
+    so the layers cover every live vertex.
     """
-    layers: list[frozenset[int]] = []
-    layer_of = [-1] * g.n
-    work = g
-    old_of = tuple(range(g.n))
-    while work.n:
-        cheap = cheap_vertices(work)
-        original = frozenset(old_of[v] for v in cheap)
-        for v in original:
-            layer_of[v] = len(layers)
-        layers.append(original)
-        sub = remove_vertices(work, cheap)
-        work = sub.graph
-        old_of = tuple(old_of[o] for o in sub.old_of)
-    return LayerDecomposition(tuple(layers), tuple(layer_of))
+    r = residual_of(g)
+    cheap = cheap_vertices(r)
+    while cheap:
+        yield cheap
+        cheap = _cheap_among(r, r.zeta, r.delete(cheap))
+
+
+def layer_decomposition(g: Graph | Residual) -> LayerDecomposition:
+    """Iteratively strip the cheap vertices of what is left (see cheap_layers).
+
+    layers[i] holds the vertex ids removed at step i+1; every live vertex is
+    assigned a layer.
+    """
+    layers = tuple(cheap_layers(g))
+    layer_of = [-1] * len(g.adj)
+    for i, layer in enumerate(layers):
+        for v in layer:
+            layer_of[v] = i
+    return LayerDecomposition(layers, tuple(layer_of))

@@ -1,8 +1,9 @@
 """Immutable undirected simple graphs on integer vertex ids 0..n-1.
 
-The whole library works on this one representation: a tuple of frozen
-neighbor sets.  Vertices are always contiguous ints; labels (if any) live
-at the CLI layer, never here.
+Every input reaches the library in this one representation: a tuple of
+frozen neighbor sets.  Vertices are always contiguous ints; labels (if any)
+live at the CLI layer, never here.  Code that deletes vertices round after
+round works on a degeneracy.Residual, which keeps these ids.
 """
 from __future__ import annotations
 
@@ -97,10 +98,13 @@ def remove_vertices(g: Graph, s: Iterable[int]) -> InducedSubgraph:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of connected components, each sorted, in smallest-id order."""
-    seen = [False] * g.n
+    """Vertex lists of connected components, each sorted, in smallest-id order.
+
+    Also takes a degeneracy.Residual: only its live vertices are visited.
+    """
+    seen = [False] * len(g.adj)
     comps: list[list[int]] = []
-    for start in range(g.n):
+    for start in g.vertices():
         if seen[start]:
             continue
         seen[start] = True

@@ -6,11 +6,15 @@ bank its exact-rational contribution, delete N[S], repeat.  The banked
 certificate is a true lower bound on the optimum, and the chosen set always
 has at least ceil(certificate) vertices — that invariant is what makes these
 greedies "certified" rather than heuristic.
+
+One round loop runs every algorithm on a single `Residual`: zeta is computed once
+per run and repaired locally after each round's deletion, so a round costs a
+scan of the live graph by its finder plus work near N[S], with no rebuild.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -18,8 +22,8 @@ from .bounds import (GroupedBound, component_lambdas, independent_cheap_set,
                      strong_bound_grouped)
 from .cheap_sets import (CheapSet, cheap_weight, find_1_cheap, find_2_cheap,
                          find_k_cheap_forest)
-from .degeneracy import ZetaProfile, cheap_vertices, zeta_profile
-from .graph import Graph, GraphInputError, closed_neighborhood, is_forest, remove_vertices
+from .degeneracy import Residual, cheap_vertices
+from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
 
 
 @dataclass(frozen=True)
@@ -40,43 +44,42 @@ class GreedyRun:
     anomalies: tuple[dict, ...] = ()
 
 
-def _strip_isolated(work: Graph, old: tuple[int, ...], chosen: set[int],
-                    trace: list[TraceStep]) -> tuple[Graph, tuple[int, ...], Fraction]:
-    iso = [v for v in range(work.n) if not work.adj[v]]
-    if not iso:
-        return work, old, Fraction(0)
-    orig = tuple(sorted(old[v] for v in iso))
-    chosen.update(orig)
-    trace.append(TraceStep("isolated-block", orig, orig, Fraction(len(iso))))
-    sub = remove_vertices(work, iso)
-    return sub.graph, tuple(old[o] for o in sub.old_of), Fraction(len(iso))
+def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep],
+           anomalies: list | None = None) -> GreedyRun:
+    """Run rounds on one Residual until it is empty.
 
-
-def _run_with_finder(g: Graph, level: int,
-                     finder: Callable[[Graph, ZetaProfile], CheapSet],
-                     anomalies: list | None = None) -> GreedyRun:
-    work, old = g, tuple(range(g.n))
+    A round with isolated vertices banks them as one block; otherwise `pick`
+    returns the round's step, which is banked and its removed set deleted.  New
+    isolated vertices can only be among the vertices whose degree changed.
+    """
+    r = Residual(g)
     chosen: set[int] = set()
-    cert = Fraction(0)
     trace: list[TraceStep] = []
-    while work.n:
-        work, old, got = _strip_isolated(work, old, chosen, trace)
-        cert += got
-        if work.n == 0:
-            break
-        prof = zeta_profile(work)
-        cs = finder(work, prof)
-        nbhd = closed_neighborhood(work, cs.vertices)
-        contribution = cheap_weight(work, prof.zeta, cs.vertices, level)
-        picked = tuple(sorted(old[v] for v in cs.vertices))
-        removed = tuple(sorted(old[v] for v in nbhd))
-        chosen.update(picked)
-        cert += contribution
-        trace.append(TraceStep(cs.kind, picked, removed, contribution))
-        sub = remove_vertices(work, nbhd)
-        work, old = sub.graph, tuple(old[o] for o in sub.old_of)
-    return GreedyRun(frozenset(chosen), cert, level, tuple(trace),
+    isolated = [v for v in r.vertices() if not r.adj[v]]
+    while r.n:
+        if isolated:
+            block = tuple(isolated)
+            step = TraceStep("isolated-block", block, block, Fraction(len(block)))
+        else:
+            step = pick(r)
+        chosen.update(step.picked)
+        trace.append(step)
+        isolated = sorted(v for v in r.delete(step.removed) if not r.adj[v])
+    certificate = sum((step.contribution for step in trace), Fraction(0))
+    return GreedyRun(frozenset(chosen), certificate, level, tuple(trace),
                      tuple(anomalies) if anomalies else ())
+
+
+def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet],
+                 anomalies: list | None = None) -> GreedyRun:
+    """Drive rounds that take the finder's cheap set and bank the weight of its N[S]."""
+    def pick(r: Residual) -> TraceStep:
+        cs = finder(r)
+        return TraceStep(cs.kind, tuple(sorted(cs.vertices)),
+                         tuple(sorted(closed_neighborhood(r, cs.vertices))),
+                         cheap_weight(r, r.zeta, cs.vertices, level))
+
+    return _drive(g, level, pick, anomalies)
 
 
 def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
@@ -87,14 +90,13 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
     """
     rng = random.Random(seed) if seed is not None else None
 
-    def pick(work: Graph, prof: ZetaProfile) -> CheapSet:
-        degs = work.degrees()
-        low = min(degs)
-        pool = [v for v in range(work.n) if degs[v] == low]
+    def pick(r: Residual) -> CheapSet:
+        low = min(len(r.adj[v]) for v in r.vertices())
+        pool = [v for v in r.vertices() if len(r.adj[v]) == low]
         v = rng.choice(pool) if rng is not None else pool[0]
         return CheapSet(frozenset({v}), 0, "single-cheap")
 
-    return _run_with_finder(g, 0, pick)
+    return _with_finder(g, 0, pick)
 
 
 def cheap_greedy(g: Graph) -> GreedyRun:
@@ -106,54 +108,38 @@ def cheap_greedy(g: Graph) -> GreedyRun:
     if neither applies, a single cheap vertex still banks at least its own
     weight.  The certificate is >= Z_1 of the input.
     """
-    work, old = g, tuple(range(g.n))
-    chosen: set[int] = set()
-    cert = Fraction(0)
-    trace: list[TraceStep] = []
-    while work.n:
-        work, old, got = _strip_isolated(work, old, chosen, trace)
-        cert += got
-        if work.n == 0:
-            break
-        prof = zeta_profile(work)
-        zeta = prof.zeta
-
-        s1 = independent_cheap_set(work, prof)
-        comps = component_lambdas(work, prof, s1)
+    def pick(r: Residual) -> TraceStep:
+        zeta = r.zeta                      # a Residual is its own zeta profile
+        s1 = independent_cheap_set(r, r)
+        comps = component_lambdas(r, r, s1)
         lam1 = min((c.lam for c in comps), default=None)
         s1_ok = lam1 is not None and all(c.lam >= 0 for c in comps)
 
-        grouped = strong_bound_grouped(work, prof)
+        grouped = strong_bound_grouped(r, r)
         s2_ok = isinstance(grouped, GroupedBound)
 
         if s2_ok and (not s1_ok or grouped.lam < lam1):
             s, lam, kind = grouped.subset, grouped.lam, "grouped-lambda"
-            nbhd = closed_neighborhood(work, s)
+            nbhd = closed_neighborhood(r, s)
             contribution = sum((1 / (zeta[v] + lam) for v in nbhd), Fraction(0))
         elif s1_ok:
             s, lam, kind = s1, lam1, "component-lambda"
-            nbhd = closed_neighborhood(work, s)
+            nbhd = closed_neighborhood(r, s)
             contribution = sum((sum((1 / (zeta[v] + c.lam) for v in c.vertices),
                                     Fraction(0)) for c in comps), Fraction(0))
         else:
-            u = min(cheap_vertices(work, prof))
+            u = min(cheap_vertices(r, r))
             s, lam, kind = frozenset({u}), None, "single-cheap"
-            nbhd = closed_neighborhood(work, s)
+            nbhd = closed_neighborhood(r, s)
             contribution = sum((Fraction(1, zeta[v] + 1) for v in nbhd), Fraction(0))
+        return TraceStep(kind, tuple(sorted(s)), tuple(sorted(nbhd)), contribution, lam)
 
-        picked = tuple(sorted(old[v] for v in s))
-        removed = tuple(sorted(old[v] for v in nbhd))
-        chosen.update(picked)
-        cert += contribution
-        trace.append(TraceStep(kind, picked, removed, contribution, lam))
-        sub = remove_vertices(work, nbhd)
-        work, old = sub.graph, tuple(old[o] for o in sub.old_of)
-    return GreedyRun(frozenset(chosen), cert, 0, tuple(trace))
+    return _drive(g, 0, pick)
 
 
 def one_cheap_greedy(g: Graph) -> GreedyRun:
     """1-independent set of size >= ceil(Z_2(G)) via 1-cheap sets."""
-    return _run_with_finder(g, 1, find_1_cheap)
+    return _with_finder(g, 1, find_1_cheap)
 
 
 def two_cheap_greedy(g: Graph) -> GreedyRun:
@@ -163,19 +149,11 @@ def two_cheap_greedy(g: Graph) -> GreedyRun:
     run's anomalies field.
     """
     log: list = []
-
-    def pick(work: Graph, prof: ZetaProfile) -> CheapSet:
-        return find_2_cheap(work, prof, log)
-
-    return _run_with_finder(g, 2, pick, anomalies=log)
+    return _with_finder(g, 2, lambda r: find_2_cheap(r, anomaly_log=log), log)
 
 
 def forest_k_greedy(g: Graph, k: int) -> GreedyRun:
     """k-independent set in a forest, size >= ceil(Z_{k+1}(G))."""
     if not is_forest(g):
         raise GraphInputError("forest_k_greedy requires a forest")
-
-    def pick(work: Graph, prof: ZetaProfile) -> CheapSet:
-        return find_k_cheap_forest(work, k, prof)
-
-    return _run_with_finder(g, k, pick)
+    return _with_finder(g, k, lambda r: find_k_cheap_forest(r, k))

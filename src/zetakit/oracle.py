@@ -15,8 +15,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterator
 
-from .degeneracy import zeta_profile
-from .graph import Graph, GraphInputError, build_graph, remove_vertices
+from .degeneracy import Residual, zeta_profile
+from .graph import Graph, GraphInputError, build_graph
 
 _ALPHA0_LIMIT = 40
 _ALPHAK_LIMIT = 20
@@ -174,13 +174,12 @@ def _peel_clique_cover(g: Graph) -> tuple[frozenset[int], ...] | None:
     block (up to a small cap); None means inconclusive, never a refutation.
     """
     parts: list[frozenset[int]] = []
-    work, old = g, tuple(range(g.n))
+    work = Residual(g)
     while work.n:
-        prof = zeta_profile(work)
-        dmin = min(len(work.adj[v]) for v in range(work.n))
+        dmin = min(len(work.adj[v]) for v in work.vertices())
         seen: set[frozenset[int]] = set()
         peeled = None
-        for u in range(work.n):
+        for u in work.vertices():
             if len(work.adj[u]) != dmin:
                 continue
             block = frozenset(work.adj[u]) | {u}
@@ -189,22 +188,19 @@ def _peel_clique_cover(g: Graph) -> tuple[frozenset[int], ...] | None:
             if len(seen) >= _PEEL_TRIES:
                 break
             seen.add(block)
-            if any(prof.zeta[v] != dmin for v in block):
+            if any(work.zeta[v] != dmin for v in block):
                 continue
             if any(block - work.adj[a] - {a} for a in block):
                 continue
-            sub = remove_vertices(work, block)
-            prof_h = zeta_profile(sub.graph)
-            if any(prof_h.zeta[x] != prof.zeta[sub.old_of[x]]
-                   for x in range(sub.graph.n)):
+            trial = work.copy()
+            if any(trial.zeta[x] != work.zeta[x] for x in trial.delete(block)):
                 continue
-            peeled = (block, sub)
+            peeled = (block, trial)
             break
         if peeled is None:
             return None
-        block, sub = peeled
-        parts.append(frozenset(old[v] for v in block))
-        work, old = sub.graph, tuple(old[o] for o in sub.old_of)
+        block, work = peeled
+        parts.append(block)
     return tuple(parts)
 
 

@@ -235,6 +235,35 @@ def test_exit_dimacs_edge_before_header(tmp_path, capsys):
     assert rc == 2 and "line 1" in err
 
 
+def test_exit_non_utf8_file(tmp_path, capsys):
+    f = tmp_path / "latin1.edges"
+    f.write_bytes("caf\xe9 b\n".encode("latin-1"))
+    rc, out, err = run(capsys, "zeta", str(f))
+    assert rc == 2 and out is None and "UTF-8" in err
+
+
+def test_exit_non_utf8_stdin(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"0 1\n\xff\xfe 2\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    rc, out, err = run(capsys, "zeta", "-")
+    assert rc == 2 and out is None and "UTF-8" in err
+
+
+def test_auto_format_reads_dimacs_header(tmp_path, capsys, monkeypatch):
+    text = "c a triangle\n\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    rc, out, _ = run(capsys, "zeta", "-")
+    assert rc == 0 and out["n"] == 3 and out["zeta"] == [2, 2, 2]
+    f = tmp_path / "triangle.txt"
+    f.write_text(text)
+    rc, out, _ = run(capsys, "zeta", str(f))
+    assert rc == 0 and out["labels"] == ["1", "2", "3"]
+    # an edge between the labels "p" and "edge" stays an edge list
+    f.write_text("p edge\nedge q\n")
+    rc, out, _ = run(capsys, "zeta", str(f))
+    assert rc == 0 and out["labels"] == ["p", "edge", "q"]
+
+
 def test_warning_surfaces_in_payload(tmp_path, capsys):
     f = tmp_path / "warn.dimacs"
     f.write_text("p edge 4 5\ne 1 2\ne 2 3\ne 3 4\ne 1 2\n")
@@ -303,7 +332,7 @@ def test_bench_json_report(bench_dir, tmp_path, capsys):
 def test_bench_csv_report(bench_dir, tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     rc, out, _ = run(capsys, "bench", "--dir", str(bench_dir),
-                     "--out", str(out_path), "--threads", "2")
+                     "--out", str(out_path))
     assert rc == 0
     with out_path.open() as fh:
         rows = list(csv.DictReader(fh))

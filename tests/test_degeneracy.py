@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
                       graphs, path_graph, star_graph)
-from zetakit.degeneracy import (cheap_vertices, is_zeta_regular,
+from zetakit.degeneracy import (Residual, cheap_vertices, is_zeta_regular,
                                 layer_decomposition, zeta_oracle, zeta_profile)
-from zetakit.graph import build_graph, remove_vertices
+from zetakit.graph import GraphInputError, build_graph, remove_vertices
 
 
 def subset_max_zeta(g):
@@ -89,6 +89,18 @@ def test_cheap_definition(g):
         assert (u in cheap) == is_cheap
 
 
+def rebuilt_layers(g):
+    """Reference decomposition: the cheap set of each rebuilt, recomputed residual."""
+    layers = []
+    work, old = g, list(range(g.n))
+    while work.n:
+        cheap = cheap_vertices(work)
+        layers.append(frozenset(old[v] for v in cheap))
+        sub = remove_vertices(work, cheap)
+        work, old = sub.graph, [old[o] for o in sub.old_of]
+    return tuple(layers)
+
+
 @given(graphs(max_n=16))
 @settings(max_examples=60)
 def test_layers_partition_and_recompute(g):
@@ -98,13 +110,53 @@ def test_layers_partition_and_recompute(g):
     assert all(dec.layer_of[v] == i
                for i, layer in enumerate(dec.layers) for v in layer)
     # layer i is exactly the cheap set of the graph with layers < i stripped
-    work, old = g, list(range(g.n))
-    for layer in dec.layers:
-        expect = {old[v] for v in cheap_vertices(work)}
-        assert set(layer) == expect
-        sub = remove_vertices(work, {v for v in range(work.n) if old[v] in expect})
-        work, old = sub.graph, [old[o] for o in sub.old_of]
-    assert work.n == 0
+    assert dec.layers == rebuilt_layers(g)
+
+
+def test_layers_match_rebuild_on_all_small_graphs(dedup_suite):
+    for n, suite in dedup_suite.items():
+        for g in suite:
+            assert layer_decomposition(g).layers == rebuilt_layers(g), g.edges()
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=120, deadline=None)
+def test_residual_repairs_coreness_under_deletions(g, data):
+    """After each delete the residual equals the rebuilt induced subgraph and
+    its coreness equals the oracle's, and `changed` names exactly the live
+    vertices whose degree or zeta moved."""
+    r = Residual(g)
+    gone: set[int] = set()
+    while r.n:
+        live = sorted(set(range(g.n)) - gone)
+        drop = data.draw(st.sets(st.sampled_from(live), min_size=1, max_size=4))
+        before_deg = {v: len(r.adj[v]) for v in live}
+        before_zeta = list(r.zeta)
+        changed = r.delete(drop)
+        gone |= drop
+        sub = remove_vertices(g, gone)
+        expect = zeta_oracle(sub.graph)
+        assert list(r.vertices()) == list(sub.old_of)
+        assert (r.n, r.m) == (sub.graph.n, sub.graph.m)
+        for x, v in enumerate(sub.old_of):
+            assert r.zeta[v] == expect[x]
+            assert r.adj[v] == {sub.old_of[y] for y in sub.graph.adj[x]}
+        assert changed == {v for v in sub.old_of
+                           if len(r.adj[v]) != before_deg[v]
+                           or r.zeta[v] != before_zeta[v]}
+
+
+def test_residual_copy_is_independent_and_delete_checks_ids():
+    g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+    r = Residual(g)
+    twin = r.copy()
+    assert twin.delete({0}) == {1, 2, 3}
+    assert twin.zeta == [0, 1, 1, 0] and (twin.n, twin.m) == (3, 1)
+    assert r.zeta == [2, 2, 2, 1] and (r.n, r.m) == (4, 4)
+    assert list(r.vertices()) == [0, 1, 2, 3]
+    for bad in (0, 4, -1):
+        with pytest.raises(GraphInputError):
+            twin.delete({bad})
 
 
 def test_known_profiles():

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rebuild_greedy
+import zetakit
 from conftest import (complete_graph, cycle_graph, gnp, graphs, path_graph,
                       random_forest, star_graph)
 from zetakit.bounds import z_bound
 from zetakit.degeneracy import zeta_profile
-from zetakit.graph import GraphInputError, build_graph
+from zetakit.graph import GraphInputError, build_graph, is_forest
 from zetakit.greedy import (cheap_greedy, forest_k_greedy, min_greedy,
                             one_cheap_greedy, two_cheap_greedy)
+from zetakit.oracle import layered_example_graph
 
 ALGOS = [
     ("min", lambda g: min_greedy(g), 0),
@@ -150,3 +153,62 @@ def test_min_greedy_on_clique_and_star():
 def test_two_cheap_collects_anomalies_field():
     run = two_cheap_greedy(gnp(18, 0.25, 4))
     assert run.anomalies == () or list(run.anomalies) == []
+
+
+# ── the residual rounds against the rebuild-per-round reference ─────────────
+
+def assert_matches_rebuild_reference(g):
+    assert min_greedy(g) == rebuild_greedy.min_greedy(g)
+    assert min_greedy(g, seed=7) == rebuild_greedy.min_greedy(g, seed=7)
+    assert cheap_greedy(g) == rebuild_greedy.cheap_greedy(g)
+    assert one_cheap_greedy(g) == rebuild_greedy.one_cheap_greedy(g)
+    assert two_cheap_greedy(g) == rebuild_greedy.two_cheap_greedy(g)
+    if is_forest(g):
+        for k in (0, 1, 2):
+            assert forest_k_greedy(g, k) == rebuild_greedy.forest_k_greedy(g, k)
+
+
+@given(g=graphs(max_n=24))
+@settings(max_examples=80, deadline=None)
+def test_greedies_match_rebuild_reference(g):
+    assert_matches_rebuild_reference(g)
+
+
+@given(n=st.integers(1, 40), seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_greedies_match_rebuild_reference_on_forests(n, seed):
+    assert_matches_rebuild_reference(random_forest(n, seed))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_greedies_match_rebuild_reference_on_layered_example(k):
+    assert_matches_rebuild_reference(layered_example_graph(k))
+
+
+def test_greedy_runs_neither_rebuild_nor_reprofile(monkeypatch):
+    """One zeta_profile per run and no remove_vertices, counted at every module binding."""
+    calls = {}
+    for name, module in (("remove_vertices", zetakit.graph),
+                         ("zeta_profile", zetakit.degeneracy)):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in (zetakit, zetakit.graph, zetakit.degeneracy, zetakit.bounds,
+                    zetakit.cheap_sets, zetakit.greedy, zetakit.oracle):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    forest = random_forest(60, 5)
+    runs = [lambda g: min_greedy(g), lambda g: min_greedy(g, seed=1), cheap_greedy,
+            one_cheap_greedy, two_cheap_greedy]
+    for g in (gnp(60, 0.1, 3), layered_example_graph(3), forest):
+        for run in runs:
+            calls.update(remove_vertices=0, zeta_profile=0)
+            assert run(g).trace
+            assert calls == {"remove_vertices": 0, "zeta_profile": 1}
+    calls.update(remove_vertices=0, zeta_profile=0)
+    assert forest_k_greedy(forest, 2).trace
+    assert calls == {"remove_vertices": 0, "zeta_profile": 1}
