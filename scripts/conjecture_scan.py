@@ -7,10 +7,11 @@ Exit code is always 0; findings are printed as JSON lines, one per (k, n) cell.
 import argparse
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stdout
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from zetakit.cli import run_command  # noqa: E402
 

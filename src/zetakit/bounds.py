@@ -5,9 +5,11 @@ The headline quantity is
 
     Z_k(G) = sum_v min{1, 1/(zeta(v) + 1/k)}        (k >= 1)
 
-which lower-bounds the (k-1)-independence number.  The "strong" variants
-replace the +1/k shift by a per-subset lambda derived from an independent set
-of cheap vertices; lambda may be negative, which is where they beat Z_k.
+which lower-bounds the (k-1)-independence number; Z_1, Z_2 and Z_3 are
+proven bounds on alpha_0, alpha_1 and alpha_2.  The "strong" variants replace
+the shift on N[S] by a lambda derived from an independent set S of cheap
+vertices; lambda may be negative, which is where they beat Z_1.  Every such
+sum is `degeneracy.zeta_weight`, one call per shift.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .degeneracy import Residual, ZetaProfile, cheap_vertices, profile_of, zeta_profile
+from .degeneracy import (Residual, ZetaProfile, cheap_vertices, profile_of, zeta_profile,
+                         zeta_weight)
 from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
 
 
@@ -54,14 +57,12 @@ def z_bound(g: Graph, k: int, profile: ZetaProfile | None = None) -> Fraction:
     """Z_k: certified lower bound on the (k-1)-independence number."""
     if k < 1:
         raise GraphInputError(f"z_bound index must be >= 1, got {k}")
-    zeta = (profile or zeta_profile(g)).zeta
-    shift = Fraction(1, k)
-    return sum((min(Fraction(1), 1 / (z + shift)) for z in zeta), Fraction(0))
+    return zeta_weight((profile or zeta_profile(g)).zeta, Fraction(1, k))
 
 
 def caro_wei(g: Graph) -> Fraction:
     """Classical degree-based bound sum 1/(deg(v)+1); Z_1 always dominates it."""
-    return sum((Fraction(1, len(a) + 1) for a in g.adj), Fraction(0))
+    return zeta_weight((len(a) for a in g.adj), 1)
 
 
 def turan_zeta(g: Graph, profile: ZetaProfile | None = None) -> Fraction:
@@ -87,8 +88,7 @@ def baseline_bounds(g: Graph) -> dict[str, BoundValue]:
         "ch_a2": Fraction(3 * g.n) / (dbar + 3),
     }
     if min(len(a) for a in g.adj) >= 2:
-        out["caro_tuza_a1"] = sum(
-            (Fraction(3, 2 * (len(a) + 1)) for a in g.adj), Fraction(0))
+        out["caro_tuza_a1"] = Fraction(3, 2) * caro_wei(g)
     else:
         out["caro_tuza_a1"] = Inapplicable("requires minimum degree >= 2")
     return out
@@ -118,6 +118,11 @@ def component_lambdas(g: Graph | Residual, profile: ZetaProfile | Residual,
     returned in order of their smallest vertex id.
     """
     _check_cheap_independent(g, profile, s)
+    return _lambda_components(g, s)
+
+
+def _lambda_components(g: Graph | Residual, s: frozenset[int]) -> list[ComponentLambda]:
+    """component_lambdas for an S known to be a nonempty independent set of cheap vertices."""
     seen: set[int] = set()
     comps: list[ComponentLambda] = []
     for root in sorted(s):
@@ -149,7 +154,8 @@ def strong_bound_component(g: Graph | Residual, profile: ZetaProfile | Residual,
 
     Requires every component lambda to be nonnegative; otherwise reports
     Inapplicable (a negative component lambda breaks the averaging argument
-    in this per-component form).
+    in this per-component form).  Then zeta + lambda >= 1 throughout: zeta >= 1
+    off the isolated members of S, whose components have lambda = 1.
     """
     comps = component_lambdas(g, profile, s)
     neg = [c for c in comps if c.lam < 0]
@@ -158,14 +164,9 @@ def strong_bound_component(g: Graph | Residual, profile: ZetaProfile | Residual,
         return Inapplicable(
             f"component with lambda {worst.lam} < 0 (vertices {sorted(worst.vertices)[:6]}...)")
     zeta = profile.zeta
-    covered: set[int] = set()
-    total = Fraction(0)
-    for c in comps:
-        covered |= c.vertices
-        total += sum((1 / (zeta[v] + c.lam) for v in c.vertices), Fraction(0))
-    total += sum((Fraction(1, zeta[v] + 1) for v in g.vertices() if v not in covered),
-                 Fraction(0))
-    return total
+    covered = set().union(*(c.vertices for c in comps))
+    return (sum((zeta_weight((zeta[v] for v in c.vertices), c.lam) for c in comps), Fraction(0))
+            + zeta_weight((zeta[v] for v in g.vertices() if v not in covered), 1))
 
 
 def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int]:
@@ -228,43 +229,44 @@ def _greedy_mis(g: Graph | Residual, pool: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def strong_bound_grouped(g: Graph | Residual, profile: ZetaProfile | Residual | None = None
-                         ) -> GroupedBound | Inapplicable:
-    """Group cheap vertices by zeta, pick the group subset of minimal lambda.
+def _min_lambda_group(g: Graph | Residual, zeta, cheap: frozenset[int]
+                      ) -> tuple[Fraction, int, frozenset[int]]:
+    """(lambda, class zeta, S) of least lambda over the zeta-classes of the nonempty `cheap`.
 
-    Within each zeta-class: greedy maximal independent subset, then
-    select_dense_subset.  The minimum-lambda subset is used for the bound;
-    inapplicable when that lambda makes a denominator nonpositive.
+    Per class: greedy maximal independent subset, then select_dense_subset;
+    the smallest class wins ties.  S is independent with degree z, its class,
+    so lambda = 1 - z + |N(S)|/|S|, and zeta >= z on N[S] gives zeta + lambda >= 1.
     """
-    if g.n == 0:
-        return Inapplicable("empty graph")
-    prof = profile or profile_of(g)
-    zeta = prof.zeta
-    cheap = cheap_vertices(g, prof)
     groups: dict[int, set[int]] = {}
     for u in cheap:
         groups.setdefault(zeta[u], set()).add(u)
-
     best: tuple[Fraction, int, frozenset[int]] | None = None
     for zval in sorted(groups):
-        grp = frozenset(groups[zval])
-        seed = _greedy_mis(g, grp)
-        subset = select_dense_subset(g, seed)
+        subset = select_dense_subset(g, _greedy_mis(g, frozenset(groups[zval])))
         nbhd = closed_neighborhood(g, subset) - subset
         e = sum(len(g.adj[u]) for u in subset)
         lam = 1 + Fraction(len(nbhd) - e, len(subset))
         if best is None or lam < best[0]:
             best = (lam, zval, subset)
     assert best is not None
-    lam, zval, subset = best
+    return best
+
+
+def strong_bound_grouped(g: Graph | Residual, profile: ZetaProfile | Residual | None = None
+                         ) -> GroupedBound | Inapplicable:
+    """Group cheap vertices by zeta, pick the group subset of minimal lambda.
+
+    The bound weighs N[S] at shift lambda and every other vertex at shift 1;
+    it applies to every nonempty graph (see _min_lambda_group).
+    """
+    if g.n == 0:
+        return Inapplicable("empty graph")
+    prof = profile or profile_of(g)
+    zeta = prof.zeta
+    lam, zval, subset = _min_lambda_group(g, zeta, cheap_vertices(g, prof))
     closed = closed_neighborhood(g, subset)
-    low = min(zeta[v] for v in closed)
-    if low + lam <= 0:
-        return Inapplicable(
-            f"lambda {lam} yields nonpositive denominator on N[S] (min zeta {low})")
-    value = sum((1 / (zeta[v] + lam) for v in closed), Fraction(0))
-    value += sum((Fraction(1, zeta[v] + 1) for v in g.vertices() if v not in closed),
-                 Fraction(0))
+    value = (zeta_weight((zeta[v] for v in closed), lam)
+             + zeta_weight((zeta[v] for v in g.vertices() if v not in closed), 1))
     return GroupedBound(value=value, subset=subset, lam=lam, group_zeta=zval)
 
 

@@ -15,7 +15,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 from .degeneracy import (Residual, ZetaProfile, cheap_layers, cheap_vertices,
-                         profile_of, residual_of)
+                         profile_of, residual_of, zeta_weight)
 from .graph import (Graph, GraphInputError, closed_neighborhood,
                     connected_components, is_forest)
 
@@ -46,10 +46,7 @@ class VerifyResult:
 
 def cheap_weight(g: Graph | Residual, zeta, s, level: int) -> Fraction:
     """Contribution of N[S] to Z_{level+1} (isolated vertices clamp at 1)."""
-    shift = Fraction(1, level + 1)
-    one = Fraction(1)
-    return sum((min(one, 1 / (zeta[v] + shift))
-                for v in closed_neighborhood(g, s)), Fraction(0))
+    return zeta_weight((zeta[v] for v in closed_neighborhood(g, s)), Fraction(1, level + 1))
 
 
 def verify_k_cheap(g: Graph | Residual, s, level: int,

@@ -1,4 +1,4 @@
-"""Degenerate degree (zeta) profiles, cheap vertices, and layer decompositions.
+"""Degenerate degree (zeta) profiles, their weight sum, cheap vertices, and layer decompositions.
 
 zeta(v) is the largest minimum degree over all induced subgraphs containing v
 — equivalently v's coreness.  It is computed in near-linear time from a
@@ -13,7 +13,9 @@ deletion instead of being recomputed.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -166,6 +168,17 @@ def zeta_oracle(g: Graph) -> tuple[int, ...]:
                 zeta[v] = d
         d += 1
     return tuple(zeta)
+
+
+def zeta_weight(values: Iterable[int], shift: Fraction | int) -> Fraction:
+    """Sum of min{1, 1/(z + shift)} over the multiset of integers `values`.
+
+    Counting the values first makes the cost O(len(values)) integer steps plus
+    one Fraction term per distinct value.
+    """
+    one = Fraction(1)
+    return sum((count * min(one, one / (z + shift)) for z, count in Counter(values).items()),
+               Fraction(0))
 
 
 def is_zeta_regular(g: Graph, profile: ZetaProfile | None = None) -> bool:

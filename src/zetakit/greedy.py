@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .bounds import (GroupedBound, component_lambdas, independent_cheap_set,
-                     strong_bound_grouped)
+from .bounds import _greedy_mis, _lambda_components, _min_lambda_group
 from .cheap_sets import (CheapSet, cheap_weight, find_1_cheap, find_2_cheap,
                          find_k_cheap_forest)
-from .degeneracy import Residual, cheap_vertices
+from .degeneracy import Residual, cheap_vertices, zeta_weight
 from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
 
 
@@ -102,37 +101,29 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
 def cheap_greedy(g: Graph) -> GreedyRun:
     """Independent set certified by lambda-strengthened accounting.
 
-    Each round builds two candidates: S1, a maximal independent subset of the
-    cheap vertices accounted per bipartite component, and S2, the grouped
-    minimum-lambda subset.  The smaller applicable lambda wins (S1 on ties);
-    if neither applies, a single cheap vertex still banks at least its own
-    weight.  The certificate is >= Z_1 of the input.
+    Each round takes the cheap vertices once and builds two candidates: S1,
+    a maximal independent subset accounted per bipartite component, and S2,
+    the grouped minimum-lambda subset, which always applies.  S1 wins when its
+    component lambdas are all >= 0 and its smallest is <= S2's lambda.  The
+    round banks the weight of N[S] at the winner's lambdas.  The certificate
+    is >= Z_1 of the input.
     """
     def pick(r: Residual) -> TraceStep:
         zeta = r.zeta                      # a Residual is its own zeta profile
-        s1 = independent_cheap_set(r, r)
-        comps = component_lambdas(r, r, s1)
-        lam1 = min((c.lam for c in comps), default=None)
-        s1_ok = lam1 is not None and all(c.lam >= 0 for c in comps)
-
-        grouped = strong_bound_grouped(r, r)
-        s2_ok = isinstance(grouped, GroupedBound)
-
-        if s2_ok and (not s1_ok or grouped.lam < lam1):
-            s, lam, kind = grouped.subset, grouped.lam, "grouped-lambda"
-            nbhd = closed_neighborhood(r, s)
-            contribution = sum((1 / (zeta[v] + lam) for v in nbhd), Fraction(0))
-        elif s1_ok:
+        cheap = cheap_vertices(r, r)
+        s1 = _greedy_mis(r, cheap)
+        comps = _lambda_components(r, s1)
+        lam1 = min(c.lam for c in comps)
+        lam2, _, s2 = _min_lambda_group(r, zeta, cheap)
+        if 0 <= lam1 <= lam2:
             s, lam, kind = s1, lam1, "component-lambda"
-            nbhd = closed_neighborhood(r, s)
-            contribution = sum((sum((1 / (zeta[v] + c.lam) for v in c.vertices),
-                                    Fraction(0)) for c in comps), Fraction(0))
+            contribution = sum((zeta_weight((zeta[v] for v in c.vertices), c.lam)
+                                for c in comps), Fraction(0))
         else:
-            u = min(cheap_vertices(r, r))
-            s, lam, kind = frozenset({u}), None, "single-cheap"
-            nbhd = closed_neighborhood(r, s)
-            contribution = sum((Fraction(1, zeta[v] + 1) for v in nbhd), Fraction(0))
-        return TraceStep(kind, tuple(sorted(s)), tuple(sorted(nbhd)), contribution, lam)
+            s, lam, kind = s2, lam2, "grouped-lambda"
+            contribution = zeta_weight((zeta[v] for v in closed_neighborhood(r, s)), lam)
+        return TraceStep(kind, tuple(sorted(s)), tuple(sorted(closed_neighborhood(r, s))),
+                         contribution, lam)
 
     return _drive(g, 0, pick)
 

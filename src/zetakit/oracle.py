@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 from typing import Iterator
 
+from .bounds import z_bound
 from .degeneracy import Residual, zeta_profile
 from .graph import Graph, GraphInputError, build_graph
 
@@ -220,10 +220,8 @@ def is_in_family_F(g: Graph, limit: int = 4096) -> tuple[bool, tuple[frozenset[i
     parts = _peel_clique_cover(g)
     if parts is not None:
         return True, parts
-    prof = zeta_profile(g)
-    z1 = sum(Fraction(1, z + 1) for z in prof.zeta)
     alpha0, _ = exact_alpha_k(g, 0)
-    return alpha0 == z1, None
+    return alpha0 == z_bound(g, 1), None
 
 
 # ── generators ───────────────────────────────────────────────────────────────
@@ -293,15 +291,11 @@ def layered_example_graph(k: int) -> Graph:
     joined completely.  n = k(2k+1); the showcase input for the greedy family."""
     if k < 1:
         raise GraphInputError("example1 needs k >= 1")
-    layers: list[list[int]] = []
-    nxt = 0
-    for size in range(1, 2 * k + 1):
-        layers.append(list(range(nxt, nxt + size)))
-        nxt += size
+    layers = example_layers(k)
     edges = [(a, b)
              for prev, cur in zip(layers, layers[1:])
              for a in prev for b in cur]
-    return build_graph(nxt, edges)
+    return build_graph(k * (2 * k + 1), edges)
 
 
 def example_layers(k: int) -> tuple[tuple[int, ...], ...]:

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
                       graphs, graphs_with_edges, path_graph, random_forest,
                       star_graph)
-from zetakit.bounds import (Inapplicable, baseline_bounds, caro_wei,
+from zetakit.bounds import (GroupedBound, Inapplicable, baseline_bounds, caro_wei,
                             component_lambdas, forest_z_closed_form,
                             full_bound_report, independent_cheap_set,
                             select_dense_subset, strong_bound_component,
                             strong_bound_grouped, turan_zeta, z_bound)
 from zetakit.degeneracy import zeta_profile
-from zetakit.graph import GraphInputError, build_graph, connected_components
+from zetakit.graph import (GraphInputError, build_graph, closed_neighborhood,
+                           connected_components)
 from zetakit.oracle import exact_alpha_k
 
 
@@ -125,6 +126,8 @@ def test_component_lambda_bookkeeping(g):
         assert c.lam <= 1
         assert isinstance(c.lam, Fraction)
         assert len(c.vertices) == c.s + c.t
+        if c.lam >= 0:       # the strong bound's weight clamp never binds
+            assert all(prof.zeta[v] + c.lam >= 1 for v in c.vertices)
 
 
 @given(graphs_with_edges(max_n=16))
@@ -137,13 +140,10 @@ def test_strong_component_dominates_z1_when_applicable(g):
         assert val >= z_bound(g, 1, prof)
 
 
-@given(graphs_with_edges(max_n=16))
-@settings(max_examples=100)
-def test_grouped_bound_shape(g):
+def assert_grouped_shape(g):
     prof = zeta_profile(g)
     got = strong_bound_grouped(g, prof)
-    if isinstance(got, Inapplicable):
-        return
+    assert isinstance(got, GroupedBound)
     assert got.subset
     assert got.lam <= 1
     assert isinstance(got.value, Fraction)
@@ -151,6 +151,53 @@ def test_grouped_bound_shape(g):
     for v in got.subset:
         assert prof.zeta[v] == got.group_zeta == g.degree(v)
         assert not (g.adj[v] & got.subset)
+    # so every denominator on N[S] is >= 1: the weight clamp never binds
+    assert all(prof.zeta[v] + got.lam >= 1 for v in closed_neighborhood(g, got.subset))
+
+
+@given(graphs(max_n=16))
+@settings(max_examples=100)
+def test_grouped_bound_shape(g):
+    assert_grouped_shape(g)
+
+
+def test_grouped_bound_shape_exhaustive(dedup_suite):
+    for n in range(1, 8):
+        for g in dedup_suite[n]:
+            assert_grouped_shape(g)
+
+
+# ── slow twins: the weight sums written out one Fraction term per vertex ────
+
+def twin_z_bound(zeta, k):
+    return sum((min(Fraction(1), 1 / (z + Fraction(1, k))) for z in zeta), Fraction(0))
+
+
+def twin_lambda_bound(g, zeta, parts):
+    """Each (vertex set, lambda) part weighs 1/(zeta + lambda), the rest 1/(zeta + 1)."""
+    covered = set().union(*(vs for vs, _ in parts))
+    total = sum((1 / (zeta[v] + lam) for vs, lam in parts for v in vs), Fraction(0))
+    return total + sum((Fraction(1, zeta[v] + 1) for v in range(g.n) if v not in covered),
+                       Fraction(0))
+
+
+@given(graphs(max_n=16))
+@settings(max_examples=100)
+def test_weight_sums_match_per_vertex_twin(g):
+    prof = zeta_profile(g)
+    for k in (1, 2, 3):
+        assert z_bound(g, k, prof) == twin_z_bound(prof.zeta, k)
+    assert caro_wei(g) == sum((Fraction(1, len(a) + 1) for a in g.adj), Fraction(0))
+    s = independent_cheap_set(g, prof)
+    comps = component_lambdas(g, prof, s)
+    got = strong_bound_component(g, prof, s)
+    if all(c.lam >= 0 for c in comps):
+        assert got == twin_lambda_bound(g, prof.zeta, [(c.vertices, c.lam) for c in comps])
+    else:
+        assert isinstance(got, Inapplicable)
+    grouped = strong_bound_grouped(g, prof)
+    nbhd = closed_neighborhood(g, grouped.subset)
+    assert grouped.value == twin_lambda_bound(g, prof.zeta, [(nbhd, grouped.lam)])
 
 
 @given(graphs_with_edges(max_n=14))

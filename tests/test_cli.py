@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +280,16 @@ def test_console_script_wiring(tmp_path):
                          capture_output=True, text=True)
     assert got.returncode == 0
     assert json.loads(got.stdout)["zeta"] == [1, 1, 1]
+
+
+def test_conjecture_scan_runs_from_any_directory(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "conjecture_scan.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    got = subprocess.run([sys.executable, str(script), "--kmin", "3", "--kmax", "3",
+                          "--nmax", "6", "--trials", "2"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert "worst_slack" in json.loads(got.stdout.splitlines()[-1])
 
 
 # ── bench ───────────────────────────────────────────────────────────────────

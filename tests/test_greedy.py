@@ -119,8 +119,8 @@ def test_empty_and_isolated_graphs():
 def test_cheap_greedy_trace_kinds():
     g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     run = cheap_greedy(g)
-    assert all(s.kind in ("grouped-lambda", "component-lambda", "single-cheap",
-                          "isolated-block") for s in run.trace)
+    assert all(s.kind in ("grouped-lambda", "component-lambda", "isolated-block")
+               for s in run.trace)
     lam_steps = [s for s in run.trace if s.kind in ("grouped-lambda",
                                                     "component-lambda")]
     for s in lam_steps:
@@ -186,10 +186,15 @@ def test_greedies_match_rebuild_reference_on_layered_example(k):
 
 
 def test_greedy_runs_neither_rebuild_nor_reprofile(monkeypatch):
-    """One zeta_profile per run and no remove_vertices, counted at every module binding."""
+    """One zeta_profile per run and no remove_vertices, strong_bound_grouped or
+    independent_cheap_set, counted at every module binding."""
+    expected = {"remove_vertices": 0, "zeta_profile": 1, "strong_bound_grouped": 0,
+                "independent_cheap_set": 0}
     calls = {}
     for name, module in (("remove_vertices", zetakit.graph),
-                         ("zeta_profile", zetakit.degeneracy)):
+                         ("zeta_profile", zetakit.degeneracy),
+                         ("strong_bound_grouped", zetakit.bounds),
+                         ("independent_cheap_set", zetakit.bounds)):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -206,9 +211,9 @@ def test_greedy_runs_neither_rebuild_nor_reprofile(monkeypatch):
             one_cheap_greedy, two_cheap_greedy]
     for g in (gnp(60, 0.1, 3), layered_example_graph(3), forest):
         for run in runs:
-            calls.update(remove_vertices=0, zeta_profile=0)
+            calls.update(dict.fromkeys(expected, 0))
             assert run(g).trace
-            assert calls == {"remove_vertices": 0, "zeta_profile": 1}
-    calls.update(remove_vertices=0, zeta_profile=0)
+            assert calls == expected
+    calls.update(dict.fromkeys(expected, 0))
     assert forest_k_greedy(forest, 2).trace
-    assert calls == {"remove_vertices": 0, "zeta_profile": 1}
+    assert calls == expected
