@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .degeneracy import (Residual, ZetaProfile, cheap_vertices, profile_of, zeta_profile,
                          zeta_weight)
@@ -203,29 +204,44 @@ def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int
 
 def independent_cheap_set(g: Graph | Residual,
                           profile: ZetaProfile | Residual | None = None) -> frozenset[int]:
-    """Greedy maximal independent subset of the cheap vertices.
+    """Greedy maximal independent subset of the cheap vertices (see _greedy_mis).
 
     Min-degree-first (degree inside the induced cheap subgraph), smallest id
     on ties — the same construction the certified greedy uses each round.
+    O((n + m) log n): one pass for the cheap set, then the heap-ordered picks.
     """
     return _greedy_mis(g, cheap_vertices(g, profile or profile_of(g)))
 
 
 def _greedy_mis(g: Graph | Residual, pool: frozenset[int]) -> frozenset[int]:
-    """Greedy maximal independent set inside G[pool], min-degree-first, smallest id on ties."""
-    alive = set(pool)
-    deg = {u: len(g.adj[u] & pool) for u in pool}
-    out = set()
-    while alive:
-        u = min(alive, key=lambda v: (deg[v], v))
-        out.add(u)
-        dead = (g.adj[u] & alive) | {u}
+    """Greedy maximal independent set inside G[pool]: take the least (degree in G[pool], id).
+
+    Each pick drops its closed neighbourhood from the pool.  A heap of
+    (degree, id) entries holds the order: a pool vertex whose degree falls
+    gets a fresh entry, and degrees only fall, so a pool vertex's least entry
+    is its current one.  Popping skips the vertices no longer in the pool;
+    the first other entry is the minimum over the pool.  The whole set costs
+    O((|pool| + m) log |pool|).
+    """
+    adj = g.adj
+    deg = {u: len(adj[u] & pool) for u in pool}   # pool vertex -> degree in G[pool]
+    heap = [(d, u) for u, d in deg.items()]
+    heapify(heap)
+    out = []
+    while deg:
+        u = heappop(heap)[1]
+        if u not in deg:
+            continue
+        out.append(u)
+        dead = [w for w in adj[u] if w in deg]
+        dead.append(u)
         for w in dead:
-            alive.discard(w)
+            del deg[w]
         for w in dead:
-            for x in g.adj[w]:
-                if x in alive:
+            for x in adj[w]:
+                if x in deg:
                     deg[x] -= 1
+                    heappush(heap, (deg[x], x))
     return frozenset(out)
 
 

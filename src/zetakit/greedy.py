@@ -8,14 +8,16 @@ has at least ceil(certificate) vertices — that invariant is what makes these
 greedies "certified" rather than heuristic.
 
 One round loop runs every algorithm on a single `Residual`: zeta is computed once
-per run and repaired locally after each round's deletion, so a round costs a
-scan of the live graph by its finder plus work near N[S], with no rebuild.
+per run and repaired locally after each round's deletion, so a round costs its
+finder's search (a scan of the live graph, or heap operations for min_greedy)
+plus work near N[S], with no rebuild.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Callable
 
 from .bounds import _greedy_mis, _lambda_components, _min_lambda_group
@@ -85,14 +87,43 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
     """Independent set: repeatedly take a minimum-degree vertex, drop N[v].
 
     Deterministic smallest-id tie-break by default; pass a seed for a
-    randomized tie-break among the minimum-degree vertices.
+    randomized tie-break among the minimum-degree vertices, drawn in
+    ascending id order.
+
+    The picks come from a heap of (degree, id) entries.  Only the live
+    neighbours of a removed N[v] lose degree, and each gets a fresh entry, so
+    a live vertex's least entry is its current one, entries of deleted
+    vertices are skipped, and a round costs O(deg · log n) heap work besides
+    the deletion and its coreness repair.
     """
     rng = random.Random(seed) if seed is not None else None
+    heap = [(len(a), v) for v, a in enumerate(g.adj)]
+    heapify(heap)
+    fell: set[int] = set()                 # vertices next to the last removed N[v]
 
     def pick(r: Residual) -> CheapSet:
-        low = min(len(r.adj[v]) for v in r.vertices())
-        pool = [v for v in r.vertices() if len(r.adj[v]) == low]
-        v = rng.choice(pool) if rng is not None else pool[0]
+        adj, alive = r.adj, r.alive
+        for x in fell:
+            if alive[x]:
+                heappush(heap, (len(adj[x]), x))
+        low, v = heappop(heap)
+        while not alive[v]:
+            low, v = heappop(heap)
+        if rng is not None:
+            ties = [v]
+            while heap and heap[0][0] == low:
+                u = heappop(heap)[1]
+                if alive[u]:
+                    ties.append(u)
+            v = rng.choice(ties)
+            for u in ties:
+                if u != v:
+                    heappush(heap, (low, u))
+        fell.clear()
+        for w in adj[v]:
+            fell.update(adj[w])
+        fell.difference_update(adj[v])
+        fell.discard(v)
         return CheapSet(frozenset({v}), 0, "single-cheap")
 
     return _with_finder(g, 0, pick)

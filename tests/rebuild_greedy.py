@@ -3,19 +3,52 @@
 Each round recomputes zeta from scratch, calls the finder on a compacted
 Graph, and translates ids back through `old_of`.  The library runs
 the same rounds on one Residual instead; tests require equal GreedyRuns.
+The independent sets of `cheap_greedy` come from `greedy_mis`, a scan for the
+minimum each pick, which is also the twin of the library's heap-ordered
+`bounds._greedy_mis`.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from zetakit.bounds import (GroupedBound, component_lambdas, independent_cheap_set,
-                            strong_bound_grouped)
+from zetakit.bounds import component_lambdas, select_dense_subset
 from zetakit.cheap_sets import (CheapSet, cheap_weight, find_1_cheap, find_2_cheap,
                                 find_k_cheap_forest)
 from zetakit.degeneracy import cheap_vertices, zeta_profile
 from zetakit.graph import closed_neighborhood, remove_vertices
 from zetakit.greedy import GreedyRun, TraceStep
+
+
+def greedy_mis(g, pool):
+    """Greedy maximal independent set inside G[pool], min-degree-first, smallest id on ties."""
+    alive = set(pool)
+    deg = {u: len(g.adj[u] & pool) for u in pool}
+    out = set()
+    while alive:
+        u = min(alive, key=lambda v: (deg[v], v))
+        out.add(u)
+        dead = (g.adj[u] & alive) | {u}
+        for w in dead:
+            alive.discard(w)
+        for w in dead:
+            for x in g.adj[w]:
+                if x in alive:
+                    deg[x] -= 1
+    return frozenset(out)
+
+
+def _grouped_subset(g, zeta, cheap):
+    """(lambda, S) of the grouped strong bound: per zeta-class of the cheap set, the
+    dense part of its greedy independent subset; the least lambda wins, then the smallest class."""
+    best = None
+    for zval in sorted({zeta[u] for u in cheap}):
+        s = select_dense_subset(g, greedy_mis(g, frozenset(u for u in cheap if zeta[u] == zval)))
+        lam = 1 + Fraction(len(closed_neighborhood(g, s) - s) - sum(len(g.adj[u]) for u in s),
+                           len(s))
+        if best is None or lam < best[0]:
+            best = (lam, s)
+    return best
 
 
 def _strip_isolated(work, old, chosen, trace):
@@ -75,26 +108,21 @@ def cheap_greedy(g):
             break
         prof = zeta_profile(work)
         zeta = prof.zeta
-        s1 = independent_cheap_set(work, prof)
+        cheap = cheap_vertices(work, prof)
+        s1 = greedy_mis(work, cheap)
         comps = component_lambdas(work, prof, s1)
         lam1 = min((c.lam for c in comps), default=None)
         s1_ok = lam1 is not None and all(c.lam >= 0 for c in comps)
-        grouped = strong_bound_grouped(work, prof)
-        s2_ok = isinstance(grouped, GroupedBound)
-        if s2_ok and (not s1_ok or grouped.lam < lam1):
-            s, lam, kind = grouped.subset, grouped.lam, "grouped-lambda"
+        lam2, s2 = _grouped_subset(work, zeta, cheap)
+        if not s1_ok or lam2 < lam1:
+            s, lam, kind = s2, lam2, "grouped-lambda"
             nbhd = closed_neighborhood(work, s)
             contribution = sum((1 / (zeta[v] + lam) for v in nbhd), Fraction(0))
-        elif s1_ok:
+        else:
             s, lam, kind = s1, lam1, "component-lambda"
             nbhd = closed_neighborhood(work, s)
             contribution = sum((sum((1 / (zeta[v] + c.lam) for v in c.vertices),
                                     Fraction(0)) for c in comps), Fraction(0))
-        else:
-            u = min(cheap_vertices(work, prof))
-            s, lam, kind = frozenset({u}), None, "single-cheap"
-            nbhd = closed_neighborhood(work, s)
-            contribution = sum((Fraction(1, zeta[v] + 1) for v in nbhd), Fraction(0))
         picked = tuple(sorted(old[v] for v in s))
         removed = tuple(sorted(old[v] for v in nbhd))
         chosen.update(picked)

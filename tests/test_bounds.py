@@ -1,20 +1,22 @@
 """Exact-rational lower bounds and the lambda strengthening."""
 
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rebuild_greedy
 from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
                       graphs, graphs_with_edges, path_graph, random_forest,
                       star_graph)
-from zetakit.bounds import (GroupedBound, Inapplicable, baseline_bounds, caro_wei,
-                            component_lambdas, forest_z_closed_form,
+from zetakit.bounds import (GroupedBound, Inapplicable, _greedy_mis, baseline_bounds,
+                            caro_wei, component_lambdas, forest_z_closed_form,
                             full_bound_report, independent_cheap_set,
                             select_dense_subset, strong_bound_component,
                             strong_bound_grouped, turan_zeta, z_bound)
-from zetakit.degeneracy import zeta_profile
+from zetakit.degeneracy import cheap_vertices, zeta_profile
 from zetakit.graph import (GraphInputError, build_graph, closed_neighborhood,
                            connected_components)
 from zetakit.oracle import exact_alpha_k
@@ -198,6 +200,24 @@ def test_weight_sums_match_per_vertex_twin(g):
     grouped = strong_bound_grouped(g, prof)
     nbhd = closed_neighborhood(g, grouped.subset)
     assert grouped.value == twin_lambda_bound(g, prof.zeta, [(nbhd, grouped.lam)])
+
+
+# ── slow twin: the greedy independent set picked by a scan for the minimum ──
+
+@given(graphs(min_n=0, max_n=20, ps=(0.0, 0.1, 0.25, 0.5, 0.8)), st.data())
+@settings(max_examples=150)
+def test_greedy_mis_matches_scan_twin(g, data):
+    mask = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    pool = frozenset(compress(range(g.n), mask))
+    assert _greedy_mis(g, pool) == rebuild_greedy.greedy_mis(g, pool)
+    assert _greedy_mis(g, frozenset()) == frozenset()
+
+
+def test_greedy_mis_matches_scan_twin_exhaustive(dedup_suite):
+    for n in range(1, 8):
+        for g in dedup_suite[n]:
+            pool = cheap_vertices(g)
+            assert _greedy_mis(g, pool) == rebuild_greedy.greedy_mis(g, pool)
 
 
 @given(graphs_with_edges(max_n=14))

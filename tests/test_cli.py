@@ -276,8 +276,12 @@ def test_warning_surfaces_in_payload(tmp_path, capsys):
 def test_console_script_wiring(tmp_path):
     f = tmp_path / "p3.edges"
     f.write_text("0 1\n1 2\n")
+    # the child process finds zetakit in this checkout's src/, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     got = subprocess.run([sys.executable, "-m", "zetakit.cli", "zeta", str(f)],
-                         capture_output=True, text=True)
+                         env=env, capture_output=True, text=True)
     assert got.returncode == 0
     assert json.loads(got.stdout)["zeta"] == [1, 1, 1]
 

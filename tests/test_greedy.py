@@ -12,7 +12,7 @@ import zetakit
 from conftest import (complete_graph, cycle_graph, gnp, graphs, path_graph,
                       random_forest, star_graph)
 from zetakit.bounds import z_bound
-from zetakit.degeneracy import zeta_profile
+from zetakit.degeneracy import Residual, zeta_profile
 from zetakit.graph import GraphInputError, build_graph, is_forest
 from zetakit.greedy import (cheap_greedy, forest_k_greedy, min_greedy,
                             one_cheap_greedy, two_cheap_greedy)
@@ -217,3 +217,22 @@ def test_greedy_runs_neither_rebuild_nor_reprofile(monkeypatch):
     calls.update(dict.fromkeys(expected, 0))
     assert forest_k_greedy(forest, 2).trace
     assert calls == expected
+
+
+def test_min_greedy_scans_the_live_vertices_once_per_run(monkeypatch):
+    """The picks come from a heap, not a scan: one Residual.vertices() call per run
+    (the driver's first look for isolated vertices), whatever the number of rounds."""
+    calls = []
+    original = Residual.vertices
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Residual, "vertices", counted)
+    for g in (gnp(200, 0.04, 1), gnp(400, 0.02, 2), cycle_graph(90)):
+        for seed in (None, 5):
+            calls.clear()
+            run = min_greedy(g, seed=seed)
+            assert len(run.trace) > 10
+            assert len(calls) == 1
