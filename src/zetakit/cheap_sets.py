@@ -3,9 +3,9 @@
 A set S is k-cheap when its closed neighborhood contributes at most |S| to
 the Z_{k+1} sum and G[S] has maximum degree <= k — i.e. trading N[S] for |S|
 chosen vertices never decreases a certified lower bound.  The finders below
-return structured candidates (tagged by the pattern that produced them) and
-every candidate is re-verified numerically before being returned; verifier
-failures go to an anomaly log instead of being returned.
+return structured candidates (tagged by the pattern that produced them), each
+verified exactly: `find_2_cheap` logs a failed candidate as an anomaly and
+tries the next, `find_1_cheap` and the forest finder raise CheapSetSearchError.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterator
 
-from .degeneracy import (Residual, ZetaProfile, cheap_layers, cheap_vertices,
-                         profile_of, residual_of, zeta_weight)
+from .degeneracy import (Residual, ZetaProfile, cheap_layers, profile_of,
+                         zeta_weight)
 from .graph import (Graph, GraphInputError, closed_neighborhood,
                     connected_components, is_forest)
 
@@ -83,42 +83,45 @@ def find_1_cheap(g: Graph | Residual,
                  profile: ZetaProfile | Residual | None = None) -> CheapSet:
     """Return a two-vertex 1-cheap set of one of the three minimal patterns.
 
-    type-I:   two adjacent cheap vertices.
-    type-III: two nonadjacent cheap vertices with a common neighbor.
-    type-II:  w cheap after deleting all cheap vertices, u its unique cheap
-              neighbor (and w stays cheap in G minus u).
+    C and D are the first two layers of `cheap_layers(g)`; the first to apply:
+    type-I:   the first edge uw inside C (ascending u, then w).
+    type-III: the two least C-neighbours of the first vertex with two; they
+              are nonadjacent, as type-I found no edge inside C.
+    type-II:  the least w in D and u, its one C-neighbour.
+
+    Once type-III fails, no vertex has two C-neighbours.  A w in D with none
+    has deg_G(w) = deg_{G-C}(w) = zeta_{G-C}(w) <= zeta_G(w) <= deg_G(w), and
+    zeta_G(x) >= zeta_{G-C}(x) >= zeta_{G-C}(w) = zeta_G(w) on N(w), so w is
+    cheap in G, i.e. in C.  With N(w) & C = {u}, deg_{G-u}(w) = deg_{G-C}(w)
+    = zeta_{G-C}(w) <= zeta_{G-u}(w) <= deg_{G-u}(w), and on N(w) - u,
+    zeta_{G-u}(x) >= zeta_{G-C}(x) >= zeta_{G-u}(w): w is cheap in G - u.
+    The pair is verified exactly; a failure, or a w without exactly one
+    C-neighbour, raises CheapSetSearchError.
     """
     _require_no_isolated(g)
     prof = profile or profile_of(g)
-    cheap = cheap_vertices(g, prof)
+    layers = cheap_layers(g)
+    cheap = next(layers)
 
-    for u in sorted(cheap):
-        for w in sorted(g.adj[u] & cheap):
-            if w > u:
-                return _checked(g, prof, {u, w}, 1, "type-I")
+    edge = next(_inner_edges(g, cheap), None)
+    if edge is not None:
+        return _checked(g, prof, set(edge), 1, "type-I")
 
     for p in g.vertices():
         cn = sorted(g.adj[p] & cheap)
-        for i in range(len(cn)):
-            for j in range(i + 1, len(cn)):
-                if cn[j] not in g.adj[cn[i]]:
-                    return _checked(g, prof, {cn[i], cn[j]}, 1, "type-III")
+        if len(cn) >= 2:
+            return _checked(g, prof, set(cn[:2]), 1, "type-III")
 
-    h = residual_of(g)
-    h.delete(cheap)
-    for w in sorted(cheap_vertices(h)):
-        partners = sorted(g.adj[w] & cheap)
-        if len(partners) != 1:
-            continue            # theory: exactly one; skip defensively
-        u = partners[0]
-        without_u = residual_of(g)
-        without_u.delete({u})
-        if w not in cheap_vertices(without_u):
-            continue            # definitional certificate failed; keep scanning
-        res = verify_k_cheap(g, {u, w}, 1, prof)
-        if res.ok:
-            return CheapSet(frozenset({u, w}), 1, "type-II")
-    raise CheapSetSearchError("no 1-cheap set found; the search invariant is broken")
+    w = min(next(layers, ()), default=None)
+    partners = () if w is None else g.adj[w] & cheap
+    if len(partners) != 1:
+        raise CheapSetSearchError(f"no type-II pair at {w}; the search invariant is broken")
+    return _checked(g, prof, {w, *partners}, 1, "type-II")
+
+
+def _inner_edges(g: Graph | Residual, x: frozenset[int]) -> Iterator[tuple[int, int]]:
+    """The edges uw of G[X] with u < w, by ascending u, then w."""
+    return ((u, w) for u in sorted(x) for w in sorted(g.adj[u] & x) if w > u)
 
 
 def _checked(g: Graph | Residual, prof: ZetaProfile | Residual, s: set[int],
@@ -199,10 +202,8 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
     def candidates() -> Iterator[tuple[set[int], str]]:
         reach(0)
         c1 = layers[0]
-        for u in sorted(c1):
-            for w in sorted(g.adj[u] & c1):
-                if w > u:
-                    yield {u, w}, "adjacent-pair"
+        for u, w in _inner_edges(g, c1):
+            yield {u, w}, "adjacent-pair"
         for p in g.vertices():
             cn = sorted(g.adj[p] & c1)
             if len(cn) >= 3:
@@ -217,12 +218,10 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
                 up = sorted(g.adj[u] & c2)
                 if len(up) >= 2:
                     yield {u, up[0], up[1]}, "c1-with-two-c2"
-            for u in sorted(c2):
-                for w in sorted(g.adj[u] & c2):
-                    if w > u:
-                        s = pair_union(u, w, joined=True)
-                        if s is not None:
-                            yield s, "induced-path-4"
+            for u, w in _inner_edges(g, c2):
+                s = pair_union(u, w, joined=True)
+                if s is not None:
+                    yield s, "induced-path-4"
         # upward sweep: each layer's down-multiplicities, jumping edges, and
         # chain merges, in that order — every union's side conditions were
         # scanned at a lower layer, so the first structural hit verifies
@@ -263,12 +262,10 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
             i += 1
         # same-layer edges above the second layer, after all chains are clean
         for i in range(2, len(layers)):
-            for u in sorted(layers[i]):
-                for w in sorted(g.adj[u] & layers[i]):
-                    if w > u:
-                        s = pair_union(u, w, joined=True)
-                        if s is not None:
-                            yield s, "layer-path-pair-bridge"
+            for u, w in _inner_edges(g, layers[i]):
+                s = pair_union(u, w, joined=True)
+                if s is not None:
+                    yield s, "layer-path-pair-bridge"
         yield set(g.vertices()), "whole-path-union"
 
     for s, kind in candidates():

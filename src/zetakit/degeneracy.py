@@ -133,11 +133,6 @@ def profile_of(g: Graph | Residual) -> ZetaProfile | Residual:
     return g if isinstance(g, Residual) else zeta_profile(g)
 
 
-def residual_of(g: Graph | Residual) -> Residual:
-    """A Residual to delete from without touching g: a copy, or one built from the Graph."""
-    return g.copy() if isinstance(g, Residual) else Residual(g)
-
-
 def zeta_oracle(g: Graph) -> tuple[int, ...]:
     """Independent zeta computation by threshold peeling (no elimination order).
 
@@ -208,17 +203,20 @@ def _cheap_among(g: Graph | Residual, zeta, candidates: Iterable[int]) -> frozen
 def cheap_layers(g: Graph | Residual) -> Iterator[frozenset[int]]:
     """The cheap layers of g in stripping order, each stripped when it is asked for.
 
-    The stripping runs on one Residual (a copy when g is one), so zeta is
-    computed at most once and then repaired by each layer's delete.  After a
-    delete only the vertices whose degree or zeta changed are rechecked: the
-    others were not cheap, and a deletion only lowers their neighbours' zeta,
-    which cannot make them cheap.  Each nonempty residual has a cheap vertex,
-    so the layers cover every live vertex.
+    The first layer is g's own cheap set.  The others are stripped on one
+    Residual, one delete per layer: built from g when g is a Graph, or a copy
+    of g made when the second layer is asked for, so g must not change while
+    the stream is read.  After a delete only the vertices whose degree or zeta
+    changed are rechecked: the others were not cheap, and a deletion only
+    lowers their neighbours' zeta, which cannot make them cheap.  Each
+    nonempty residual has a cheap vertex, so the layers cover every live vertex.
     """
-    r = residual_of(g)
+    r = g if isinstance(g, Residual) else Residual(g)
     cheap = cheap_vertices(r)
     while cheap:
         yield cheap
+        if r is g:
+            r = g.copy()
         cheap = _cheap_among(r, r.zeta, r.delete(cheap))
 
 

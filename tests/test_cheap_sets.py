@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, gnp, graphs_with_edges, path_graph, random_tree
+from conftest import (cycle_graph, gnp, graphs_with_edges, path_graph, random_tree,
+                      star_graph)
 from zetakit.cheap_sets import (CheapSet, CheapSetSearchError, cheap_weight,
                                 find_1_cheap, find_2_cheap,
                                 find_k_cheap_forest, verify_k_cheap)
-from zetakit.degeneracy import cheap_vertices, zeta_profile
+from zetakit.degeneracy import Residual, cheap_vertices, zeta_profile
 from zetakit.graph import build_graph, is_forest, remove_vertices
 from zetakit.oracle import enumerate_small_graphs
 
@@ -126,6 +127,36 @@ def test_find_1_cheap_ten_thousand_random():
     assert set(kinds) <= {"type-I", "type-II", "type-III"}
 
 
+def assert_type_ii_argument(g, cheap, kind):
+    """Check each step of the type-II argument in find_1_cheap's docstring.
+
+    The finder answers type-II exactly when type-I and type-III do not apply.
+    Then C = cheap is independent, no vertex has two neighbours in C, and
+    every w of the second layer (not only the one returned) has exactly one
+    neighbour u in C and is cheap in G - u.
+    """
+    counts = [len(g.adj[v] & cheap) for v in range(g.n)]
+    independent = all(counts[v] == 0 for v in cheap)
+    assert (kind == "type-II") == (independent and max(counts) <= 1), g.edges()
+    if kind != "type-II":
+        return
+    sub = remove_vertices(g, cheap)
+    second = [sub.old_of[x] for x in cheap_vertices(sub.graph)]
+    assert second
+    for w in second:
+        partners = g.adj[w] & cheap
+        assert len(partners) == 1, (g.edges(), w)
+        without_u = remove_vertices(g, partners)
+        assert without_u.new_of[w] in cheap_vertices(without_u.graph), (g.edges(), w)
+
+
+@given(graphs_with_edges(max_n=24))
+@settings(max_examples=200)
+def test_1_cheap_type_ii_argument(g):
+    g = remove_vertices(g, {v for v in range(g.n) if not g.adj[v]}).graph
+    assert_type_ii_argument(g, cheap_vertices(g), find_1_cheap(g).kind)
+
+
 def test_1_cheap_type_certificates_exhaustive(dedup_suite):
     for n in range(2, 8):
         for g in dedup_suite[n]:
@@ -151,6 +182,22 @@ def test_1_cheap_type_certificates_exhaustive(dedup_suite):
                 assert g.adj[ww] & cheap == {uu}
                 sub = remove_vertices(g, {uu})
                 assert sub.new_of[ww] in cheap_vertices(sub.graph)
+            assert_type_ii_argument(g, cheap, cs.kind)
+
+
+def test_finders_copy_a_residual_only_for_the_second_layer(monkeypatch):
+    copies = []
+    real_copy = Residual.copy
+    monkeypatch.setattr(Residual, "copy", lambda self: copies.append(self) or real_copy(self))
+    cases = [(find_1_cheap, cycle_graph(4), "type-I", 0),
+             (find_1_cheap, path_graph(3), "type-III", 0),
+             (find_1_cheap, path_graph(4), "type-II", 1),
+             (find_2_cheap, cycle_graph(4), "adjacent-pair", 0),
+             (find_2_cheap, star_graph(3), "triple-common-neighbor", 0)]
+    for finder, g, kind, expected in cases:
+        copies.clear()
+        assert finder(Residual(g)).kind == kind
+        assert len(copies) == expected, (finder.__name__, kind, len(copies))
 
 
 def test_known_1_cheap_on_path():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
                       graphs, path_graph, star_graph)
-from zetakit.degeneracy import (Residual, cheap_vertices, is_zeta_regular,
-                                layer_decomposition, zeta_oracle, zeta_profile)
+from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
+                                is_zeta_regular, layer_decomposition, zeta_oracle,
+                                zeta_profile)
 from zetakit.graph import GraphInputError, build_graph, remove_vertices
 
 
@@ -144,6 +145,30 @@ def test_residual_repairs_coreness_under_deletions(g, data):
         assert changed == {v for v in sub.old_of
                            if len(r.adj[v]) != before_deg[v]
                            or r.zeta[v] != before_zeta[v]}
+
+
+@given(graphs(max_n=16), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cheap_layers_leave_the_residual_unchanged(g, data):
+    """Reading the stream of a Residual to the end copies it at most once,
+    never writes to it, and yields the layers of the rebuilt live graph."""
+    r = Residual(g)
+    r.delete(data.draw(st.sets(st.sampled_from(range(g.n)), max_size=3)) if g.n else ())
+
+    def state():
+        return [set(a) for a in r.adj], r.zeta[:], r.alive[:], r.n, r.m
+
+    before = state()
+    copies = []
+    real_copy = Residual.copy
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Residual, "copy", lambda self: copies.append(self) or real_copy(self))
+        layers = list(cheap_layers(r))
+    assert state() == before
+    assert len(copies) == (1 if r.n else 0)
+    sub = remove_vertices(g, {v for v in range(g.n) if not r.alive[v]})
+    assert tuple(layers) == tuple(frozenset(sub.old_of[x] for x in layer)
+                                  for layer in rebuilt_layers(sub.graph))
 
 
 def test_residual_copy_is_independent_and_delete_checks_ids():
