@@ -9,10 +9,12 @@ tries the next, `find_1_cheap` and the forest finder raise CheapSetSearchError.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .degeneracy import (Residual, ZetaProfile, cheap_layers, profile_of,
                          zeta_weight)
@@ -69,12 +71,18 @@ def verify_k_cheap(g: Graph | Residual, s, level: int,
     return VerifyResult(True, None, weight, len(sset), inner)
 
 
-def _require_no_isolated(g: Graph | Residual) -> None:
-    if g.n == 0:
+def _residual(g: Graph | Residual, profile: ZetaProfile | Residual | None) -> Residual:
+    """g itself when it is a Residual, else one Residual built from g (and its profile)."""
+    return g if isinstance(g, Residual) else Residual(g, profile)
+
+
+def _require_no_isolated(r: Residual, isolated: int) -> None:
+    """Refuse an empty r, or one with `isolated` > 0 live vertices of degree 0."""
+    if r.n == 0:
         raise GraphInputError("graph is empty")
-    for v in g.vertices():
-        if not g.adj[v]:
-            raise GraphInputError(f"vertex {v} is isolated; strip isolated vertices first")
+    if isolated:
+        v = next(v for v in r.vertices() if not r.adj[v])
+        raise GraphInputError(f"vertex {v} is isolated; strip isolated vertices first")
 
 
 # ── level 1 ──────────────────────────────────────────────────────────────────
@@ -97,36 +105,39 @@ def find_1_cheap(g: Graph | Residual,
     zeta_{G-u}(x) >= zeta_{G-C}(x) >= zeta_{G-u}(w): w is cheap in G - u.
     The pair is verified exactly; a failure, or a w without exactly one
     C-neighbour, raises CheapSetSearchError.
+
+    A Graph is wrapped in one Residual.  Type-I and type-III are read from
+    the Residual's kept cheap state; only type-II strips C to find D.
     """
-    _require_no_isolated(g)
-    prof = profile or profile_of(g)
-    layers = cheap_layers(g)
-    cheap = next(layers)
+    r = _residual(g, profile)
+    state = r.cheap_state()
+    _require_no_isolated(r, state.isolated)
+    cheap = state.cheap
 
-    edge = next(_inner_edges(g, cheap), None)
+    edge = state.least_edge()
     if edge is not None:
-        return _checked(g, prof, set(edge), 1, "type-I")
+        return _checked(r, set(edge), 1, "type-I")
 
-    for p in g.vertices():
-        cn = sorted(g.adj[p] & cheap)
-        if len(cn) >= 2:
-            return _checked(g, prof, set(cn[:2]), 1, "type-III")
+    hub = state.least_hub(2)
+    if hub is not None:
+        return _checked(r, set(sorted(r.adj[hub] & cheap)[:2]), 1, "type-III")
 
-    w = min(next(layers, ()), default=None)
-    partners = () if w is None else g.adj[w] & cheap
+    with closing(cheap_layers(r)) as layers:
+        next(layers)
+        w = min(next(layers, ()), default=None)
+    partners = () if w is None else r.adj[w] & cheap
     if len(partners) != 1:
         raise CheapSetSearchError(f"no type-II pair at {w}; the search invariant is broken")
-    return _checked(g, prof, {w, *partners}, 1, "type-II")
+    return _checked(r, {w, *partners}, 1, "type-II")
 
 
-def _inner_edges(g: Graph | Residual, x: frozenset[int]) -> Iterator[tuple[int, int]]:
+def _inner_edges(g: Graph | Residual, x: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The edges uw of G[X] with u < w, by ascending u, then w."""
     return ((u, w) for u in sorted(x) for w in sorted(g.adj[u] & x) if w > u)
 
 
-def _checked(g: Graph | Residual, prof: ZetaProfile | Residual, s: set[int],
-             level: int, kind: str) -> CheapSet:
-    res = verify_k_cheap(g, s, level, prof)
+def _checked(r: Residual, s: set[int], level: int, kind: str) -> CheapSet:
+    res = verify_k_cheap(r, s, level, r)
     if not res.ok:
         raise CheapSetSearchError(
             f"{kind} candidate {sorted(s)} failed verification: {res.reason}")
@@ -143,29 +154,39 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
     decomposition; each is verified exactly and failures are recorded in
     anomaly_log (the construction proof says the first candidate already
     works, so a nonempty log is reportable as a bug).
+
+    A Graph is wrapped in one Residual.  The first `adjacent-pair` and
+    `triple-common-neighbor` candidates are read from its kept cheap state;
+    the rest of those stages is scanned only if that candidate fails.  A
+    stage past the first layer strips the layers it needs on the Residual
+    and rolls them back before reading the Residual again, so reaching
+    layer i strips layers 0..i-1 afresh.
     """
-    _require_no_isolated(g)
-    prof = profile or profile_of(g)
+    r = _residual(g, profile)
+    state = r.cheap_state()
+    _require_no_isolated(r, state.isolated)
+    adj = r.adj
     log = anomaly_log if anomaly_log is not None else []
     # the layers are stripped only as far as the candidates reach; a vertex
     # not stripped yet has a layer index above every real one
-    stream = cheap_layers(g)
     layers: list[frozenset[int]] = []
-    lof = [len(g.adj)] * len(g.adj)
+    lof: dict[int, int] = {}
+    top = len(adj)
+    whole = False                           # every layer is known
 
     def reach(i: int) -> bool:
         """Strip until layers[i] is known; False when there are fewer layers."""
-        while len(layers) <= i:
-            layer = next(stream, None)
-            if layer is None:
-                return False
-            for v in layer:
-                lof[v] = len(layers)
-            layers.append(layer)
-        return True
+        nonlocal whole
+        if len(layers) <= i and not whole:
+            with closing(cheap_layers(r)) as stream:
+                layers[:] = islice(stream, i + 1)
+            whole = len(layers) <= i
+            for j, layer in enumerate(layers):
+                lof.update(dict.fromkeys(layer, j))
+        return i < len(layers)
 
     def down(v: int) -> int | None:
-        below = [u for u in g.adj[v] if lof[u] == lof[v] - 1]
+        below = [u for u in adj[v] if lof.get(u, top) == lof[v] - 1]
         return min(below) if below else None
 
     def chain(v: int) -> list[int] | None:
@@ -192,7 +213,7 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
         if sa & sb:
             return None
         for x in ca:
-            hits = g.adj[x] & sb
+            hits = adj[x] & sb
             if joined and x == a:
                 hits = hits - {b}
             if hits:
@@ -200,25 +221,31 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
         return sa | sb
 
     def candidates() -> Iterator[tuple[set[int], str]]:
-        reach(0)
-        c1 = layers[0]
-        for u, w in _inner_edges(g, c1):
-            yield {u, w}, "adjacent-pair"
-        for p in g.vertices():
-            cn = sorted(g.adj[p] & c1)
-            if len(cn) >= 3:
-                yield set(cn[:3]), "triple-common-neighbor"
+        cheap = state.cheap
+        edge = state.least_edge()
+        if edge is not None:
+            yield set(edge), "adjacent-pair"
+            for u, w in islice(_inner_edges(r, cheap), 1, None):
+                yield {u, w}, "adjacent-pair"
+        hub = state.least_hub(3)
+        if hub is not None:
+            yield set(sorted(adj[hub] & cheap)[:3]), "triple-common-neighbor"
+            for p in r.vertices():
+                if p > hub:
+                    cn = sorted(adj[p] & cheap)
+                    if len(cn) >= 3:
+                        yield set(cn[:3]), "triple-common-neighbor"
         if reach(1):
-            c2 = layers[1]
+            c1, c2 = layers[0], layers[1]
             for p in sorted(c2):
-                cn = sorted(g.adj[p] & c1)
+                cn = sorted(adj[p] & c1)
                 if len(cn) >= 2:
                     yield {cn[0], cn[1], p}, "pair-plus-c2-neighbor"
             for u in sorted(c1):
-                up = sorted(g.adj[u] & c2)
+                up = sorted(adj[u] & c2)
                 if len(up) >= 2:
                     yield {u, up[0], up[1]}, "c1-with-two-c2"
-            for u, w in _inner_edges(g, c2):
+            for u, w in _inner_edges(r, c2):
                 s = pair_union(u, w, joined=True)
                 if s is not None:
                     yield s, "induced-path-4"
@@ -229,13 +256,13 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
         while reach(i):
             li = sorted(layers[i])
             for u in li:
-                dn = sorted(v for v in g.adj[u] if lof[v] == i - 1)
+                dn = sorted(v for v in adj[u] if lof.get(v, top) == i - 1)
                 if len(dn) >= 2:
                     s = pair_union(dn[0], dn[1])
                     if s is not None:
                         yield s, "two-layer-paths"
             for u in li:
-                jumps = sorted((lof[v], v) for v in g.adj[u] if lof[v] <= i - 2)
+                jumps = sorted((lof[v], v) for v in adj[u] if lof.get(v, top) <= i - 2)
                 if not jumps:
                     continue
                 d0 = down(u)
@@ -254,7 +281,7 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
             # two chains merging one layer down extend to a single layered
             # path: the shared vertex plus one of its upper neighbors
             for x in sorted(layers[i - 1]):
-                ups = sorted(v for v in g.adj[x] if lof[v] == i)
+                ups = sorted(v for v in adj[x] if lof.get(v, top) == i)
                 if len(ups) >= 2:
                     c = chain(x)
                     if c is not None:
@@ -262,14 +289,14 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
             i += 1
         # same-layer edges above the second layer, after all chains are clean
         for i in range(2, len(layers)):
-            for u, w in _inner_edges(g, layers[i]):
+            for u, w in _inner_edges(r, layers[i]):
                 s = pair_union(u, w, joined=True)
                 if s is not None:
                     yield s, "layer-path-pair-bridge"
-        yield set(g.vertices()), "whole-path-union"
+        yield set(r.vertices()), "whole-path-union"
 
     for s, kind in candidates():
-        res = verify_k_cheap(g, s, 2, prof)
+        res = verify_k_cheap(r, s, 2, r)
         if res.ok:
             return CheapSet(frozenset(s), 2, kind)
         log.append(_anomaly(kind, tuple(sorted(s)),
@@ -292,18 +319,20 @@ def find_k_cheap_forest(g: Graph | Residual, k: int,
     sets stay k-cheap because closed neighborhoods don't interact).  The
     incremental case analysis is checked exactly at every step; when no local
     repair preserves cheapness the component falls back to an exact tree DP
-    for a maximum k-independent set, which always qualifies.
+    for a maximum k-independent set, which always qualifies.  A Graph is
+    wrapped in one Residual, as in the other finders.
     """
     if k < 0:
         raise GraphInputError(f"level must be >= 0, got {k}")
     if not is_forest(g):
         raise GraphInputError("graph is not a forest")
-    _require_no_isolated(g)
-    prof = profile or profile_of(g)
+    r = _residual(g, profile)
+    comps = connected_components(r)
+    _require_no_isolated(r, sum(len(comp) == 1 for comp in comps))
     total: set[int] = set()
-    for comp in connected_components(g):
-        total |= _tree_k_cheap(g, comp, k)
-    res = verify_k_cheap(g, total, k, prof)
+    for comp in comps:
+        total |= _tree_k_cheap(r, comp, k)
+    res = verify_k_cheap(r, total, k, r)
     if not res.ok:
         raise CheapSetSearchError(
             f"forest construction produced a non-{k}-cheap set: {res.reason}")

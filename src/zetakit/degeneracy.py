@@ -8,14 +8,15 @@ vertex is the running maximum of residual degrees seen so far.
 A `Residual` is the mutable graph that the greedy rounds and the layer
 decomposition delete from.  It keeps the original vertex ids and carries its
 own coreness: built with one `zeta_profile`, then repaired locally after each
-deletion instead of being recomputed.
+deletion instead of being recomputed.  Once asked, it keeps its cheap set the
+same way, and a deletion can be rolled back from an undo log.
 """
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -53,28 +54,34 @@ class Residual:
     zeta[v] the coreness of v in the live graph (0 once deleted), n and m
     count the live vertices and edges.  It answers the read-only calls the
     finders and bound helpers make of a Graph (vertices(), adj, n, m), and
-    it serves as its own zeta profile wherever one is taken.
+    it serves as its own zeta profile wherever one is taken.  Built from a
+    Graph with one `zeta_profile`, or none when that profile is handed in.
+
+    The live cheap set with its counts (`CheapState`) is built the first
+    time `cheap_state()` is asked for, and every later delete repairs it; a
+    Residual that is never asked pays nothing for it.  A delete given an
+    undo log can be rolled back exactly with `undo`.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, profile: ZetaProfile | None = None):
         self.adj: list[set[int]] = [set(a) for a in g.adj]
         self.alive = [True] * g.n
-        self.zeta = list(zeta_profile(g).zeta)
+        self.zeta = list((profile or zeta_profile(g)).zeta)
         self.n = g.n
         self.m = g.m
+        self._cheap: CheapState | None = None
 
     def vertices(self) -> Iterator[int]:
         """The live vertex ids in ascending order."""
         return compress(range(len(self.alive)), self.alive)
 
-    def copy(self) -> Residual:
-        twin = copy.copy(self)
-        twin.adj = [set(a) for a in self.adj]
-        twin.alive = self.alive[:]
-        twin.zeta = self.zeta[:]
-        return twin
+    def cheap_state(self) -> CheapState:
+        """The live cheap set with its counts, built on the first call."""
+        if self._cheap is None:
+            self._cheap = CheapState(self)
+        return self._cheap
 
-    def delete(self, s: Iterable[int]) -> set[int]:
+    def delete(self, s: Iterable[int], log: list | None = None) -> set[int]:
         """Delete the live vertices S; return the live vertices whose degree or zeta changed.
 
         Coreness is repaired locally.  A vertex's value drops to the h-index
@@ -87,12 +94,27 @@ class Residual:
         below the old coreness.  At any fixed point every set
         {v : zeta[v] >= k} has minimum degree >= k, so that fixed point is
         the new coreness.
+
+        With a log, the delete appends what `undo` needs: each deleted
+        vertex's neighbour set, the old zeta of every vertex it lowers, the
+        old n and m, and the cheap state, which it sets aside unrepaired
+        until the undo puts it back.  Without one, a built cheap state is
+        repaired (see CheapState.repair).
         """
         adj, alive, zeta = self.adj, self.alive, self.zeta
         drop = set(s)
         for v in drop:
             if not (0 <= v < len(alive) and alive[v]):
                 raise GraphInputError(f"vertex {v} is not live")
+        state = self._cheap
+        if log is not None:
+            gone: dict[int, set[int]] = {}
+            saved: dict[int, int] = {}
+            log.append((gone, saved, self.n, self.m, state))
+            self._cheap = state = None
+        elif state is not None:
+            for v in drop & state.cheap:
+                state.leave(v)
         for v in drop:
             alive[v] = False
         changed: set[int] = set()
@@ -109,6 +131,9 @@ class Residual:
                     lost += 2
                 else:
                     lost += 1
+            if log is not None:
+                gone[v] = adj[v]
+                saved[v] = zv
             adj[v] = set()
             zeta[v] = 0
         self.n -= len(drop)
@@ -122,10 +147,114 @@ class Residual:
             while new and values[new - 1] < new:
                 new -= 1
             if new < old:
+                if log is not None:
+                    saved.setdefault(v, old)
                 zeta[v] = new
                 changed.add(v)
                 pending.update([w for w in adj[v] if new < zeta[w] <= old])
+        if state is not None:
+            state.repair(changed)
         return changed
+
+    def undo(self, log: list) -> None:
+        """Roll back the deletes recorded in log, newest first, and empty it.
+
+        Every delete made since the first one in log must be in log.
+        """
+        adj, alive, zeta = self.adj, self.alive, self.zeta
+        while log:
+            gone, saved, self.n, self.m, self._cheap = log.pop()
+            for v, nbrs in gone.items():
+                alive[v] = True
+                adj[v] = nbrs
+                for u in nbrs:
+                    adj[u].add(v)
+            for v, z in saved.items():
+                zeta[v] = z
+
+
+class CheapState:
+    """The live cheap set C of a Residual and what the finders read of it.
+
+    cheap is C, count[v] = |N(v) & C| for every live v, and isolated the
+    number of live vertices without a neighbour, all of which are in C
+    (deg 0 = zeta 0), and which stay in it until deleted.  Three min-heaps
+    of vertex ids answer the finders' first questions without a scan: the
+    members of C with a neighbour in C (`least_edge`), and the vertices with
+    at least two or three neighbours in C (`least_hub`).  A vertex is pushed
+    when it starts to qualify; an entry that no longer qualifies is popped
+    when it reaches the top, so the top is the least qualifying id.
+    """
+
+    def __init__(self, r: Residual):
+        self._r = r
+        self.cheap = set(cheap_vertices(r))
+        count = self.count = [0] * len(r.adj)
+        for u in self.cheap:
+            for v in r.adj[u]:
+                count[v] += 1
+        self.isolated = sum(not r.adj[u] for u in self.cheap)
+        self._paired = sorted(u for u in self.cheap if count[u])
+        self._hubs = {k: [v for v, c in enumerate(count) if c >= k] for k in (2, 3)}
+
+    def least_edge(self) -> tuple[int, int] | None:
+        """The edge uw inside C with the least u, then the least w; None when C is independent.
+
+        u is the least member of C with a neighbour in C, so each of its
+        neighbours in C has one too and is larger: uw is the first edge of
+        G[C] by ascending u, then w.
+        """
+        heap, cheap, count = self._paired, self.cheap, self.count
+        while heap and not (heap[0] in cheap and count[heap[0]]):
+            heappop(heap)
+        return (heap[0], min(self._r.adj[heap[0]] & cheap)) if heap else None
+
+    def least_hub(self, k: int) -> int | None:
+        """The least live vertex with at least k (2 or 3) neighbours in C, or None."""
+        heap, count, alive = self._hubs[k], self.count, self._r.alive
+        while heap and not (alive[heap[0]] and count[heap[0]] >= k):
+            heappop(heap)
+        return heap[0] if heap else None
+
+    def leave(self, u: int) -> None:
+        self.cheap.discard(u)
+        count, nbrs = self.count, self._r.adj[u]
+        if not nbrs:
+            self.isolated -= 1
+        for v in nbrs:
+            count[v] -= 1
+
+    def join(self, u: int) -> None:
+        cheap, count, hubs = self.cheap, self.count, self._hubs
+        cheap.add(u)
+        if count[u]:
+            heappush(self._paired, u)
+        for v in self._r.adj[u]:
+            count[v] += 1
+            c = count[v]
+            if c == 1:
+                if v in cheap:
+                    heappush(self._paired, v)
+            elif c <= 3:
+                heappush(hubs[c], v)
+
+    def repair(self, changed: set[int]) -> None:
+        """Recheck C after a delete that changed the degree or zeta of `changed`.
+
+        Only the changed vertices are rechecked.  Whether u is cheap depends
+        on deg(u), zeta(u) and zeta on N(u), but the last follows from the
+        first two: with zeta(u) = deg(u) = k, u lies in the k-core with all
+        k of its neighbours, so each has zeta >= k.  A vertex whose degree
+        and zeta did not change keeps its answer.
+        """
+        cheap, adj = self.cheap, self._r.adj
+        now = _cheap_among(self._r, self._r.zeta, changed)
+        # a changed vertex had a neighbour or a positive zeta, so it was not isolated
+        self.isolated += sum(not adj[v] for v in changed)
+        for u in (changed & cheap) - now:
+            self.leave(u)
+        for u in now - cheap:
+            self.join(u)
 
 
 def profile_of(g: Graph | Residual) -> ZetaProfile | Residual:
@@ -203,21 +332,30 @@ def _cheap_among(g: Graph | Residual, zeta, candidates: Iterable[int]) -> frozen
 def cheap_layers(g: Graph | Residual) -> Iterator[frozenset[int]]:
     """The cheap layers of g in stripping order, each stripped when it is asked for.
 
-    The first layer is g's own cheap set.  The others are stripped on one
-    Residual, one delete per layer: built from g when g is a Graph, or a copy
-    of g made when the second layer is asked for, so g must not change while
-    the stream is read.  After a delete only the vertices whose degree or zeta
-    changed are rechecked: the others were not cheap, and a deletion only
-    lowers their neighbours' zeta, which cannot make them cheap.  Each
-    nonempty residual has a cheap vertex, so the layers cover every live vertex.
+    The first layer is g's own cheap set: the kept one when g is a Residual
+    that has built its `cheap_state`.  The others are stripped one delete per
+    layer, on a Residual built from g when g is a Graph, or on g itself when
+    g is a Residual.  Then every delete goes into one undo log, and g is
+    rolled back when the stream ends or is closed, so a reader that stops
+    early closes it (`contextlib.closing`) before it reads g again.  After a
+    delete only the vertices whose degree or zeta changed are rechecked: the
+    others were not cheap, and a deletion only lowers their neighbours' zeta,
+    which cannot make them cheap.  Each nonempty residual has a cheap vertex,
+    so the layers cover every live vertex.
     """
-    r = g if isinstance(g, Residual) else Residual(g)
-    cheap = cheap_vertices(r)
-    while cheap:
-        yield cheap
-        if r is g:
-            r = g.copy()
-        cheap = _cheap_among(r, r.zeta, r.delete(cheap))
+    if isinstance(g, Residual):
+        r, log = g, []
+        cheap = frozenset(g._cheap.cheap) if g._cheap else cheap_vertices(g)
+    else:
+        r, log = Residual(g), None
+        cheap = cheap_vertices(r)
+    try:
+        while cheap:
+            yield cheap
+            cheap = _cheap_among(r, r.zeta, r.delete(cheap, log))
+    finally:
+        if log:
+            r.undo(log)
 
 
 def layer_decomposition(g: Graph | Residual) -> LayerDecomposition:

@@ -9,8 +9,11 @@ greedies "certified" rather than heuristic.
 
 One round loop runs every algorithm on a single `Residual`: zeta is computed once
 per run and repaired locally after each round's deletion, so a round costs its
-finder's search (a scan of the live graph, or heap operations for min_greedy)
-plus work near N[S], with no rebuild.
+finder's search plus work near N[S], with no rebuild.  The search is heap
+operations for min_greedy and for the 1-cheap and 2-cheap rounds that the
+residual's kept cheap set answers; a strip of the cheap layers, rolled back
+afterwards, for the rounds that need a deeper layer; and a scan of the live
+graph for cheap_greedy and forest_k_greedy.
 """
 from __future__ import annotations
 

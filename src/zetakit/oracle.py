@@ -192,15 +192,15 @@ def _peel_clique_cover(g: Graph) -> tuple[frozenset[int], ...] | None:
                 continue
             if any(block - work.adj[a] - {a} for a in block):
                 continue
-            trial = work.copy()
-            if any(trial.zeta[x] != work.zeta[x] for x in trial.delete(block)):
+            before, log = work.zeta[:], []
+            if any(work.zeta[x] != before[x] for x in work.delete(block, log)):
+                work.undo(log)
                 continue
-            peeled = (block, trial)
+            peeled = block
             break
         if peeled is None:
             return None
-        block, work = peeled
-        parts.append(block)
+        parts.append(peeled)
     return tuple(parts)
 
 

@@ -5,16 +5,17 @@ Graph, and translates ids back through `old_of`.  The library runs
 the same rounds on one Residual instead; tests require equal GreedyRuns.
 The independent sets of `cheap_greedy` come from `greedy_mis`, a scan for the
 minimum each pick, which is also the twin of the library's heap-ordered
-`bounds._greedy_mis`.
+`bounds._greedy_mis`.  The 1-cheap and 2-cheap rounds take their sets from
+the scan twins in `scan_finders`.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+import scan_finders
 from zetakit.bounds import component_lambdas, select_dense_subset
-from zetakit.cheap_sets import (CheapSet, cheap_weight, find_1_cheap, find_2_cheap,
-                                find_k_cheap_forest)
+from zetakit.cheap_sets import CheapSet, cheap_weight, find_k_cheap_forest
 from zetakit.degeneracy import cheap_vertices, zeta_profile
 from zetakit.graph import closed_neighborhood, remove_vertices
 from zetakit.greedy import GreedyRun, TraceStep
@@ -134,12 +135,12 @@ def cheap_greedy(g):
 
 
 def one_cheap_greedy(g):
-    return _run_with_finder(g, 1, find_1_cheap)
+    return _run_with_finder(g, 1, scan_finders.find_1_cheap)
 
 
 def two_cheap_greedy(g):
     log = []
-    return _run_with_finder(g, 2, lambda work, prof: find_2_cheap(work, prof, log),
+    return _run_with_finder(g, 2, lambda work, prof: scan_finders.find_2_cheap(work, prof, log),
                             anomalies=log)
 
 

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scan_finders
 from conftest import (cycle_graph, gnp, graphs_with_edges, path_graph, random_tree,
                       star_graph)
+from zetakit import degeneracy
 from zetakit.cheap_sets import (CheapSet, CheapSetSearchError, cheap_weight,
                                 find_1_cheap, find_2_cheap,
                                 find_k_cheap_forest, verify_k_cheap)
@@ -185,19 +187,87 @@ def test_1_cheap_type_certificates_exhaustive(dedup_suite):
             assert_type_ii_argument(g, cheap, cs.kind)
 
 
-def test_finders_copy_a_residual_only_for_the_second_layer(monkeypatch):
-    copies = []
-    real_copy = Residual.copy
-    monkeypatch.setattr(Residual, "copy", lambda self: copies.append(self) or real_copy(self))
+def residual_state(r):
+    return [set(a) for a in r.adj], r.zeta[:], r.alive[:], r.n, r.m
+
+
+def test_finders_strip_a_residual_only_for_the_second_layer(monkeypatch):
+    """Logged deletes (the layer strips) happen only for a second-layer answer,
+    and the finder leaves the residual as it found it."""
+    strips = []
+    real_delete = Residual.delete
+
+    def counted(self, s, log=None):
+        if log is not None:
+            strips.append(s)
+        return real_delete(self, s, log)
+
+    monkeypatch.setattr(Residual, "delete", counted)
     cases = [(find_1_cheap, cycle_graph(4), "type-I", 0),
              (find_1_cheap, path_graph(3), "type-III", 0),
              (find_1_cheap, path_graph(4), "type-II", 1),
              (find_2_cheap, cycle_graph(4), "adjacent-pair", 0),
-             (find_2_cheap, star_graph(3), "triple-common-neighbor", 0)]
+             (find_2_cheap, star_graph(3), "triple-common-neighbor", 0),
+             (find_2_cheap, path_graph(3), "pair-plus-c2-neighbor", 1),
+             # layer 2 is reached by stripping layers 0 and 1 afresh: 1 + 2 deletes
+             (find_2_cheap, path_graph(5), "two-layer-paths", 3)]
     for finder, g, kind, expected in cases:
-        copies.clear()
-        assert finder(Residual(g)).kind == kind
-        assert len(copies) == expected, (finder.__name__, kind, len(copies))
+        strips.clear()
+        r = Residual(g)
+        before = residual_state(r)
+        assert finder(r).kind == kind
+        assert len(strips) == expected, (finder.__name__, kind, len(strips))
+        assert residual_state(r) == before
+
+
+def test_finders_profile_a_graph_once(monkeypatch):
+    """A finder handed a Graph computes its zeta profile once, in its one Residual."""
+    calls = []
+    real = degeneracy.zeta_profile
+    monkeypatch.setattr(degeneracy, "zeta_profile", lambda g: calls.append(g) or real(g))
+    for run in (find_1_cheap, find_2_cheap, lambda g: find_k_cheap_forest(path_graph(4), 1)):
+        calls.clear()
+        run(cycle_graph(4))
+        assert len(calls) == 1
+
+
+def assert_finders_match_scan_twins(g):
+    for finder, twin in ((find_1_cheap, scan_finders.find_1_cheap),
+                         (find_2_cheap, scan_finders.find_2_cheap)):
+        assert finder(g) == twin(g), (finder.__name__, g.edges())
+
+
+def test_finders_match_scan_twins_exhaustive(dedup_suite):
+    for n in range(2, 8):
+        for g in dedup_suite[n]:
+            if all(g.adj):
+                assert_finders_match_scan_twins(g)
+
+
+@given(graphs_with_edges(max_n=24), st.data())
+@settings(max_examples=150, deadline=None)
+def test_finders_match_scan_twins(g, data):
+    """On a Graph, and on a Residual whose cheap state was kept through deletes,
+    each finder returns the twin's set for the same live graph."""
+    g = remove_vertices(g, {v for v in range(g.n) if not g.adj[v]}).graph
+    assert_finders_match_scan_twins(g)
+    r = Residual(g)
+    r.cheap_state()
+    for _ in range(data.draw(st.integers(1, 3))):
+        live = list(r.vertices())
+        if len(live) < 3:
+            break
+        r.delete(data.draw(st.sets(st.sampled_from(live), min_size=1, max_size=2)))
+        stray = [v for v in r.vertices() if not r.adj[v]]
+        if stray:
+            r.delete(stray)
+    if not r.n:
+        return
+    sub = remove_vertices(g, {v for v in range(g.n) if not r.alive[v]})
+    for finder, twin in ((find_1_cheap, scan_finders.find_1_cheap),
+                         (find_2_cheap, scan_finders.find_2_cheap)):
+        got, want = finder(r), twin(sub.graph)
+        assert got.kind == want.kind and got.vertices == {sub.old_of[x] for x in want.vertices}
 
 
 def test_known_1_cheap_on_path():

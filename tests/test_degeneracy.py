@@ -1,11 +1,13 @@
 """Zeta profiles, cheap vertices, and the layer decomposition."""
 
-from itertools import combinations
+from contextlib import closing
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scan_finders
 from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
                       graphs, path_graph, star_graph)
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
@@ -92,14 +94,7 @@ def test_cheap_definition(g):
 
 def rebuilt_layers(g):
     """Reference decomposition: the cheap set of each rebuilt, recomputed residual."""
-    layers = []
-    work, old = g, list(range(g.n))
-    while work.n:
-        cheap = cheap_vertices(work)
-        layers.append(frozenset(old[v] for v in cheap))
-        sub = remove_vertices(work, cheap)
-        work, old = sub.graph, [old[o] for o in sub.old_of]
-    return tuple(layers)
+    return tuple(scan_finders.rebuilt_layers(g))
 
 
 @given(graphs(max_n=16))
@@ -147,41 +142,103 @@ def test_residual_repairs_coreness_under_deletions(g, data):
                            or r.zeta[v] != before_zeta[v]}
 
 
+def residual_state(r):
+    return [set(a) for a in r.adj], r.zeta[:], r.alive[:], r.n, r.m
+
+
+def cheap_state_answers(r):
+    """What a kept cheap state says, in plain values."""
+    state = r.cheap_state()
+    return (set(state.cheap), [state.count[v] for v in r.vertices()], state.isolated,
+            state.least_edge(), state.least_hub(2), state.least_hub(3))
+
+
+def recomputed_cheap_answers(r):
+    """The same answers from a fresh cheap_vertices scan of the live graph."""
+    cheap = cheap_vertices(r)
+    count = [len(r.adj[v] & cheap) for v in r.vertices()]
+    isolated = sum(not r.adj[v] for v in r.vertices())
+    edge = min(((u, min(r.adj[u] & cheap)) for u in cheap if r.adj[u] & cheap), default=None)
+    hubs = [min((v for v in r.vertices() if len(r.adj[v] & cheap) >= k), default=None)
+            for k in (2, 3)]
+    return (set(cheap), count, isolated, edge, *hubs)
+
+
+def draw_deletion(data, r):
+    return data.draw(st.sets(st.sampled_from(sorted(r.vertices())), min_size=1, max_size=4))
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=120, deadline=None)
+def test_kept_cheap_state_matches_recompute(g, data):
+    """After every delete the kept cheap set, its neighbour counts, the isolated
+    count and the heap answers equal a recompute from scratch."""
+    r = Residual(g)
+    r.cheap_state()
+    while r.n:
+        assert cheap_state_answers(r) == recomputed_cheap_answers(r)
+        r.delete(draw_deletion(data, r))
+    assert r.cheap_state().isolated == 0 and not r.cheap_state().cheap
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=120, deadline=None)
+def test_undo_restores_the_residual_exactly(g, data):
+    """Logged deletes rolled back restore adj, zeta, alive, n, m and the cheap
+    state, which later plain deletes keep repairing."""
+    r = Residual(g)
+    if data.draw(st.booleans()):
+        r.cheap_state()
+    if g.n > 1:
+        r.delete(draw_deletion(data, r))
+    before, answers = residual_state(r), cheap_state_answers(r)
+    log = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if r.n:
+            r.delete(draw_deletion(data, r), log)
+    r.undo(log)
+    assert log == []
+    assert residual_state(r) == before
+    assert cheap_state_answers(r) == answers
+    while r.n:
+        r.delete(draw_deletion(data, r))
+        assert cheap_state_answers(r) == recomputed_cheap_answers(r)
+
+
 @given(graphs(max_n=16), st.data())
 @settings(max_examples=60, deadline=None)
 def test_cheap_layers_leave_the_residual_unchanged(g, data):
-    """Reading the stream of a Residual to the end copies it at most once,
-    never writes to it, and yields the layers of the rebuilt live graph."""
+    """Reading the stream of a Residual to the end, or closing it early, leaves
+    the Residual as it was, and the layers are those of the rebuilt live graph."""
     r = Residual(g)
+    if data.draw(st.booleans()):
+        r.cheap_state()
     r.delete(data.draw(st.sets(st.sampled_from(range(g.n)), max_size=3)) if g.n else ())
-
-    def state():
-        return [set(a) for a in r.adj], r.zeta[:], r.alive[:], r.n, r.m
-
-    before = state()
-    copies = []
-    real_copy = Residual.copy
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Residual, "copy", lambda self: copies.append(self) or real_copy(self))
-        layers = list(cheap_layers(r))
-    assert state() == before
-    assert len(copies) == (1 if r.n else 0)
+    before = residual_state(r)
+    layers = list(cheap_layers(r))
+    assert residual_state(r) == before
     sub = remove_vertices(g, {v for v in range(g.n) if not r.alive[v]})
     assert tuple(layers) == tuple(frozenset(sub.old_of[x] for x in layer)
                                   for layer in rebuilt_layers(sub.graph))
+    with closing(cheap_layers(r)) as stream:
+        assert list(islice(stream, 2)) == layers[:2]
+    assert residual_state(r) == before
 
 
-def test_residual_copy_is_independent_and_delete_checks_ids():
+def test_residual_undo_restores_and_delete_checks_ids():
     g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     r = Residual(g)
-    twin = r.copy()
-    assert twin.delete({0}) == {1, 2, 3}
-    assert twin.zeta == [0, 1, 1, 0] and (twin.n, twin.m) == (3, 1)
+    log = []
+    assert r.delete({0}, log) == {1, 2, 3}
+    assert r.zeta == [0, 1, 1, 0] and (r.n, r.m) == (3, 1)
+    r.undo(log)
     assert r.zeta == [2, 2, 2, 1] and (r.n, r.m) == (4, 4)
+    assert r.adj == [{1, 2, 3}, {0, 2}, {0, 1}, {0}]
     assert list(r.vertices()) == [0, 1, 2, 3]
+    r.delete({0})
     for bad in (0, 4, -1):
         with pytest.raises(GraphInputError):
-            twin.delete({bad})
+            r.delete({bad})
 
 
 def test_known_profiles():

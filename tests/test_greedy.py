@@ -236,3 +236,28 @@ def test_min_greedy_scans_the_live_vertices_once_per_run(monkeypatch):
             run = min_greedy(g, seed=seed)
             assert len(run.trace) > 10
             assert len(calls) == 1
+
+
+def test_cheap_greedies_neither_scan_nor_copy_per_round(monkeypatch):
+    """The 1-cheap and 2-cheap rounds read the residual's kept cheap state: a run
+    iterates Residual.vertices() a fixed number of times (`_drive`'s first look
+    for isolated vertices and the one build of the cheap set), however many
+    rounds it has, and never copies the residual."""
+    calls = {"vertices": 0, "copy": 0}
+    original = Residual.vertices
+
+    def counted(self):
+        calls["vertices"] += 1
+        return original(self)
+
+    def copy(self):
+        calls["copy"] += 1
+        raise AssertionError("the residual was copied")
+
+    monkeypatch.setattr(Residual, "vertices", counted)
+    monkeypatch.setattr(Residual, "copy", copy, raising=False)
+    g = gnp(2000, 8 / 2000, 3)
+    for run in (one_cheap_greedy, two_cheap_greedy):
+        calls.update(vertices=0, copy=0)
+        assert len(run(g).trace) > 200
+        assert calls == {"vertices": 2, "copy": 0}, run.__name__
