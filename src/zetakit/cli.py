@@ -197,7 +197,7 @@ def _names(doc: GraphDocument, vertices) -> list[str]:
 def _cmd_zeta(args) -> dict:
     doc = _load(args.file, args.format)
     prof = zeta_profile(doc.graph)
-    layers = layer_decomposition(doc.graph)
+    layers = layer_decomposition(doc.graph, prof)
     return {
         "schema": SCHEMA,
         "command": "zeta",

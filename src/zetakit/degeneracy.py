@@ -7,9 +7,10 @@ vertex is the running maximum of residual degrees seen so far.
 
 A `Residual` is the mutable graph that the greedy rounds and the layer
 decomposition delete from.  It keeps the original vertex ids and carries its
-own coreness: built with one `zeta_profile`, then repaired locally after each
-deletion instead of being recomputed.  Once asked, it keeps its cheap set the
-same way, and a deletion can be rolled back from an undo log.
+own coreness: built with one `zeta_profile`, then repaired locally on
+per-vertex support counts after each deletion instead of being recomputed.
+Once asked, it keeps its cheap set the same way, and a deletion can be rolled
+back from an undo log.
 """
 from __future__ import annotations
 
@@ -57,6 +58,12 @@ class Residual:
     it serves as its own zeta profile wherever one is taken.  Built from a
     Graph with one `zeta_profile`, or none when that profile is handed in.
 
+    support[v] counts v's live neighbours w with zeta[w] >= zeta[v] (the
+    max-core degree of Sariyuce et al., VLDB 2013); it is built in one pass
+    and kept by every delete, and a deleted vertex's entry is left as it was.
+    Coreness makes support[v] >= zeta[v] for every live v: v lies in the
+    zeta[v]-core with at least zeta[v] neighbours there.
+
     The live cheap set with its counts (`CheapState`) is built the first
     time `cheap_state()` is asked for, and every later delete repairs it; a
     Residual that is never asked pays nothing for it.  A delete given an
@@ -66,7 +73,8 @@ class Residual:
     def __init__(self, g: Graph, profile: ZetaProfile | None = None):
         self.adj: list[set[int]] = [set(a) for a in g.adj]
         self.alive = [True] * g.n
-        self.zeta = list((profile or zeta_profile(g)).zeta)
+        zeta = self.zeta = list((profile or zeta_profile(g)).zeta)
+        self.support = [len([w for w in a if zeta[w] >= z]) for a, z in zip(g.adj, zeta)]
         self.n = g.n
         self.m = g.m
         self._cheap: CheapState | None = None
@@ -84,32 +92,37 @@ class Residual:
     def delete(self, s: Iterable[int], log: list | None = None) -> set[int]:
         """Delete the live vertices S; return the live vertices whose degree or zeta changed.
 
-        Coreness is repaired locally.  A vertex's value drops to the h-index
-        of its neighbours' values, capped at its current value, and each
-        neighbour w with new < zeta[w] <= old is then rechecked.  The first
-        vertices checked are the neighbours of S that lost a neighbour whose
-        zeta was at least their own; no other vertex lost support at its own
-        level.  The old coreness bounds the new one from above and a step
-        never raises a value, so the process stops at the largest fixed point
-        below the old coreness.  At any fixed point every set
-        {v : zeta[v] >= k} has minimum degree >= k, so that fixed point is
-        the new coreness.
+        Coreness is repaired locally, on the support counts.  A deleted v
+        takes one support from each live neighbour u with zeta[u] <= zeta[v],
+        and a vertex that falls from old to new takes one from each neighbour
+        w with new < zeta[w] <= old; no other count moves.  A vertex goes
+        pending only when its support falls below its zeta, and then it must
+        fall: values never rise, so at most support[v] < zeta[v] neighbours
+        can still hold a value >= zeta[v].  A pending vertex drops to the
+        h-index of its neighbours' values capped at old - 1, which is the
+        h-index capped at old, and its support is recounted from the same
+        sorted values.  The old coreness bounds the new one from above and a
+        step never raises a value, so the process stops at the largest fixed
+        point below the old coreness.  At that fixed point support[v] >=
+        zeta[v] for every live v, so every set {v : zeta[v] >= k} has
+        minimum degree >= k, and the fixed point is the new coreness.
 
         With a log, the delete appends what `undo` needs: each deleted
-        vertex's neighbour set, the old zeta of every vertex it lowers, the
-        old n and m, and the cheap state, which it sets aside unrepaired
-        until the undo puts it back.  Without one, a built cheap state is
-        repaired (see CheapState.repair).
+        vertex's neighbour set, the old zeta and support of every vertex
+        whose zeta or support it lowers, the old n and m, and the cheap state,
+        which it sets aside unrepaired until the undo puts it back.  Without
+        one, a built cheap state is repaired (see CheapState.repair).
         """
-        adj, alive, zeta = self.adj, self.alive, self.zeta
+        adj, alive, zeta, support = self.adj, self.alive, self.zeta, self.support
         drop = set(s)
         for v in drop:
             if not (0 <= v < len(alive) and alive[v]):
                 raise GraphInputError(f"vertex {v} is not live")
         state = self._cheap
+        saved: dict[int, tuple[int, int]] | None = None
         if log is not None:
             gone: dict[int, set[int]] = {}
-            saved: dict[int, int] = {}
+            saved = {}
             log.append((gone, saved, self.n, self.m, state))
             self._cheap = state = None
         elif state is not None:
@@ -126,14 +139,19 @@ class Residual:
                 if alive[u]:
                     adj[u].discard(v)
                     changed.add(u)
-                    if zeta[u] <= zv:
-                        pending.add(u)
+                    zu = zeta[u]
+                    if zu <= zv:
+                        if saved is not None:
+                            saved.setdefault(u, (zu, support[u]))
+                        support[u] -= 1
+                        if support[u] < zu:
+                            pending.add(u)
                     lost += 2
                 else:
                     lost += 1
-            if log is not None:
+            if saved is not None:
                 gone[v] = adj[v]
-                saved[v] = zv
+                saved[v] = (zv, support[v])
             adj[v] = set()
             zeta[v] = 0
         self.n -= len(drop)
@@ -141,17 +159,19 @@ class Residual:
         while pending:
             v = pending.pop()
             old = zeta[v]
-            # capped h-index: the largest h <= old with h neighbours of zeta >= h
-            values = sorted([zeta[w] for w in adj[v]], reverse=True)
-            new = min(old, len(values))
-            while new and values[new - 1] < new:
-                new -= 1
-            if new < old:
-                if log is not None:
-                    saved.setdefault(v, old)
-                zeta[v] = new
-                changed.add(v)
-                pending.update([w for w in adj[v] if new < zeta[w] <= old])
+            if saved is not None:
+                saved.setdefault(v, (old, support[v]))
+            new, support[v] = _fall(zeta, adj[v], old)
+            zeta[v] = new
+            changed.add(v)
+            for w in adj[v]:
+                zw = zeta[w]
+                if new < zw <= old:
+                    if saved is not None:
+                        saved.setdefault(w, (zw, support[w]))
+                    support[w] -= 1
+                    if support[w] < zw:
+                        pending.add(w)
         if state is not None:
             state.repair(changed)
         return changed
@@ -161,7 +181,7 @@ class Residual:
 
         Every delete made since the first one in log must be in log.
         """
-        adj, alive, zeta = self.adj, self.alive, self.zeta
+        adj, alive, zeta, support = self.adj, self.alive, self.zeta, self.support
         while log:
             gone, saved, self.n, self.m, self._cheap = log.pop()
             for v, nbrs in gone.items():
@@ -169,8 +189,26 @@ class Residual:
                 adj[v] = nbrs
                 for u in nbrs:
                     adj[u].add(v)
-            for v, z in saved.items():
+            for v, (z, c) in saved.items():
                 zeta[v] = z
+                support[v] = c
+
+
+def _fall(zeta: list[int], nbrs: set[int], old: int) -> tuple[int, int]:
+    """The value a vertex of zeta `old` with neighbours `nbrs` falls to, and its support there.
+
+    The value is the h-index of the neighbours' zeta capped at old - 1: the
+    largest h < old with h neighbours of zeta >= h.  The support is the
+    number of neighbours of zeta >= that value.
+    """
+    values = sorted([zeta[w] for w in nbrs], reverse=True)
+    new = min(old - 1, len(values))
+    while new and values[new - 1] < new:
+        new -= 1
+    count = new
+    while count < len(values) and values[count] >= new:
+        count += 1
+    return new, count
 
 
 class CheapState:
@@ -241,11 +279,9 @@ class CheapState:
     def repair(self, changed: set[int]) -> None:
         """Recheck C after a delete that changed the degree or zeta of `changed`.
 
-        Only the changed vertices are rechecked.  Whether u is cheap depends
-        on deg(u), zeta(u) and zeta on N(u), but the last follows from the
-        first two: with zeta(u) = deg(u) = k, u lies in the k-core with all
-        k of its neighbours, so each has zeta >= k.  A vertex whose degree
-        and zeta did not change keeps its answer.
+        Only the changed vertices are rechecked: whether u is cheap depends
+        only on deg(u) and zeta(u) (see cheap_vertices), so a vertex whose
+        degree and zeta did not change keeps its answer.
         """
         cheap, adj = self.cheap, self._r.adj
         now = _cheap_among(self._r, self._r.zeta, changed)
@@ -317,19 +353,21 @@ def cheap_vertices(g: Graph | Residual,
                    profile: ZetaProfile | Residual | None = None) -> frozenset[int]:
     """Vertices u with zeta(u) == deg(u) and zeta(u) minimal on N[u].
 
-    Every minimum-degree vertex qualifies, so the set is nonempty whenever
-    the graph is.
+    Only zeta(u) == deg(u) is tested; the minimality follows from it.  With
+    zeta(u) = deg(u) = k, u lies in the k-core with all k of its neighbours,
+    so each has zeta >= k.  Every minimum-degree vertex qualifies, so the set
+    is nonempty whenever the graph is.
     """
     return _cheap_among(g, (profile or profile_of(g)).zeta, g.vertices())
 
 
 def _cheap_among(g: Graph | Residual, zeta, candidates: Iterable[int]) -> frozenset[int]:
     adj = g.adj
-    return frozenset(u for u in candidates
-                     if zeta[u] == len(adj[u]) and all(zeta[u] <= zeta[v] for v in adj[u]))
+    return frozenset(u for u in candidates if zeta[u] == len(adj[u]))
 
 
-def cheap_layers(g: Graph | Residual) -> Iterator[frozenset[int]]:
+def cheap_layers(g: Graph | Residual,
+                 profile: ZetaProfile | None = None) -> Iterator[frozenset[int]]:
     """The cheap layers of g in stripping order, each stripped when it is asked for.
 
     The first layer is g's own cheap set: the kept one when g is a Residual
@@ -339,15 +377,16 @@ def cheap_layers(g: Graph | Residual) -> Iterator[frozenset[int]]:
     rolled back when the stream ends or is closed, so a reader that stops
     early closes it (`contextlib.closing`) before it reads g again.  After a
     delete only the vertices whose degree or zeta changed are rechecked: the
-    others were not cheap, and a deletion only lowers their neighbours' zeta,
-    which cannot make them cheap.  Each nonempty residual has a cheap vertex,
-    so the layers cover every live vertex.
+    others were not cheap, and cheapness depends only on deg and zeta (see
+    cheap_vertices).  Each nonempty residual has a cheap vertex, so the
+    layers cover every live vertex.  A profile handed in for a Graph saves
+    the Residual its own `zeta_profile`.
     """
     if isinstance(g, Residual):
         r, log = g, []
         cheap = frozenset(g._cheap.cheap) if g._cheap else cheap_vertices(g)
     else:
-        r, log = Residual(g), None
+        r, log = Residual(g, profile), None
         cheap = cheap_vertices(r)
     try:
         while cheap:
@@ -358,13 +397,14 @@ def cheap_layers(g: Graph | Residual) -> Iterator[frozenset[int]]:
             r.undo(log)
 
 
-def layer_decomposition(g: Graph | Residual) -> LayerDecomposition:
+def layer_decomposition(g: Graph | Residual,
+                        profile: ZetaProfile | None = None) -> LayerDecomposition:
     """Iteratively strip the cheap vertices of what is left (see cheap_layers).
 
     layers[i] holds the vertex ids removed at step i+1; every live vertex is
     assigned a layer.
     """
-    layers = tuple(cheap_layers(g))
+    layers = tuple(cheap_layers(g, profile))
     layer_of = [-1] * len(g.adj)
     for i, layer in enumerate(layers):
         for v in layer:

@@ -266,16 +266,17 @@ def generate(spec: GeneratorSpec) -> Graph:
                                spec.extra_edges, spec.seed or 0)
     if fam == "random-gnp":
         n = _need(spec.n, "random-gnp needs n")
-        p = _need(spec.p, "random-gnp needs p")
+        p = _probability(_need(spec.p, "random-gnp needs p"), "p")
         rng = random.Random(spec.seed or 0)
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
         return build_graph(n, edges)
     if fam == "random-forest":
         n = _need(spec.n, "random-forest needs n")
+        attach = _probability(spec.attach, "attach")
         rng = random.Random(spec.seed or 0)
         edges = [(v, rng.randrange(v)) for v in range(1, n)
-                 if rng.random() < spec.attach]
+                 if rng.random() < attach]
         return build_graph(n, edges)
     raise GraphInputError(f"unknown generator family {fam!r}")
 
@@ -283,6 +284,12 @@ def generate(spec: GeneratorSpec) -> Graph:
 def _need(value, msg):
     if value is None:
         raise GraphInputError(msg)
+    return value
+
+
+def _probability(value: float, name: str) -> float:
+    if not 0 <= value <= 1:         # NaN fails both comparisons
+        raise GraphInputError(f"{name} must lie in [0, 1], got {value}")
     return value
 
 

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 from conftest import gnp
+from zetakit import cli, degeneracy
 from zetakit.cli import (GraphDocument, ParseError, parse_dimacs,
                          parse_edge_list, run_command, serialize_dimacs,
                          serialize_edge_list)
+from zetakit.degeneracy import zeta_profile
 from zetakit.graph import GraphInputError, build_graph
 
 TRIANGLE_PENDANT = "a b\nb c\nc a\na d\n"
@@ -113,11 +115,19 @@ def test_round_trip_both_formats():
 # ── commands ────────────────────────────────────────────────────────────────
 
 
-def test_zeta_command_triangle_pendant(tmp_path, capsys):
+def test_zeta_command_triangle_pendant(tmp_path, capsys, monkeypatch):
+    profiled = []
+
+    def counted(g):
+        profiled.append(g.n)
+        return zeta_profile(g)
+
+    for module in (cli, degeneracy):
+        monkeypatch.setattr(module, "zeta_profile", counted)
     f = tmp_path / "tri.edges"
     f.write_text(TRIANGLE_PENDANT)
     rc, out, _ = run(capsys, "zeta", str(f))
-    assert rc == 0
+    assert rc == 0 and profiled == [4]
     assert out["schema"] == "zeta-kit/1"
     assert out["zeta"] == [2, 2, 2, 1]
     assert out["cheap"] == ["b", "c", "d"]
@@ -200,6 +210,16 @@ def test_gen_dimacs_output(tmp_path, capsys):
     assert rc == 0 and out["n"] == 20
     doc = parse_dimacs(f.read_text())
     assert doc.graph.n == 20
+
+
+@pytest.mark.parametrize("family, flag, value", [("random-gnp", "--p", "1.5"),
+                                                  ("random-gnp", "--p", "nan"),
+                                                  ("random-forest", "--attach", "-0.1")])
+def test_gen_rejects_probability_out_of_range(tmp_path, capsys, family, flag, value):
+    f = tmp_path / "g.edges"
+    rc, out, err = run(capsys, "gen", "--family", family, "--n", "5", flag, value,
+                       "--out", str(f))
+    assert rc == 1 and out is None and "[0, 1]" in err and not f.exists()
 
 
 def test_conjecture_smoke(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import scan_finders
 from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
                       graphs, path_graph, star_graph)
+from zetakit import degeneracy
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
                                 is_zeta_regular, layer_decomposition, zeta_oracle,
                                 zeta_profile)
@@ -82,14 +83,28 @@ def test_min_degree_vertices_are_cheap(g):
             assert v in cheap
 
 
-@given(graphs(max_n=16))
-def test_cheap_definition(g):
+def defined_cheap(g, zeta):
+    """The cheap vertices by the definition: zeta(u) == deg(u) and zeta(u) minimal on N[u]."""
+    return {u for u in g.vertices()
+            if zeta[u] == len(g.adj[u]) and all(zeta[w] >= zeta[u] for w in g.adj[u])}
+
+
+@given(graphs(max_n=16), st.data())
+def test_cheap_definition(g, data):
+    """cheap_vertices, which tests only zeta == deg, meets the whole definition
+    on a Graph and on a Residual after random deletes."""
     prof = zeta_profile(g)
-    cheap = cheap_vertices(g, prof)
-    for u in range(g.n):
-        is_cheap = (prof.zeta[u] == g.degree(u)
-                    and all(prof.zeta[w] >= prof.zeta[u] for w in g.adj[u]))
-        assert (u in cheap) == is_cheap
+    assert cheap_vertices(g, prof) == defined_cheap(g, prof.zeta)
+    r = Residual(g)
+    while r.n:
+        r.delete(draw_deletion(data, r))
+        assert cheap_vertices(r) == defined_cheap(r, r.zeta)
+
+
+def test_cheap_definition_on_all_small_graphs(dedup_suite):
+    for n, suite in dedup_suite.items():
+        for g in suite:
+            assert cheap_vertices(g) == defined_cheap(g, zeta_oracle(g)), g.edges()
 
 
 def rebuilt_layers(g):
@@ -115,13 +130,33 @@ def test_layers_match_rebuild_on_all_small_graphs(dedup_suite):
             assert layer_decomposition(g).layers == rebuilt_layers(g), g.edges()
 
 
+def test_every_h_index_lowers_a_zeta(monkeypatch):
+    """A vertex's h-index is computed only when its zeta must fall: on the
+    layer decomposition of G(2000, 8/n), each call finds the h-index capped
+    at the old zeta below that zeta, and returns it with its support."""
+    fall, calls = degeneracy._fall, []
+
+    def counted(zeta, nbrs, old):
+        values = [zeta[w] for w in nbrs]
+        h = max(h for h in range(old + 1) if sum(z >= h for z in values) >= h)
+        new, support = fall(zeta, nbrs, old)
+        calls.append((h < old, new == h, support == sum(z >= new for z in values)))
+        return new, support
+
+    monkeypatch.setattr(degeneracy, "_fall", counted)
+    g = gnp(2000, 8 / 2000, 7)
+    assert layer_decomposition(g).layers == rebuilt_layers(g)
+    assert calls and set(calls) == {(True, True, True)}
+
+
 @given(graphs(max_n=18), st.data())
 @settings(max_examples=120, deadline=None)
 def test_residual_repairs_coreness_under_deletions(g, data):
     """After each delete the residual equals the rebuilt induced subgraph and
-    its coreness equals the oracle's, and `changed` names exactly the live
-    vertices whose degree or zeta moved."""
+    its coreness and support counts equal a recompute, and `changed` names
+    exactly the live vertices whose degree or zeta moved."""
     r = Residual(g)
+    assert all(r.support[v] == recomputed_support(r, v) for v in range(g.n))
     gone: set[int] = set()
     while r.n:
         live = sorted(set(range(g.n)) - gone)
@@ -140,10 +175,15 @@ def test_residual_repairs_coreness_under_deletions(g, data):
         assert changed == {v for v in sub.old_of
                            if len(r.adj[v]) != before_deg[v]
                            or r.zeta[v] != before_zeta[v]}
+        assert all(r.support[v] == recomputed_support(r, v) for v in sub.old_of)
+
+
+def recomputed_support(r, v):
+    return sum(r.zeta[w] >= r.zeta[v] for w in r.adj[v])
 
 
 def residual_state(r):
-    return [set(a) for a in r.adj], r.zeta[:], r.alive[:], r.n, r.m
+    return [set(a) for a in r.adj], r.zeta[:], r.support[:], r.alive[:], r.n, r.m
 
 
 def cheap_state_answers(r):
@@ -184,8 +224,8 @@ def test_kept_cheap_state_matches_recompute(g, data):
 @given(graphs(max_n=18), st.data())
 @settings(max_examples=120, deadline=None)
 def test_undo_restores_the_residual_exactly(g, data):
-    """Logged deletes rolled back restore adj, zeta, alive, n, m and the cheap
-    state, which later plain deletes keep repairing."""
+    """Logged deletes rolled back restore adj, zeta, support, alive, n, m and
+    the cheap state, which later plain deletes keep repairing."""
     r = Residual(g)
     if data.draw(st.booleans()):
         r.cheap_state()
