@@ -3,9 +3,8 @@
 A set S is k-cheap when its closed neighborhood contributes at most |S| to
 the Z_{k+1} sum and G[S] has maximum degree <= k — i.e. trading N[S] for |S|
 chosen vertices never decreases a certified lower bound.  The finders below
-return structured candidates (tagged by the pattern that produced them), each
-verified exactly: `find_2_cheap` logs a failed candidate as an anomaly and
-tries the next, `find_1_cheap` and the forest finder raise CheapSetSearchError.
+return one candidate, tagged by the pattern that produced it and verified
+exactly; every finder raises CheapSetSearchError when the verification fails.
 """
 from __future__ import annotations
 
@@ -19,12 +18,12 @@ from typing import Iterable, Iterator
 from .degeneracy import (Residual, ZetaProfile, cheap_layers, profile_of,
                          zeta_weight)
 from .graph import (Graph, GraphInputError, closed_neighborhood,
-                    connected_components, is_forest)
+                    connected_components)
 
 
 class CheapSetSearchError(RuntimeError):
-    """The constructive search exhausted its candidates — an internal invariant
-    is broken (the theory guarantees a candidate exists)."""
+    """A finder's candidate failed exact verification — an internal invariant
+    is broken (the theory guarantees that it passes)."""
 
 
 @dataclass(frozen=True)
@@ -146,59 +145,65 @@ def _checked(r: Residual, s: set[int], level: int, kind: str) -> CheapSet:
 
 # ── level 2 ──────────────────────────────────────────────────────────────────
 
-def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = None,
-                 anomaly_log: list | None = None) -> CheapSet:
-    """Return a 2-cheap set via the layered candidate chain.
+def find_2_cheap(g: Graph | Residual,
+                 profile: ZetaProfile | Residual | None = None) -> CheapSet:
+    """Return the first candidate of the layered chain, verified exactly once.
 
-    Candidates are generated in dependency order over the cheap-layer
-    decomposition; each is verified exactly and failures are recorded in
-    anomaly_log (the construction proof says the first candidate already
-    works, so a nonempty log is reportable as a bug).
+    C is the first layer of `cheap_layers(g)`.  The first stage to apply wins:
+    adjacent-pair (the first edge inside C), triple-common-neighbor (the three
+    least C-neighbours of the least vertex with three), then stages over the
+    deeper layers in dependency order, down to the whole live graph (no proof
+    yet says `whole-path-union` is unreachable).  A failed verification raises
+    CheapSetSearchError.  By three lemmas the first-layer answers verify and
+    no down-chain breaks:
+    - adjacent u, w in C have zeta = deg = z >= 1, and N[{u, w}] has at most
+      2z members, each of zeta >= z: weight <= 2z/(z + 1/3) < 2;
+    - with C independent, a_i = 1/(z_i + 1/3) for the C-neighbours u_i of p,
+      and p charged to the u_1 of largest z_i: weight <= sum z_i a_i + a_1
+      = 3 + a_1 - (a_1 + a_2 + a_3)/3 <= 3;
+    - a vertex of layer j > 0 has a neighbour in layer j - 1, else it keeps
+      its degree as that layer goes, so deg >= zeta_before >= zeta_after =
+      deg and it was cheap one layer earlier (type-II of `find_1_cheap`).
 
-    A Graph is wrapped in one Residual.  The first `adjacent-pair` and
-    `triple-common-neighbor` candidates are read from its kept cheap state;
-    the rest of those stages is scanned only if that candidate fails.  A
-    stage past the first layer strips the layers it needs on the Residual
-    and rolls them back before reading the Residual again, so reaching
-    layer i strips layers 0..i-1 afresh.
+    A Graph is wrapped in one Residual, whose kept cheap state answers the
+    first layer.  A deeper stage strips layers 0..i-1 on it afresh to reach
+    layer i, and rolls them back.
     """
     r = _residual(g, profile)
     state = r.cheap_state()
     _require_no_isolated(r, state.isolated)
     adj = r.adj
-    log = anomaly_log if anomaly_log is not None else []
+    edge = state.least_edge()
+    if edge is not None:
+        return _checked(r, set(edge), 2, "adjacent-pair")
+    hub = state.least_hub(3)
+    if hub is not None:
+        return _checked(r, set(sorted(adj[hub] & state.cheap)[:3]), 2,
+                        "triple-common-neighbor")
     # the layers are stripped only as far as the candidates reach; a vertex
     # not stripped yet has a layer index above every real one
     layers: list[frozenset[int]] = []
     lof: dict[int, int] = {}
     top = len(adj)
-    whole = False                           # every layer is known
 
     def reach(i: int) -> bool:
-        """Strip until layers[i] is known; False when there are fewer layers."""
-        nonlocal whole
-        if len(layers) <= i and not whole:
+        """Strip until layers[i] is known; False, and no further call, when
+        there are fewer layers."""
+        if len(layers) <= i:
             with closing(cheap_layers(r)) as stream:
                 layers[:] = islice(stream, i + 1)
-            whole = len(layers) <= i
             for j, layer in enumerate(layers):
                 lof.update(dict.fromkeys(layer, j))
         return i < len(layers)
 
-    def down(v: int) -> int | None:
-        below = [u for u in adj[v] if lof.get(u, top) == lof[v] - 1]
-        return min(below) if below else None
+    def down(v: int) -> int:
+        return min(u for u in adj[v] if lof.get(u, top) == lof[v] - 1)
 
-    def chain(v: int) -> list[int] | None:
+    def chain(v: int) -> list[int]:
         """v followed by iterated down-neighbors, ending in the first layer."""
         path = [v]
         while lof[path[-1]] > 0:
-            nxt = down(path[-1])
-            if nxt is None:
-                log.append(_anomaly("broken-chain", (path[-1],),
-                                    f"no neighbor one layer below {path[-1]}"))
-                return None
-            path.append(nxt)
+            path.append(down(path[-1]))
         return path
 
     def pair_union(a: int, b: int, joined: bool = False) -> set[int] | None:
@@ -207,8 +212,6 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
         and cross edges by the stage at their own level.  With joined=True the
         a-b edge itself is the expected bridge and is not a cross edge."""
         ca, cb = chain(a), chain(b)
-        if ca is None or cb is None:
-            return None
         sa, sb = set(ca), set(cb)
         if sa & sb:
             return None
@@ -221,20 +224,6 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
         return sa | sb
 
     def candidates() -> Iterator[tuple[set[int], str]]:
-        cheap = state.cheap
-        edge = state.least_edge()
-        if edge is not None:
-            yield set(edge), "adjacent-pair"
-            for u, w in islice(_inner_edges(r, cheap), 1, None):
-                yield {u, w}, "adjacent-pair"
-        hub = state.least_hub(3)
-        if hub is not None:
-            yield set(sorted(adj[hub] & cheap)[:3]), "triple-common-neighbor"
-            for p in r.vertices():
-                if p > hub:
-                    cn = sorted(adj[p] & cheap)
-                    if len(cn) >= 3:
-                        yield set(cn[:3]), "triple-common-neighbor"
         if reach(1):
             c1, c2 = layers[0], layers[1]
             for p in sorted(c2):
@@ -265,17 +254,12 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
                 jumps = sorted((lof[v], v) for v in adj[u] if lof.get(v, top) <= i - 2)
                 if not jumps:
                     continue
-                d0 = down(u)
-                p = chain(d0) if d0 is not None else None
-                if p is None:
-                    log.append(_anomaly("broken-chain", (u,),
-                                        "jump vertex has no down-neighbor"))
-                    continue
+                p = chain(down(u))
                 z = jumps[0][1]
                 if z in p:
                     yield set(p), "layer-path"
                 else:
-                    s = pair_union(d0, z)
+                    s = pair_union(p[0], z)
                     if s is not None:
                         yield s, "two-layer-paths"
             # two chains merging one layer down extend to a single layered
@@ -283,9 +267,7 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
             for x in sorted(layers[i - 1]):
                 ups = sorted(v for v in adj[x] if lof.get(v, top) == i)
                 if len(ups) >= 2:
-                    c = chain(x)
-                    if c is not None:
-                        yield {ups[0], *c}, "layer-path"
+                    yield {ups[0], *chain(x)}, "layer-path"
             i += 1
         # same-layer edges above the second layer, after all chains are clean
         for i in range(2, len(layers)):
@@ -295,18 +277,8 @@ def find_2_cheap(g: Graph | Residual, profile: ZetaProfile | Residual | None = N
                     yield s, "layer-path-pair-bridge"
         yield set(r.vertices()), "whole-path-union"
 
-    for s, kind in candidates():
-        res = verify_k_cheap(r, s, 2, r)
-        if res.ok:
-            return CheapSet(frozenset(s), 2, kind)
-        log.append(_anomaly(kind, tuple(sorted(s)),
-                            res.reason or "verification failed"))
-    raise CheapSetSearchError(
-        f"no 2-cheap set found after {len(log)} failed candidates")
-
-
-def _anomaly(kind: str, vertices: tuple[int, ...], reason: str) -> dict:
-    return {"kind": kind, "vertices": vertices, "reason": reason}
+    s, kind = next(candidates())
+    return _checked(r, s, 2, kind)
 
 
 # ── forests, arbitrary level ─────────────────────────────────────────────────
@@ -324,19 +296,15 @@ def find_k_cheap_forest(g: Graph | Residual, k: int,
     """
     if k < 0:
         raise GraphInputError(f"level must be >= 0, got {k}")
-    if not is_forest(g):
-        raise GraphInputError("graph is not a forest")
     r = _residual(g, profile)
     comps = connected_components(r)
+    if r.m != r.n - len(comps):             # each tree has one edge fewer than vertices
+        raise GraphInputError("graph is not a forest")
     _require_no_isolated(r, sum(len(comp) == 1 for comp in comps))
     total: set[int] = set()
     for comp in comps:
         total |= _tree_k_cheap(r, comp, k)
-    res = verify_k_cheap(r, total, k, r)
-    if not res.ok:
-        raise CheapSetSearchError(
-            f"forest construction produced a non-{k}-cheap set: {res.reason}")
-    return CheapSet(frozenset(total), k, "forest-leaf")
+    return _checked(r, total, k, "forest-leaf")
 
 
 def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
@@ -375,10 +343,6 @@ def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
             cov |= g.adj[x] & processed
         return (k + 1) * len(cov) <= (k + 2) * len(cand)
 
-    def rebuild_sdeg() -> None:
-        for v in processed:
-            sdeg[v] = len(g.adj[v] & s)
-
     for v, w in reversed(elim):
         # replay invariant: v's only processed neighbor is w
         processed.add(v)
@@ -396,16 +360,14 @@ def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
                 variants.append((s - {p}) | {v})
         variants.append(set(s))                       # keep
         variants.append((s - {w}) | {v})              # swap the hub itself
-        placed = False
         for cand in variants:
             if partial_ok(cand):
                 s = cand
-                rebuild_sdeg()
-                placed = True
                 break
-        if not placed:
+        else:
             s = _tree_max_k_independent(g, processed, k)
-            rebuild_sdeg()
+        for x in processed:
+            sdeg[x] = len(g.adj[x] & s)
     return s
 
 

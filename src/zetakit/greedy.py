@@ -41,6 +41,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class GreedyRun:
+    """A greedy's result.  `anomalies` is always (), as a finder whose candidate
+    fails verification raises instead; it stays for its readers (`bench` rows)."""
     chosen: frozenset[int]
     certificate: Fraction
     level: int                      # max degree allowed inside the chosen set
@@ -48,8 +50,7 @@ class GreedyRun:
     anomalies: tuple[dict, ...] = ()
 
 
-def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep],
-           anomalies: list | None = None) -> GreedyRun:
+def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep]) -> GreedyRun:
     """Run rounds on one Residual until it is empty.
 
     A round with isolated vertices banks them as one block; otherwise `pick`
@@ -70,12 +71,10 @@ def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep],
         trace.append(step)
         isolated = sorted(v for v in r.delete(step.removed) if not r.adj[v])
     certificate = sum((step.contribution for step in trace), Fraction(0))
-    return GreedyRun(frozenset(chosen), certificate, level, tuple(trace),
-                     tuple(anomalies) if anomalies else ())
+    return GreedyRun(frozenset(chosen), certificate, level, tuple(trace))
 
 
-def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet],
-                 anomalies: list | None = None) -> GreedyRun:
+def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet]) -> GreedyRun:
     """Drive rounds that take the finder's cheap set and bank the weight of its N[S]."""
     def pick(r: Residual) -> TraceStep:
         cs = finder(r)
@@ -83,7 +82,7 @@ def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet],
                          tuple(sorted(closed_neighborhood(r, cs.vertices))),
                          cheap_weight(r, r.zeta, cs.vertices, level))
 
-    return _drive(g, level, pick, anomalies)
+    return _drive(g, level, pick)
 
 
 def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
@@ -170,11 +169,10 @@ def one_cheap_greedy(g: Graph) -> GreedyRun:
 def two_cheap_greedy(g: Graph) -> GreedyRun:
     """2-independent set of size >= ceil(Z_3(G)) via 2-cheap sets.
 
-    Any verifier rejections inside the 2-cheap search are surfaced on the
-    run's anomalies field.
+    Each round takes `find_2_cheap`'s one verified candidate; a candidate that
+    fails verification raises CheapSetSearchError.
     """
-    log: list = []
-    return _with_finder(g, 2, lambda r: find_2_cheap(r, anomaly_log=log), log)
+    return _with_finder(g, 2, find_2_cheap)
 
 
 def forest_k_greedy(g: Graph, k: int) -> GreedyRun:

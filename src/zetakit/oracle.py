@@ -262,6 +262,8 @@ def generate(spec: GeneratorSpec) -> Graph:
     if fam == "disjoint-cliques":
         return _disjoint_cliques(_need(spec.sizes, "disjoint-cliques needs sizes"))
     if fam == "family-F":
+        if spec.extra_edges < 0:
+            raise GraphInputError(f"extra_edges must be >= 0, got {spec.extra_edges}")
         return _family_f_graph(_need(spec.sizes, "family-F needs sizes"),
                                spec.extra_edges, spec.seed or 0)
     if fam == "random-gnp":

@@ -6,10 +6,12 @@ edge lists; that is coarse but reproducible.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import strategies as st
 
+from zetakit import cheap_sets
 from zetakit.graph import Graph, build_graph
 from zetakit.oracle import enumerate_small_graphs
 
@@ -81,6 +83,22 @@ def graphs_with_edges(draw, min_n=2, max_n=16):
         u = draw(st.integers(0, g.n - 2))
         g = build_graph(g.n, list(g.edges()) + [(u, u + 1)])
     return g
+
+
+def fail_first_verification(monkeypatch) -> list:
+    """Make only the first `cheap_sets.verify_k_cheap` call report a failure.
+
+    Returns the list of the sets passed to it, one entry per call."""
+    real = cheap_sets.verify_k_cheap
+    calls = []
+
+    def verify(g, s, level, profile=None):
+        calls.append(frozenset(s))
+        res = real(g, s, level, profile)
+        return replace(res, ok=False, reason="forced failure") if len(calls) == 1 else res
+
+    monkeypatch.setattr(cheap_sets, "verify_k_cheap", verify)
+    return calls
 
 
 # --------------------------------------------------------------- fixtures

@@ -5,11 +5,15 @@ Residual keeps and strip deeper layers on the Residual itself.  These twins
 select the same candidates the plain way: every cheap layer is the cheap set
 of a rebuilt, recomputed graph, and each first-layer pattern is found by
 scanning every vertex.  Tests require both to return equal CheapSets.
+
+The 2-cheap twin verifies each candidate in turn, logs a rejected one in
+`anomaly_log` and tries the next.  The library finder verifies only its
+first candidate and raises CheapSetSearchError if it fails, so the two agree
+exactly when every first candidate verifies.
 """
 from __future__ import annotations
 
-from zetakit.cheap_sets import (CheapSet, CheapSetSearchError, _anomaly,
-                                verify_k_cheap)
+from zetakit.cheap_sets import CheapSet, CheapSetSearchError, verify_k_cheap
 from zetakit.degeneracy import cheap_vertices, zeta_profile
 from zetakit.graph import GraphInputError, remove_vertices
 
@@ -34,6 +38,10 @@ def _require_no_isolated(g):
     for v in range(g.n):
         if not g.adj[v]:
             raise GraphInputError(f"vertex {v} is isolated; strip isolated vertices first")
+
+
+def _anomaly(kind, vertices, reason):
+    return {"kind": kind, "vertices": vertices, "reason": reason}
 
 
 def _checked(g, prof, s, level, kind):

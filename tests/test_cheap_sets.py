@@ -5,20 +5,21 @@ The two big seeded loops mirror the sizes the acceptance suite relies on
 """
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_finders
-from conftest import (cycle_graph, gnp, graphs_with_edges, path_graph, random_tree,
-                      star_graph)
+from conftest import (cycle_graph, fail_first_verification, gnp, graphs_with_edges,
+                      path_graph, random_tree, star_graph)
 from zetakit import degeneracy
 from zetakit.cheap_sets import (CheapSet, CheapSetSearchError, cheap_weight,
                                 find_1_cheap, find_2_cheap,
                                 find_k_cheap_forest, verify_k_cheap)
 from zetakit.degeneracy import Residual, cheap_vertices, zeta_profile
-from zetakit.graph import build_graph, is_forest, remove_vertices
+from zetakit.graph import GraphInputError, build_graph, is_forest, remove_vertices
 from zetakit.oracle import enumerate_small_graphs
 
 _2CHEAP_KINDS = {
@@ -286,25 +287,22 @@ def test_known_1_cheap_on_path():
 def test_find_2_cheap_verifies(g):
     iso = {v for v in range(g.n) if not g.adj[v]}
     g = remove_vertices(g, iso).graph
-    log = []
-    cs = find_2_cheap(g, anomaly_log=log)
+    cs = find_2_cheap(g)
     assert cs.level == 2
     assert cs.kind in _2CHEAP_KINDS
     assert verify_k_cheap(g, cs.vertices, 2).ok
-    assert log == []
 
 
 def test_find_2_cheap_ten_thousand_random_no_anomalies():
+    # a first candidate that failed verification would raise CheapSetSearchError
     rng = random.Random(12345)
-    log = []
     kinds = {}
     for _ in range(10_000):
         n = rng.randrange(2, 33)
         g = edgy_gnp(n, rng.choice([0.08, 0.15, 0.3, 0.6]), rng)
-        cs = find_2_cheap(g, anomaly_log=log)
+        cs = find_2_cheap(g)
         kinds[cs.kind] = kinds.get(cs.kind, 0) + 1
         assert verify_k_cheap(g, cs.vertices, 2).ok
-    assert log == [], log[:3]
     assert set(kinds) <= _2CHEAP_KINDS
 
 
@@ -314,35 +312,70 @@ def test_2_cheap_merged_chain_regression():
     # single layered path {upper neighbor} + chain instead.
     g = build_graph(6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3),
                         (2, 4), (3, 4), (3, 5)])
-    log = []
-    cs = find_2_cheap(g, anomaly_log=log)
+    cs = find_2_cheap(g)
     assert cs.kind == "layer-path"
     assert cs.vertices == frozenset({0, 1, 5})
     assert verify_k_cheap(g, cs.vertices, 2).ok
-    assert log == []
 
 
 def test_2_cheap_bridge_shapes():
     # triangle with three pendants: needs the bridge/whole-union stages
     g = build_graph(6, [(0, 2), (1, 2), (1, 3), (1, 5), (2, 3), (3, 4)])
-    log = []
-    cs = find_2_cheap(g, anomaly_log=log)
-    assert verify_k_cheap(g, cs.vertices, 2).ok and log == []
+    cs = find_2_cheap(g)
+    assert verify_k_cheap(g, cs.vertices, 2).ok
 
 
 def test_cycles_and_paths_2_cheap():
     for n in (3, 4, 5, 6, 9, 12):
-        log = []
-        cs = find_2_cheap(cycle_graph(n), anomaly_log=log)
+        cs = find_2_cheap(cycle_graph(n))
         assert verify_k_cheap(cycle_graph(n), cs.vertices, 2).ok
-        assert log == []
+
+
+def test_find_2_cheap_raises_when_its_candidate_fails(monkeypatch):
+    """A failed verification raises at once; no second candidate is tried."""
+    calls = fail_first_verification(monkeypatch)
+    with pytest.raises(CheapSetSearchError, match="adjacent-pair candidate"):
+        find_2_cheap(cycle_graph(4))
+    assert calls == [frozenset({0, 1})]
+
+
+def two_cheap_lemmas(g):
+    """Check the three lemmas of find_2_cheap's docstring on g.
+
+    Every adjacent pair in the cheap set C is 2-cheap; when C is independent,
+    every three C-neighbours of a common vertex are 2-cheap; every vertex of a
+    cheap layer j > 0 has a neighbour in layer j - 1.  Returns how many pairs,
+    triples and layered vertices were checked."""
+    prof = zeta_profile(g)
+    cheap = cheap_vertices(g, prof)
+    pairs = [{u, w} for u in cheap for w in g.adj[u] & cheap if u < w]
+    triples = [] if pairs else [set(t) for p in range(g.n)
+                                for t in combinations(sorted(g.adj[p] & cheap), 3)]
+    for s in pairs + triples:
+        assert verify_k_cheap(g, s, 2, prof).ok, (g.edges(), s)
+    layers = list(scan_finders.rebuilt_layers(g))
+    for below, layer in zip(layers, layers[1:]):
+        for v in layer:
+            assert g.adj[v] & below, (g.edges(), v)
+    return len(pairs), len(triples), sum(map(len, layers[1:]))
+
+
+def test_2_cheap_lemmas_exhaustive(dedup_suite):
+    counts = [two_cheap_lemmas(g) for n in range(1, 8) for g in dedup_suite[n]]
+    assert all(map(sum, zip(*counts)))        # each lemma was exercised
+
+
+@given(graphs_with_edges(max_n=24))
+@settings(max_examples=150, deadline=None)
+def test_2_cheap_lemmas(g):
+    two_cheap_lemmas(g)
 
 
 # ── forests ─────────────────────────────────────────────────────────────────
 
 
 def test_forest_finder_rejects_non_forest():
-    with pytest.raises(Exception):
+    with pytest.raises(GraphInputError, match="not a forest"):
         find_k_cheap_forest(cycle_graph(4), 1)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import gnp
+from conftest import fail_first_verification, gnp
 from zetakit import cli, degeneracy
 from zetakit.cli import (GraphDocument, ParseError, parse_dimacs,
                          parse_edge_list, run_command, serialize_dimacs,
@@ -222,6 +222,13 @@ def test_gen_rejects_probability_out_of_range(tmp_path, capsys, family, flag, va
     assert rc == 1 and out is None and "[0, 1]" in err and not f.exists()
 
 
+def test_gen_rejects_negative_extra_edges(tmp_path, capsys):
+    f = tmp_path / "g.edges"
+    rc, out, err = run(capsys, "gen", "--family", "family-F", "--sizes", "3,3",
+                       "--extra-edges", "-4", "--out", str(f))
+    assert rc == 1 and out is None and "extra_edges" in err and not f.exists()
+
+
 def test_conjecture_smoke(capsys):
     rc, out, _ = run(capsys, "conjecture", "--k", "1", "--n", "9",
                      "--trials", "8", "--seed", "0")
@@ -269,6 +276,16 @@ def test_exit_non_utf8_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", stdin)
     rc, out, err = run(capsys, "zeta", "-")
     assert rc == 2 and out is None and "UTF-8" in err
+
+
+def test_exit_invariant_violation_on_failed_candidate(tmp_path, capsys, monkeypatch):
+    fail_first_verification(monkeypatch)
+    f = tmp_path / "c4.edges"
+    f.write_text("0 1\n1 2\n2 3\n3 0\n")
+    rc, out, err = run(capsys, "greedy", "--algo", "2cheap", str(f))
+    assert rc == 3 and out is None
+    assert "invariant violation" in err and "failed verification" in err
+    assert "Traceback" not in err
 
 
 def test_auto_format_reads_dimacs_header(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ import rebuild_greedy
 import zetakit
 from conftest import (complete_graph, cycle_graph, gnp, graphs, path_graph,
                       random_forest, star_graph)
+from zetakit import cheap_sets
 from zetakit.bounds import z_bound
 from zetakit.degeneracy import Residual, zeta_profile
 from zetakit.graph import GraphInputError, build_graph, is_forest
@@ -242,9 +243,15 @@ def test_cheap_greedies_neither_scan_nor_copy_per_round(monkeypatch):
     """The 1-cheap and 2-cheap rounds read the residual's kept cheap state: a run
     iterates Residual.vertices() a fixed number of times (`_drive`'s first look
     for isolated vertices and the one build of the cheap set), however many
-    rounds it has, and never copies the residual."""
-    calls = {"vertices": 0, "copy": 0}
+    rounds it has, never copies the residual, and verifies one candidate per
+    round that is not an isolated block."""
+    calls = {"vertices": 0, "copy": 0, "verify": 0}
     original = Residual.vertices
+    real_verify = cheap_sets.verify_k_cheap
+
+    def verify(*args):
+        calls["verify"] += 1
+        return real_verify(*args)
 
     def counted(self):
         calls["vertices"] += 1
@@ -256,8 +263,11 @@ def test_cheap_greedies_neither_scan_nor_copy_per_round(monkeypatch):
 
     monkeypatch.setattr(Residual, "vertices", counted)
     monkeypatch.setattr(Residual, "copy", copy, raising=False)
+    monkeypatch.setattr(cheap_sets, "verify_k_cheap", verify)
     g = gnp(2000, 8 / 2000, 3)
     for run in (one_cheap_greedy, two_cheap_greedy):
-        calls.update(vertices=0, copy=0)
-        assert len(run(g).trace) > 200
-        assert calls == {"vertices": 2, "copy": 0}, run.__name__
+        calls.update(vertices=0, copy=0, verify=0)
+        trace = run(g).trace
+        assert len(trace) > 200
+        rounds = sum(step.kind != "isolated-block" for step in trace)
+        assert calls == {"vertices": 2, "copy": 0, "verify": rounds}, run.__name__
