@@ -70,9 +70,9 @@ def verify_k_cheap(g: Graph | Residual, s, level: int,
     return VerifyResult(True, None, weight, len(sset), inner)
 
 
-def _residual(g: Graph | Residual, profile: ZetaProfile | Residual | None) -> Residual:
-    """g itself when it is a Residual, else one Residual built from g (and its profile)."""
-    return g if isinstance(g, Residual) else Residual(g, profile)
+def _residual(g: Graph | Residual) -> Residual:
+    """g itself when it is a Residual, else one Residual built from g."""
+    return g if isinstance(g, Residual) else Residual(g)
 
 
 def _require_no_isolated(r: Residual, isolated: int) -> None:
@@ -86,8 +86,7 @@ def _require_no_isolated(r: Residual, isolated: int) -> None:
 
 # ── level 1 ──────────────────────────────────────────────────────────────────
 
-def find_1_cheap(g: Graph | Residual,
-                 profile: ZetaProfile | Residual | None = None) -> CheapSet:
+def find_1_cheap(g: Graph | Residual) -> CheapSet:
     """Return a two-vertex 1-cheap set of one of the three minimal patterns.
 
     C and D are the first two layers of `cheap_layers(g)`; the first to apply:
@@ -108,7 +107,7 @@ def find_1_cheap(g: Graph | Residual,
     A Graph is wrapped in one Residual.  Type-I and type-III are read from
     the Residual's kept cheap state; only type-II strips C to find D.
     """
-    r = _residual(g, profile)
+    r = _residual(g)
     state = r.cheap_state()
     _require_no_isolated(r, state.isolated)
     cheap = state.cheap
@@ -136,7 +135,7 @@ def _inner_edges(g: Graph | Residual, x: Iterable[int]) -> Iterator[tuple[int, i
 
 
 def _checked(r: Residual, s: set[int], level: int, kind: str) -> CheapSet:
-    res = verify_k_cheap(r, s, level, r)
+    res = verify_k_cheap(r, s, level)
     if not res.ok:
         raise CheapSetSearchError(
             f"{kind} candidate {sorted(s)} failed verification: {res.reason}")
@@ -145,8 +144,7 @@ def _checked(r: Residual, s: set[int], level: int, kind: str) -> CheapSet:
 
 # ── level 2 ──────────────────────────────────────────────────────────────────
 
-def find_2_cheap(g: Graph | Residual,
-                 profile: ZetaProfile | Residual | None = None) -> CheapSet:
+def find_2_cheap(g: Graph | Residual) -> CheapSet:
     """Return the first candidate of the layered chain, verified exactly once.
 
     C is the first layer of `cheap_layers(g)`.  The first stage to apply wins:
@@ -169,7 +167,7 @@ def find_2_cheap(g: Graph | Residual,
     first layer.  A deeper stage strips layers 0..i-1 on it afresh to reach
     layer i, and rolls them back.
     """
-    r = _residual(g, profile)
+    r = _residual(g)
     state = r.cheap_state()
     _require_no_isolated(r, state.isolated)
     adj = r.adj
@@ -283,34 +281,47 @@ def find_2_cheap(g: Graph | Residual,
 
 # ── forests, arbitrary level ─────────────────────────────────────────────────
 
-def find_k_cheap_forest(g: Graph | Residual, k: int,
-                        profile: ZetaProfile | Residual | None = None) -> CheapSet:
+def find_k_cheap_forest(g: Graph | Residual, k: int) -> CheapSet:
     """k-cheap set in a forest by reverse leaf-insertion with verified repairs.
 
     Each component is processed independently (unions of per-component k-cheap
-    sets stay k-cheap because closed neighborhoods don't interact).  The
-    incremental case analysis is checked exactly at every step; when no local
-    repair preserves cheapness the component falls back to an exact tree DP
-    for a maximum k-independent set, which always qualifies.  A Graph is
-    wrapped in one Residual, as in the other finders.
+    sets stay k-cheap because closed neighborhoods don't interact).  Each
+    repair's cover inequality is checked exactly; when no local repair meets
+    it the component falls back to an exact tree DP for a maximum
+    k-independent set, which always qualifies.  The union is verified exactly
+    once.  A Graph is wrapped in one Residual, as in the other finders.
     """
     if k < 0:
         raise GraphInputError(f"level must be >= 0, got {k}")
-    r = _residual(g, profile)
+    r = _residual(g)
     comps = connected_components(r)
     if r.m != r.n - len(comps):             # each tree has one edge fewer than vertices
         raise GraphInputError("graph is not a forest")
     _require_no_isolated(r, sum(len(comp) == 1 for comp in comps))
-    total: set[int] = set()
-    for comp in comps:
-        total |= _tree_k_cheap(r, comp, k)
+    total = set().union(*(_tree_k_cheap(r, comp, k) for comp in comps))
     return _checked(r, total, k, "forest-leaf")
 
 
 def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
-    compset = set(comp)
+    """A k-cheap set of the tree on comp, by reverse leaf insertion.
+
+    Leaves are peeled, least id first, until the k+1 left form S.  Each leaf
+    v goes back in reverse next to w, its one processed neighbour, and joins
+    S when w is in S with < k S-neighbours.  At a saturated w, S becomes the
+    first of (S - p) + v (p an S-neighbour of w, not a processed leaf), S and
+    (S - w) + v with (k+1)|N[S] & processed| <= (k+2)|S|, or else the exact
+    tree DP.  A tree vertex with an edge has zeta 1, so that inequality says
+    N[S] weighs <= |S|.  Nothing else needs a check:
+    - the peel pushes a vertex at deg <= 1 and degrees only fall: it pops leaves;
+    - S lies within processed, so |N(w) & S| is w's degree in T[S];
+    - S stays k-independent and nonempty: the k+1 survivors and the DP are;
+      v joins with degree 1 next to a w of < k; a saturated w has exactly k,
+      (S - p) + v keeps it at k and gives v 1 (p exists only for k >= 1),
+      S is unchanged, (S - w) + v gives v 0; no other degree grows, and each
+      variant holds w or v.
+    """
     if len(comp) <= k + 1:
-        return compset
+        return set(comp)
 
     # peel leaves (smallest id first) until k+1 vertices remain
     deg = {v: len(g.adj[v]) for v in comp}
@@ -320,7 +331,7 @@ def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
     elim: list[tuple[int, int]] = []        # (leaf, its surviving neighbor)
     while len(alive) > k + 1:
         v = heappop(heap)
-        if v not in alive or deg[v] > 1:
+        if v not in alive:
             continue
         parent = next(u for u in g.adj[v] if u in alive)
         elim.append((v, parent))
@@ -331,43 +342,26 @@ def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
 
     processed = set(alive)
     s = set(alive)                          # the remaining subtree is k-cheap
-    sdeg = {v: len(g.adj[v] & s) for v in processed}
 
     def partial_ok(cand: set[int]) -> bool:
-        if not cand:
-            return False
         cov = set(cand)
         for x in cand:
-            if len(g.adj[x] & cand) > k:
-                return False
             cov |= g.adj[x] & processed
         return (k + 1) * len(cov) <= (k + 2) * len(cand)
 
     for v, w in reversed(elim):
         # replay invariant: v's only processed neighbor is w
         processed.add(v)
-        sdeg[v] = 1 if w in s else 0
         if w not in s:
             continue                        # N[S] unchanged: still k-cheap
-        if sdeg[w] < k:
+        if len(g.adj[w] & s) < k:
             s.add(v)
-            sdeg[w] += 1
             continue
-        # w is saturated: try the repair variants in order, checking exactly
-        variants: list[set[int]] = []
-        for p in sorted(g.adj[w] & s):
-            if len(g.adj[p] & processed) >= 2:        # non-leaf swap
-                variants.append((s - {p}) | {v})
-        variants.append(set(s))                       # keep
-        variants.append((s - {w}) | {v})              # swap the hub itself
-        for cand in variants:
-            if partial_ok(cand):
-                s = cand
-                break
-        else:
-            s = _tree_max_k_independent(g, processed, k)
-        for x in processed:
-            sdeg[x] = len(g.adj[x] & s)
+        # w is saturated: the first repair variant that passes, else the DP
+        variants = [(s - {p}) | {v} for p in sorted(g.adj[w] & s)
+                    if len(g.adj[p] & processed) >= 2]     # non-leaf swaps
+        variants += [s, (s - {w}) | {v}]                   # keep; swap the hub itself
+        s = next(filter(partial_ok, variants), None) or _tree_max_k_independent(g, processed, k)
     return s
 
 

@@ -12,8 +12,9 @@ per run and repaired locally after each round's deletion, so a round costs its
 finder's search plus work near N[S], with no rebuild.  The search is heap
 operations for min_greedy and for the 1-cheap and 2-cheap rounds that the
 residual's kept cheap set answers; a strip of the cheap layers, rolled back
-afterwards, for the rounds that need a deeper layer; and a scan of the live
-graph for cheap_greedy and forest_k_greedy.
+afterwards, for the rounds that need a deeper layer; a scan of the live graph
+for cheap_greedy; and for forest_k_greedy a scan plus leaf repairs that
+recount N[S] over the tree processed so far.
 """
 from __future__ import annotations
 
@@ -143,7 +144,7 @@ def cheap_greedy(g: Graph) -> GreedyRun:
     """
     def pick(r: Residual) -> TraceStep:
         zeta = r.zeta                      # a Residual is its own zeta profile
-        cheap = cheap_vertices(r, r)
+        cheap = cheap_vertices(r)
         s1 = _greedy_mis(r, cheap)
         comps = _lambda_components(r, s1)
         lam1 = min(c.lam for c in comps)
@@ -177,6 +178,8 @@ def two_cheap_greedy(g: Graph) -> GreedyRun:
 
 def forest_k_greedy(g: Graph, k: int) -> GreedyRun:
     """k-independent set in a forest, size >= ceil(Z_{k+1}(G))."""
+    if k < 0:
+        raise GraphInputError(f"level must be >= 0, got {k}")
     if not is_forest(g):
         raise GraphInputError("forest_k_greedy requires a forest")
     return _with_finder(g, k, lambda r: find_k_cheap_forest(r, k))

@@ -145,4 +145,4 @@ def two_cheap_greedy(g):
 
 
 def forest_k_greedy(g, k):
-    return _run_with_finder(g, k, lambda work, prof: find_k_cheap_forest(work, k, prof))
+    return _run_with_finder(g, k, lambda work, prof: find_k_cheap_forest(work, k))

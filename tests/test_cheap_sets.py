@@ -167,7 +167,7 @@ def test_1_cheap_type_certificates_exhaustive(dedup_suite):
                 continue
             prof = zeta_profile(g)
             cheap = cheap_vertices(g, prof)
-            cs = find_1_cheap(g, prof)
+            cs = find_1_cheap(g)
             u, w = sorted(cs.vertices)
             if cs.kind == "type-I":
                 assert u in cheap and w in cheap and w in g.adj[u]
@@ -387,6 +387,47 @@ def test_forest_finder_all_levels(n, seed, k):
     assert cs.level == k
     assert cs.kind == "forest-leaf"
     assert verify_k_cheap(g, cs.vertices, k).ok
+
+
+def repair_lemma_cases(g, v, k):
+    """Check the repair variants of `_tree_k_cheap`'s docstring at the leaf v of
+    the tree g: for each k-independent S of g - v that holds v's neighbour w
+    with exactly k S-neighbours, (S - p) + v for every S-neighbour p of w, S
+    and (S - w) + v are nonempty and k-independent.  Returns how many S."""
+    def inner(x):
+        return max(len(g.adj[y] & x) for y in x)
+
+    (w,) = g.adj[v]
+    rest = [x for x in range(g.n) if x not in (v, w)]
+    cases = 0
+    for size in range(len(rest) + 1):
+        for extra in combinations(rest, size):
+            s = {w, *extra}
+            if len(g.adj[w] & s) != k or inner(s) > k:
+                continue
+            cases += 1
+            for cand in [(s - {p}) | {v} for p in g.adj[w] & s] + [s, (s - {w}) | {v}]:
+                assert cand and inner(cand) <= k, (g.edges(), v, k, sorted(s), sorted(cand))
+    return cases
+
+
+def tree_leaves(g):
+    return [v for v in range(g.n) if len(g.adj[v]) == 1]
+
+
+def test_forest_repair_lemma_exhaustive(dedup_suite):
+    trees = [g for n in range(2, 8) for g in dedup_suite[n] if g.m == n - 1 and is_forest(g)]
+    for k in range(5):
+        cases = sum(repair_lemma_cases(g, v, k) for g in trees for v in tree_leaves(g))
+        assert cases > 0, k
+
+
+@given(st.integers(2, 10), st.integers(0, 10**6), st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_forest_repair_lemma(n, seed, k):
+    g = random_tree(n, seed)
+    for v in tree_leaves(g):
+        repair_lemma_cases(g, v, k)
 
 
 def test_forest_star_repair():

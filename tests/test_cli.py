@@ -288,6 +288,14 @@ def test_exit_invariant_violation_on_failed_candidate(tmp_path, capsys, monkeypa
     assert "Traceback" not in err
 
 
+def test_exit_forest_greedy_negative_level_without_edges(tmp_path, capsys):
+    f = tmp_path / "empty.dimacs"
+    f.write_text("p edge 3 0\n")
+    rc, out, err = run(capsys, "greedy", "--algo", "forest-k", "--k", "-1", str(f))
+    assert rc == 1 and out is None
+    assert "level must be >= 0" in err and "Traceback" not in err
+
+
 def test_auto_format_reads_dimacs_header(tmp_path, capsys, monkeypatch):
     text = "c a triangle\n\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -1,5 +1,6 @@
 """Certified greedy family: size vs certificate, traces, determinism."""
 
+import hashlib
 from fractions import Fraction
 from math import ceil
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import rebuild_greedy
 import zetakit
 from conftest import (complete_graph, cycle_graph, gnp, graphs, path_graph,
-                      random_forest, star_graph)
+                      random_forest, random_tree, star_graph)
 from zetakit import cheap_sets
 from zetakit.bounds import z_bound
 from zetakit.degeneracy import Residual, zeta_profile
@@ -142,6 +143,32 @@ def test_forest_greedy_contract():
 def test_forest_greedy_rejects_cycles():
     with pytest.raises(GraphInputError):
         forest_k_greedy(cycle_graph(5), 1)
+
+
+def test_forest_greedy_rejects_negative_level():
+    # an edgeless graph never reaches the finder, so the greedy checks k itself
+    for g in (build_graph(3, []), path_graph(2)):
+        with pytest.raises(GraphInputError, match="level must be >= 0"):
+            forest_k_greedy(g, -1)
+
+
+# SHA-256 of the runs below.  The forest finder has no independent twin (the
+# rebuild reference calls it too), so this digest holds its repair order and
+# DP fallback fixed: a change to any run must say why and update it.
+FOREST_RUNS_SHA256 = "4f2b49488cd3ae4505661ca03d790975e547c2608b44915ebb4c78fc2177d486"
+
+
+def test_forest_greedy_runs_pinned(dedup_suite):
+    forests = [g for n in range(1, 8) for g in dedup_suite[n] if is_forest(g)]
+    forests += [random_forest(n, seed) for n, seed in ((100, 1), (300, 2), (800, 3))]
+    forests += [random_tree(n, seed) for n, seed in ((200, 4), (800, 5))]
+    h = hashlib.sha256()
+    for g in forests:
+        for k in range(5):
+            run = forest_k_greedy(g, k)
+            h.update(repr((sorted(run.chosen), run.certificate, run.level,
+                           run.trace, run.anomalies)).encode())
+    assert h.hexdigest() == FOREST_RUNS_SHA256
 
 
 def test_min_greedy_on_clique_and_star():
