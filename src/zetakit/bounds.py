@@ -1,6 +1,9 @@
 """Lower bounds on k-independence numbers from the zeta profile.
 
-All arithmetic below is exact (fractions.Fraction); nothing here ever rounds.
+Every value below is an exact fractions.Fraction; nothing here ever rounds.
+The sums and comparisons under those values run on integers: each weight sum
+builds one Fraction, each lambda is one Fraction of integer counts, and the
+candidate prefixes of a dense subset are compared by cross-multiplication.
 The headline quantity is
 
     Z_k(G) = sum_v min{1, 1/(zeta(v) + 1/k)}        (k >= 1)
@@ -144,8 +147,8 @@ def _lambda_components(g: Graph | Residual, s: frozenset[int]) -> list[Component
         side_t = members - s
         e = sum(len(g.adj[v]) for v in side_s)   # S is independent: all edges leave S
         s_n, t_n = len(side_s), len(side_t)
-        lam = 1 - Fraction(e, s_n) + Fraction(t_n, s_n)
-        comps.append(ComponentLambda(frozenset(members), s_n, t_n, e, lam))
+        comps.append(ComponentLambda(frozenset(members), s_n, t_n, e,
+                                     Fraction(s_n - e + t_n, s_n)))
     return comps
 
 
@@ -177,6 +180,15 @@ def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int
     Because S is independent, a member's degree into N(S') is just its graph
     degree, so the peeling order is static: ascending (degree, id).
     """
+    return _dense_subset(g, s)[0]
+
+
+def _dense_subset(g: Graph | Residual, s: frozenset[int]) -> tuple[frozenset[int], int, int]:
+    """select_dense_subset's S' with |N(S')| - e(S') and |S'|, its lambda's integer parts.
+
+    The prefixes are compared by cross-multiplying those parts, so no
+    Fraction is built.
+    """
     if not s:
         raise GraphInputError("subset must be nonempty")
     order = sorted(s, key=lambda v: (len(g.adj[v]), v))
@@ -186,20 +198,18 @@ def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int
             cnt[v] += 1
     nsize = len(cnt)
     e = sum(len(g.adj[u]) for u in order)
-    best_j = 0
-    best_lam = None
-    for j in range(len(order)):
-        size = len(order) - j
-        lam = 1 + Fraction(nsize - e, size)
-        if best_lam is None or lam < best_lam:
-            best_lam, best_j = lam, j
-        u = order[j]          # peel u and move to the next suffix
+    best_j, best_num, best_size = 0, nsize - e, len(order)
+    for j in range(1, len(order)):
+        u = order[j - 1]      # peel u and move to the next suffix
         e -= len(g.adj[u])
         for v in g.adj[u]:
             cnt[v] -= 1
             if cnt[v] == 0:
                 nsize -= 1
-    return frozenset(order[best_j:])
+        size = len(order) - j
+        if (nsize - e) * best_size < best_num * size:
+            best_j, best_num, best_size = j, nsize - e, size
+    return frozenset(order[best_j:]), best_num, best_size
 
 
 def independent_cheap_set(g: Graph | Residual,
@@ -258,10 +268,8 @@ def _min_lambda_group(g: Graph | Residual, zeta, cheap: frozenset[int]
         groups.setdefault(zeta[u], set()).add(u)
     best: tuple[Fraction, int, frozenset[int]] | None = None
     for zval in sorted(groups):
-        subset = select_dense_subset(g, _greedy_mis(g, frozenset(groups[zval])))
-        nbhd = closed_neighborhood(g, subset) - subset
-        e = sum(len(g.adj[u]) for u in subset)
-        lam = 1 + Fraction(len(nbhd) - e, len(subset))
+        subset, num, size = _dense_subset(g, _greedy_mis(g, frozenset(groups[zval])))
+        lam = Fraction(size + num, size)
         if best is None or lam < best[0]:
             best = (lam, zval, subset)
     assert best is not None

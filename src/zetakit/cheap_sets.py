@@ -9,7 +9,7 @@ exactly; every finder raises CheapSetSearchError when the verification fails.
 from __future__ import annotations
 
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -28,9 +28,12 @@ class CheapSetSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class CheapSet:
+    """A finder's answer.  weight is the verified weight of N[S] (see VerifyResult),
+    or None when the set was not verified; it takes no part in equality."""
     vertices: frozenset[int]
     level: int
     kind: str
+    weight: Fraction | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,7 @@ def _checked(r: Residual, s: set[int], level: int, kind: str) -> CheapSet:
     if not res.ok:
         raise CheapSetSearchError(
             f"{kind} candidate {sorted(s)} failed verification: {res.reason}")
-    return CheapSet(frozenset(s), level, kind)
+    return CheapSet(frozenset(s), level, kind, res.weight)
 
 
 # ── level 2 ──────────────────────────────────────────────────────────────────

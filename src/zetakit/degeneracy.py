@@ -1,5 +1,8 @@
 """Degenerate degree (zeta) profiles, their weight sum, cheap vertices, and layer decompositions.
 
+The weight sum `zeta_weight` returns an exact Fraction, but it sums in
+integers and builds that Fraction once, at the end.
+
 zeta(v) is the largest minimum degree over all induced subgraphs containing v
 — equivalently v's coreness.  It is computed in near-linear time from a
 smallest-last elimination: walking the order backwards, zeta of the next
@@ -333,12 +336,23 @@ def zeta_oracle(g: Graph) -> tuple[int, ...]:
 def zeta_weight(values: Iterable[int], shift: Fraction | int) -> Fraction:
     """Sum of min{1, 1/(z + shift)} over the multiset of integers `values`.
 
-    Counting the values first makes the cost O(len(values)) integer steps plus
-    one Fraction term per distinct value.
+    With shift = p/q (q > 0) a term is q/(qz + p), or 1 when 0 < qz + p <= q.
+    The distinct values are summed as one integer numerator over the product
+    of their denominators, and the result is the one Fraction built from
+    them, so the cost is O(len(values)) integer steps plus integer work per
+    distinct value.  z + shift = 0 raises ZeroDivisionError.
     """
-    one = Fraction(1)
-    return sum((count * min(one, one / (z + shift)) for z, count in Counter(values).items()),
-               Fraction(0))
+    p, q = shift.numerator, shift.denominator
+    ones, num, den = 0, 0, 1
+    for z, count in Counter(values).items():
+        d = q * z + p
+        if 0 < d <= q:
+            ones += count
+        elif d:
+            num, den = num * d + count * q * den, den * d
+        else:
+            raise ZeroDivisionError(f"zeta {z} + shift {shift} is zero")
+    return Fraction(num + ones * den, den)
 
 
 def is_zeta_regular(g: Graph, profile: ZetaProfile | None = None) -> bool:

@@ -123,7 +123,10 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_forest(g: Graph) -> bool:
-    # acyclic <=> every component has |edges| = |vertices| - 1
+    # acyclic <=> every component has |edges| = |vertices| - 1; a forest on
+    # n >= 1 vertices thus has at most n - 1 edges, and m >= n needs no pass
+    if g.m >= g.n >= 1:
+        return False
     return g.m == g.n - len(connected_components(g))
 
 

@@ -76,12 +76,18 @@ def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep]) -> Greed
 
 
 def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet]) -> GreedyRun:
-    """Drive rounds that take the finder's cheap set and bank the weight of its N[S]."""
+    """Drive rounds that take the finder's cheap set and bank the weight of its N[S].
+
+    A verified set carries that weight; only an unverified one (min_greedy's
+    pick) has it computed here.
+    """
     def pick(r: Residual) -> TraceStep:
         cs = finder(r)
+        weight = cs.weight
+        if weight is None:
+            weight = cheap_weight(r, r.zeta, cs.vertices, level)
         return TraceStep(cs.kind, tuple(sorted(cs.vertices)),
-                         tuple(sorted(closed_neighborhood(r, cs.vertices))),
-                         cheap_weight(r, r.zeta, cs.vertices, level))
+                         tuple(sorted(closed_neighborhood(r, cs.vertices))), weight)
 
     return _drive(g, level, pick)
 

@@ -5,8 +5,11 @@ Graph, and translates ids back through `old_of`.  The library runs
 the same rounds on one Residual instead; tests require equal GreedyRuns.
 The independent sets of `cheap_greedy` come from `greedy_mis`, a scan for the
 minimum each pick, which is also the twin of the library's heap-ordered
-`bounds._greedy_mis`.  The 1-cheap and 2-cheap rounds take their sets from
-the scan twins in `scan_finders`.
+`bounds._greedy_mis`.  Its lambdas come from `lambda_components` and
+`dense_subset`, which recount every component and every prefix from
+scratch.  The 1-cheap and 2-cheap rounds take their sets from the scan twins
+in `scan_finders`.  Every weight is `scan_finders.literal_weight`, one
+Fraction term per vertex, so no round shares the library's arithmetic.
 """
 from __future__ import annotations
 
@@ -14,8 +17,8 @@ import random
 from fractions import Fraction
 
 import scan_finders
-from zetakit.bounds import component_lambdas, select_dense_subset
-from zetakit.cheap_sets import CheapSet, cheap_weight, find_k_cheap_forest
+from scan_finders import literal_weight
+from zetakit.cheap_sets import CheapSet, find_k_cheap_forest
 from zetakit.degeneracy import cheap_vertices, zeta_profile
 from zetakit.graph import closed_neighborhood, remove_vertices
 from zetakit.greedy import GreedyRun, TraceStep
@@ -39,14 +42,55 @@ def greedy_mis(g, pool):
     return frozenset(out)
 
 
+def lambda_components(g, s):
+    """(vertices, lambda) per component of the bipartite graph between the independent S
+    and N(S), flooded along S-N(S) edges: lambda = 1 - e/|S side| + |N side|/|S side|."""
+    comps, seen = [], set()
+    for root in s:
+        if root in seen:
+            continue
+        members, frontier = {root}, [root]
+        while frontier:
+            v = frontier.pop()
+            for u in g.adj[v]:
+                if (v in s or u in s) and u not in members:
+                    members.add(u)
+                    frontier.append(u)
+        seen |= members
+        side = members & s
+        e = sum(len(g.adj[v]) for v in side)
+        comps.append((frozenset(members), 1 - Fraction(e, len(side))
+                      + Fraction(len(members - side), len(side))))
+    return comps
+
+
+def prefix_lambdas(g, s):
+    """(lambda, S') for every suffix S' of the independent S in ascending (degree, id)
+    order, largest first, lambda = 1 + (|N(S')| - e(S'))/|S'| recounted for each."""
+    order = sorted(s, key=lambda v: (len(g.adj[v]), v))
+    out = []
+    for j in range(len(order)):
+        sub = frozenset(order[j:])
+        out.append((1 + Fraction(len(closed_neighborhood(g, sub) - sub)
+                                 - sum(len(g.adj[u]) for u in sub), len(sub)), sub))
+    return out
+
+
+def dense_subset(g, s):
+    """The (lambda, S') of prefix_lambdas with the least lambda, then the larger S'."""
+    best = None
+    for lam, sub in prefix_lambdas(g, s):
+        if best is None or lam < best[0]:
+            best = (lam, sub)
+    return best
+
+
 def _grouped_subset(g, zeta, cheap):
     """(lambda, S) of the grouped strong bound: per zeta-class of the cheap set, the
     dense part of its greedy independent subset; the least lambda wins, then the smallest class."""
     best = None
     for zval in sorted({zeta[u] for u in cheap}):
-        s = select_dense_subset(g, greedy_mis(g, frozenset(u for u in cheap if zeta[u] == zval)))
-        lam = 1 + Fraction(len(closed_neighborhood(g, s) - s) - sum(len(g.adj[u]) for u in s),
-                           len(s))
+        lam, s = dense_subset(g, greedy_mis(g, frozenset(u for u in cheap if zeta[u] == zval)))
         if best is None or lam < best[0]:
             best = (lam, s)
     return best
@@ -74,7 +118,7 @@ def _run_with_finder(g, level, finder, anomalies=None):
         prof = zeta_profile(work)
         cs = finder(work, prof)
         nbhd = closed_neighborhood(work, cs.vertices)
-        contribution = cheap_weight(work, prof.zeta, cs.vertices, level)
+        contribution = literal_weight(prof.zeta, nbhd, Fraction(1, level + 1))
         picked = tuple(sorted(old[v] for v in cs.vertices))
         removed = tuple(sorted(old[v] for v in nbhd))
         chosen.update(picked)
@@ -111,19 +155,19 @@ def cheap_greedy(g):
         zeta = prof.zeta
         cheap = cheap_vertices(work, prof)
         s1 = greedy_mis(work, cheap)
-        comps = component_lambdas(work, prof, s1)
-        lam1 = min((c.lam for c in comps), default=None)
-        s1_ok = lam1 is not None and all(c.lam >= 0 for c in comps)
+        comps = lambda_components(work, s1)
+        lam1 = min((lam for _, lam in comps), default=None)
+        s1_ok = lam1 is not None and all(lam >= 0 for _, lam in comps)
         lam2, s2 = _grouped_subset(work, zeta, cheap)
         if not s1_ok or lam2 < lam1:
             s, lam, kind = s2, lam2, "grouped-lambda"
             nbhd = closed_neighborhood(work, s)
-            contribution = sum((1 / (zeta[v] + lam) for v in nbhd), Fraction(0))
+            contribution = literal_weight(zeta, nbhd, lam)
         else:
             s, lam, kind = s1, lam1, "component-lambda"
             nbhd = closed_neighborhood(work, s)
-            contribution = sum((sum((1 / (zeta[v] + c.lam) for v in c.vertices),
-                                    Fraction(0)) for c in comps), Fraction(0))
+            contribution = sum((literal_weight(zeta, vs, c_lam) for vs, c_lam in comps),
+                               Fraction(0))
         picked = tuple(sorted(old[v] for v in s))
         removed = tuple(sorted(old[v] for v in nbhd))
         chosen.update(picked)

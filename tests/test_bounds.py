@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rebuild_greedy
+import zetakit
 from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
                       graphs, graphs_with_edges, path_graph, random_forest,
                       star_graph)
@@ -16,7 +17,7 @@ from zetakit.bounds import (GroupedBound, Inapplicable, _greedy_mis, baseline_bo
                             full_bound_report, independent_cheap_set,
                             select_dense_subset, strong_bound_component,
                             strong_bound_grouped, turan_zeta, z_bound)
-from zetakit.degeneracy import cheap_vertices, zeta_profile
+from zetakit.degeneracy import cheap_vertices, zeta_profile, zeta_weight
 from zetakit.graph import (GraphInputError, build_graph, closed_neighborhood,
                            connected_components)
 from zetakit.oracle import exact_alpha_k
@@ -218,6 +219,57 @@ def test_greedy_mis_matches_scan_twin_exhaustive(dedup_suite):
         for g in dedup_suite[n]:
             pool = cheap_vertices(g)
             assert _greedy_mis(g, pool) == rebuild_greedy.greedy_mis(g, pool)
+
+
+# ── slow twin: every prefix's lambda recounted as a Fraction ────────────────
+
+def dense_subset_agrees(g, s):
+    """select_dense_subset(g, s) equals the twin's; True when the least lambda is tied."""
+    lams = rebuild_greedy.prefix_lambdas(g, s)
+    assert select_dense_subset(g, s) == rebuild_greedy.dense_subset(g, s)[1]
+    least = min(lam for lam, _ in lams)
+    return sum(lam == least for lam, _ in lams) > 1
+
+
+@given(graphs(max_n=20, ps=(0.1, 0.25, 0.5)), st.data())
+@settings(max_examples=150)
+def test_select_dense_subset_matches_prefix_twin(g, data):
+    mask = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    s = _greedy_mis(g, frozenset(compress(range(g.n), mask)))
+    if s:
+        dense_subset_agrees(g, s)
+
+
+def test_select_dense_subset_matches_prefix_twin_exhaustive(dedup_suite):
+    ties = 0
+    for n in range(1, 8):
+        for g in dedup_suite[n]:
+            for pool in (cheap_vertices(g), frozenset(range(n))):
+                ties += dense_subset_agrees(g, _greedy_mis(g, pool))
+    assert ties > 100          # the larger-subset tie rule is exercised
+
+
+def test_zeta_weight_builds_one_fraction_and_dense_subset_none(monkeypatch):
+    """Counted at the modules' Fraction bindings."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(zetakit.degeneracy, "Fraction", counted)
+    monkeypatch.setattr(zetakit.bounds, "Fraction", counted)
+    for g in (gnp(60, 0.1, 1), gnp(40, 0.3, 2), random_forest(50, 3), star_graph(7),
+              complete_bipartite(3, 5)):
+        prof = zeta_profile(g)
+        for shift in (Fraction(1, 3), Fraction(1, 2), 1, Fraction(-5, 2)):
+            built.clear()
+            zeta_weight(prof.zeta, shift)
+            assert len(built) == 1
+        s = independent_cheap_set(g, prof)
+        built.clear()
+        assert select_dense_subset(g, s) <= s
+        assert built == []
 
 
 @given(graphs_with_edges(max_n=14))

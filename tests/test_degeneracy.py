@@ -1,6 +1,7 @@
 """Zeta profiles, cheap vertices, and the layer decomposition."""
 
 from contextlib import closing
+from fractions import Fraction
 from itertools import combinations, islice
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
 from zetakit import degeneracy
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
                                 is_zeta_regular, layer_decomposition, zeta_oracle,
-                                zeta_profile)
+                                zeta_profile, zeta_weight)
 from zetakit.graph import GraphInputError, build_graph, remove_vertices
 
 
@@ -318,3 +319,36 @@ def test_empty_and_singleton():
 def test_oracle_agreement_on_denser_draws(n, p, seed):
     g = gnp(n, p, seed)
     assert list(zeta_profile(g).zeta) == list(zeta_oracle(g))
+
+
+# ── slow twin: the weight sum written out one Fraction term per value ───────
+
+def literal_zeta_weight(values, shift):
+    return sum((min(Fraction(1), Fraction(1) / (z + shift)) for z in values), Fraction(0))
+
+
+@given(st.lists(st.integers(0, 12), max_size=30),
+       st.one_of(st.fractions(-13, 13, max_denominator=24), st.integers(-13, 13)))
+@settings(max_examples=400)
+def test_zeta_weight_matches_literal_sum(values, shift):
+    """Equal on every multiset and rational shift, negative ones included; both raise
+    ZeroDivisionError exactly when some z + shift is zero."""
+    try:
+        want = literal_zeta_weight(values, shift)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            zeta_weight(values, shift)
+        return
+    got = zeta_weight(values, shift)
+    assert got == want and type(got) is Fraction
+
+
+def test_zeta_weight_known_values():
+    assert zeta_weight([], Fraction(1, 2)) == 0
+    assert zeta_weight([0, 0, 1], Fraction(1, 2)) == 2 + Fraction(2, 3)
+    assert zeta_weight([0, 2, 3], -1) == -1 + 1 + Fraction(1, 2)   # 1/(0 - 1) stays negative
+    assert zeta_weight([2, 5], Fraction(-5, 2)) == -2 + Fraction(2, 5)
+    assert zeta_weight([3], Fraction(-7, 3)) == 1            # 0 < 3 - 7/3 <= 1
+    for values, shift in (([1, 4], -1), ([0], 0), ([2, 3], Fraction(-9, 3))):
+        with pytest.raises(ZeroDivisionError):
+            zeta_weight(values, shift)

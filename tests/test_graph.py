@@ -105,6 +105,27 @@ def test_is_forest_on_known_shapes():
     assert not is_forest(complete_graph(4))
 
 
+def test_empty_graph_is_a_forest():
+    assert is_forest(build_graph(0, []))
+
+
+def forest_by_components(g):
+    """Every component has one edge fewer than it has vertices."""
+    return all(sum(len(g.adj[v]) for v in comp) == 2 * (len(comp) - 1)
+               for comp in connected_components(g))
+
+
+def test_is_forest_matches_component_count_exhaustive(dedup_suite):
+    for n in range(1, 8):
+        for g in dedup_suite[n]:
+            assert is_forest(g) == forest_by_components(g), g.edges()
+
+
+@given(graphs(min_n=0, max_n=24, ps=(0.0, 0.05, 0.1, 0.25, 0.5)))
+def test_is_forest_matches_component_count(g):
+    assert is_forest(g) == forest_by_components(g)
+
+
 @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
 def test_random_forest_builder_is_forest(n, seed):
     assert is_forest(random_forest(n, seed))

@@ -298,3 +298,28 @@ def test_cheap_greedies_neither_scan_nor_copy_per_round(monkeypatch):
         assert len(trace) > 200
         rounds = sum(step.kind != "isolated-block" for step in trace)
         assert calls == {"vertices": 2, "copy": 0, "verify": rounds}, run.__name__
+
+
+def test_finder_rounds_weigh_their_set_once(monkeypatch):
+    """A 1-cheap, 2-cheap or forest round banks the weight its finder verified:
+    one zeta_weight call per round that is not an isolated block, counted at
+    every module binding."""
+    calls = []
+    real = zetakit.degeneracy.zeta_weight
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    for mod in (zetakit, zetakit.degeneracy, zetakit.bounds, zetakit.cheap_sets,
+                zetakit.greedy):
+        if getattr(mod, "zeta_weight", None) is real:
+            monkeypatch.setattr(mod, "zeta_weight", counted)
+    g, forest = gnp(300, 8 / 300, 1), random_forest(300, 2)
+    for graph, run in ((g, one_cheap_greedy), (g, two_cheap_greedy),
+                       (layered_example_graph(3), two_cheap_greedy),
+                       (forest, lambda f: forest_k_greedy(f, 2))):
+        calls.clear()
+        trace = run(graph).trace
+        rounds = sum(step.kind != "isolated-block" for step in trace)
+        assert rounds > 0 and len(calls) == rounds
