@@ -28,12 +28,14 @@ class CheapSetSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class CheapSet:
-    """A finder's answer.  weight is the verified weight of N[S] (see VerifyResult),
-    or None when the set was not verified; it takes no part in equality."""
+    """A finder's answer.  closed and weight are the N[S] and its weight that the
+    verification computed (see VerifyResult), or None when the set was not
+    verified; they take no part in equality."""
     vertices: frozenset[int]
     level: int
     kind: str
     weight: Fraction | None = field(default=None, compare=False, repr=False)
+    closed: frozenset[int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,7 @@ class VerifyResult:
     weight: Fraction          # sum over N[S] of min(1, 1/(zeta+1/(level+1)))
     size: int
     max_inner_degree: int
+    closed: frozenset[int] = field(default=frozenset(), compare=False, repr=False)  # N[S]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -50,7 +53,14 @@ class VerifyResult:
 
 def cheap_weight(g: Graph | Residual, zeta, s, level: int) -> Fraction:
     """Contribution of N[S] to Z_{level+1} (isolated vertices clamp at 1)."""
-    return zeta_weight((zeta[v] for v in closed_neighborhood(g, s)), Fraction(1, level + 1))
+    return _weighed_neighborhood(g, zeta, s, level)[1]
+
+
+def _weighed_neighborhood(g: Graph | Residual, zeta, s,
+                          level: int) -> tuple[frozenset[int], Fraction]:
+    """N[S] and its contribution to Z_{level+1}, from one build of N[S]."""
+    closed = closed_neighborhood(g, s)
+    return closed, zeta_weight((zeta[v] for v in closed), Fraction(1, level + 1))
 
 
 def verify_k_cheap(g: Graph | Residual, s, level: int,
@@ -63,14 +73,14 @@ def verify_k_cheap(g: Graph | Residual, s, level: int,
         return VerifyResult(False, "empty set", Fraction(0), 0, 0)
     zeta = (profile or profile_of(g)).zeta
     inner = max(len(g.adj[v] & sset) for v in sset)
-    weight = cheap_weight(g, zeta, sset, level)
+    closed, weight = _weighed_neighborhood(g, zeta, sset, level)
     if inner > level:
         return VerifyResult(False, f"max degree inside set is {inner} > {level}",
-                            weight, len(sset), inner)
+                            weight, len(sset), inner, closed)
     if weight > len(sset):
         return VerifyResult(False, f"neighborhood weight {weight} exceeds {len(sset)}",
-                            weight, len(sset), inner)
-    return VerifyResult(True, None, weight, len(sset), inner)
+                            weight, len(sset), inner, closed)
+    return VerifyResult(True, None, weight, len(sset), inner, closed)
 
 
 def _residual(g: Graph | Residual) -> Residual:
@@ -142,7 +152,7 @@ def _checked(r: Residual, s: set[int], level: int, kind: str) -> CheapSet:
     if not res.ok:
         raise CheapSetSearchError(
             f"{kind} candidate {sorted(s)} failed verification: {res.reason}")
-    return CheapSet(frozenset(s), level, kind, res.weight)
+    return CheapSet(frozenset(s), level, kind, res.weight, res.closed)
 
 
 # ── level 2 ──────────────────────────────────────────────────────────────────

@@ -220,7 +220,8 @@ def _cmd_bounds(args) -> dict:
         "command": "bounds",
         "n": doc.graph.n,
         "m": doc.graph.m,
-        "is_forest": is_forest(doc.graph),
+        # forest_zk applies exactly on the nonempty forests; the empty graph is one too
+        "is_forest": not (doc.graph.n and isinstance(report["forest_zk"], Inapplicable)),
         "bounds": {name: _rat(val) for name, val in report.items()},
         "warnings": list(doc.warnings),
     }

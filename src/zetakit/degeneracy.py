@@ -4,9 +4,9 @@ The weight sum `zeta_weight` returns an exact Fraction, but it sums in
 integers and builds that Fraction once, at the end.
 
 zeta(v) is the largest minimum degree over all induced subgraphs containing v
-— equivalently v's coreness.  It is computed in near-linear time from a
-smallest-last elimination: walking the order backwards, zeta of the next
-vertex is the running maximum of residual degrees seen so far.
+— equivalently v's coreness.  It is computed in linear time by one bucket
+peel, level by level: at level k every vertex whose degree among the
+unpeeled vertices is at most k is peeled with zeta = k.
 
 A `Residual` is the mutable graph that the greedy rounds and the layer
 decomposition delete from.  It keeps the original vertex ids and carries its
@@ -24,14 +24,13 @@ from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .graph import Graph, GraphInputError, SmallestLastResult, smallest_last_order
+from .graph import Graph, GraphInputError
 
 
 @dataclass(frozen=True)
 class ZetaProfile:
     zeta: tuple[int, ...]          # indexed by vertex id
     degeneracy: int                # max zeta; 0 for the empty/edgeless graph
-    order: SmallestLastResult
 
 
 @dataclass(frozen=True)
@@ -41,14 +40,35 @@ class LayerDecomposition:
 
 
 def zeta_profile(g: Graph) -> ZetaProfile:
-    """zeta for every vertex via the smallest-last prefix-max recurrence."""
-    sl = smallest_last_order(g)
-    zeta = [0] * g.n
-    running = 0
-    for v, d in zip(sl.order, sl.residual_degrees):
-        running = max(running, d)
-        zeta[v] = running
-    return ZetaProfile(tuple(zeta), running if g.n else 0, sl)
+    """zeta for every vertex by one level-by-level bucket peel, in O(n + m).
+
+    The vertices start in bins[d] by degree.  For k = 0, 1, ..., the level-k
+    stack is popped until empty: a popped vertex whose degree is still k is
+    peeled with zeta = k, and each unpeeled neighbour of degree > k loses one
+    and goes onto bins[d] for its new degree d, the current stack when d = k.
+    No degree is lowered below k, so a peeled vertex keeps its level as its
+    degree, and `deg[u] > k` alone marks u as unpeeled; an entry whose vertex
+    has since fallen to a lower level is stale and is skipped.  An unpeeled
+    vertex's degree above the level is exact, so the vertices left at the
+    start of level k induce minimum degree >= k, giving zeta >= k; a vertex
+    is peeled at level k with at most k unpeeled neighbours, so no member of
+    the (k+1)-core is, giving zeta <= k.  This is the bucketed form of
+    `zeta_oracle`'s threshold peeling.
+    """
+    adj = g.adj
+    deg = [len(a) for a in adj]
+    bins: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        bins[d].append(v)
+    for k, stack in enumerate(bins):
+        while stack:
+            v = stack.pop()
+            if deg[v] == k:
+                for u in adj[v]:
+                    if deg[u] > k:
+                        deg[u] = d = deg[u] - 1
+                        bins[d].append(u)
+    return ZetaProfile(tuple(deg), max(deg, default=0))
 
 
 class Residual:

@@ -25,7 +25,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable
 
 from .bounds import _greedy_mis, _lambda_components, _min_lambda_group
-from .cheap_sets import (CheapSet, cheap_weight, find_1_cheap, find_2_cheap,
+from .cheap_sets import (CheapSet, _weighed_neighborhood, find_1_cheap, find_2_cheap,
                          find_k_cheap_forest)
 from .degeneracy import Residual, cheap_vertices, zeta_weight
 from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
@@ -76,18 +76,17 @@ def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep]) -> Greed
 
 
 def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet]) -> GreedyRun:
-    """Drive rounds that take the finder's cheap set and bank the weight of its N[S].
+    """Drive rounds that take the finder's cheap set, delete its N[S] and bank N[S]'s weight.
 
-    A verified set carries that weight; only an unverified one (min_greedy's
-    pick) has it computed here.
+    A verified set carries both; only an unverified one (min_greedy's pick)
+    has them computed here.
     """
     def pick(r: Residual) -> TraceStep:
         cs = finder(r)
-        weight = cs.weight
+        closed, weight = cs.closed, cs.weight
         if weight is None:
-            weight = cheap_weight(r, r.zeta, cs.vertices, level)
-        return TraceStep(cs.kind, tuple(sorted(cs.vertices)),
-                         tuple(sorted(closed_neighborhood(r, cs.vertices))), weight)
+            closed, weight = _weighed_neighborhood(r, r.zeta, cs.vertices, level)
+        return TraceStep(cs.kind, tuple(sorted(cs.vertices)), tuple(sorted(closed)), weight)
 
     return _drive(g, level, pick)
 

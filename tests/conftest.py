@@ -11,6 +11,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import strategies as st
 
+import zetakit
+import zetakit.cli
 from zetakit import cheap_sets
 from zetakit.graph import Graph, build_graph
 from zetakit.oracle import enumerate_small_graphs
@@ -98,6 +100,24 @@ def fail_first_verification(monkeypatch) -> list:
         return replace(res, ok=False, reason="forced failure") if len(calls) == 1 else res
 
     monkeypatch.setattr(cheap_sets, "verify_k_cheap", verify)
+    return calls
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Count the calls of module.name, wrapped at every zetakit module binding.
+
+    Returns the list that gets one entry per call."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (zetakit, zetakit.graph, zetakit.degeneracy, zetakit.bounds,
+                zetakit.cheap_sets, zetakit.greedy, zetakit.oracle, zetakit.cli):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
     return calls
 
 

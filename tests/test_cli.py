@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fail_first_verification, gnp
+import zetakit
+from conftest import count_calls, fail_first_verification, gnp, random_forest
 from zetakit import cli, degeneracy
 from zetakit.cli import (GraphDocument, ParseError, parse_dimacs,
                          parse_edge_list, run_command, serialize_dimacs,
@@ -152,6 +153,26 @@ def test_bounds_command_p6(tmp_path, capsys):
     assert out["is_forest"] is True
     assert out["bounds"]["forest_zk"]["exact"] == "4"
     assert "inapplicable" in out["bounds"]["caro_tuza_a1"]
+
+
+def test_bounds_command_takes_forestness_from_one_component_pass(tmp_path, capsys,
+                                                                  monkeypatch):
+    """`bounds` reads is_forest off the report's forest_zk, so a forest costs one
+    connected_components call; the empty graph is a forest with forest_zk
+    inapplicable."""
+    calls = count_calls(monkeypatch, zetakit.graph, "connected_components")
+    f = tmp_path / "g.edges"
+    for edges, forest in ((random_forest(200, 4).edges(), True),
+                          ([(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (7, 8)], False)):
+        calls.clear()
+        f.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        rc, out, _ = run(capsys, "bounds", str(f))
+        assert rc == 0 and out["is_forest"] is forest and len(calls) == 1
+        assert ("exact" in out["bounds"]["forest_zk"]) is forest
+    f.write_text("p edge 0 0\n")
+    rc, out, _ = run(capsys, "bounds", str(f))
+    assert rc == 0 and out["n"] == 0 and out["is_forest"] is True
+    assert "empty graph" in out["bounds"]["forest_zk"]["inapplicable"]
 
 
 def test_greedy_command_showcase(tmp_path, capsys):

@@ -15,7 +15,7 @@ from zetakit import degeneracy
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
                                 is_zeta_regular, layer_decomposition, zeta_oracle,
                                 zeta_profile, zeta_weight)
-from zetakit.graph import GraphInputError, build_graph, remove_vertices
+from zetakit.graph import GraphInputError, build_graph, remove_vertices, smallest_last_order
 
 
 def subset_max_zeta(g):
@@ -68,9 +68,59 @@ def test_zeta_monotone_under_induced_subgraphs(g, data):
 @given(graphs(max_n=16))
 def test_prefix_max_along_order_is_nondecreasing(g):
     prof = zeta_profile(g)
-    run = [prof.zeta[v] for v in prof.order.order]
+    run = [prof.zeta[v] for v in smallest_last_order(g).order]
     assert all(a <= b for a, b in zip(run, run[1:]))
     assert prof.degeneracy == (max(prof.zeta) if g.n else 0)
+
+
+def smallest_last_zeta(g):
+    """The paper's recurrence: zeta of order[i] is the running max of the
+    residual degrees along a smallest-last order, up to i."""
+    sl = smallest_last_order(g)
+    zeta = [0] * g.n
+    running = 0
+    for v, d in zip(sl.order, sl.residual_degrees):
+        running = max(running, d)
+        zeta[v] = running
+    return tuple(zeta)
+
+
+def assert_profile_twins(g):
+    prof = zeta_profile(g)
+    assert prof.zeta == smallest_last_zeta(g) == zeta_oracle(g), g.edges()
+    assert prof.degeneracy == (max(prof.zeta) if g.n else 0)
+
+
+@st.composite
+def graphs_with_parts(draw):
+    """A random graph joined, under a random relabelling, by isolated vertices,
+    a star and a clique (each possibly empty)."""
+    g = draw(graphs(min_n=0, max_n=14))
+    isolated = draw(st.integers(0, 3))
+    leaves = draw(st.integers(0, 6))
+    clique = draw(st.integers(0, 6))
+    edges = list(g.edges())
+    n = g.n + isolated
+    if leaves:
+        edges += [(n, n + i) for i in range(1, leaves + 1)]
+        n += leaves + 1
+    edges += [(n + i, n + j) for i in range(clique) for j in range(i + 1, clique)]
+    n += clique
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@given(graphs_with_parts())
+@settings(max_examples=150)
+def test_profile_matches_both_twins(g):
+    assert_profile_twins(g)
+
+
+def test_profile_matches_both_twins_on_all_small_graphs(dedup_suite):
+    assert_profile_twins(build_graph(0, []))
+    for suite in dedup_suite.values():
+        for g in suite:
+            assert_profile_twins(g)
 
 
 @given(graphs(max_n=16))

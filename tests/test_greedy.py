@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import rebuild_greedy
 import zetakit
-from conftest import (complete_graph, cycle_graph, gnp, graphs, path_graph,
-                      random_forest, random_tree, star_graph)
+from conftest import (complete_graph, count_calls, cycle_graph, gnp, graphs,
+                      path_graph, random_forest, random_tree, star_graph)
 from zetakit import cheap_sets
 from zetakit.bounds import z_bound
 from zetakit.degeneracy import Residual, zeta_profile
@@ -304,19 +304,25 @@ def test_finder_rounds_weigh_their_set_once(monkeypatch):
     """A 1-cheap, 2-cheap or forest round banks the weight its finder verified:
     one zeta_weight call per round that is not an isolated block, counted at
     every module binding."""
-    calls = []
-    real = zetakit.degeneracy.zeta_weight
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    for mod in (zetakit, zetakit.degeneracy, zetakit.bounds, zetakit.cheap_sets,
-                zetakit.greedy):
-        if getattr(mod, "zeta_weight", None) is real:
-            monkeypatch.setattr(mod, "zeta_weight", counted)
+    calls = count_calls(monkeypatch, zetakit.degeneracy, "zeta_weight")
     g, forest = gnp(300, 8 / 300, 1), random_forest(300, 2)
     for graph, run in ((g, one_cheap_greedy), (g, two_cheap_greedy),
+                       (layered_example_graph(3), two_cheap_greedy),
+                       (forest, lambda f: forest_k_greedy(f, 2))):
+        calls.clear()
+        trace = run(graph).trace
+        rounds = sum(step.kind != "isolated-block" for step in trace)
+        assert rounds > 0 and len(calls) == rounds
+
+
+def test_finder_rounds_build_their_closed_neighborhood_once(monkeypatch):
+    """A 1-cheap, 2-cheap or forest round deletes the N[S] that its finder's
+    verification built, and min_greedy's unverified pick has it built once in
+    the driver: one closed_neighborhood call per round that is not an isolated
+    block, counted at every module binding."""
+    calls = count_calls(monkeypatch, zetakit.graph, "closed_neighborhood")
+    g, forest = gnp(300, 8 / 300, 1), random_forest(300, 2)
+    for graph, run in ((g, min_greedy), (g, one_cheap_greedy), (g, two_cheap_greedy),
                        (layered_example_graph(3), two_cheap_greedy),
                        (forest, lambda f: forest_k_greedy(f, 2))):
         calls.clear()
