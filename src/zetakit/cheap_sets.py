@@ -102,7 +102,7 @@ def _require_no_isolated(r: Residual, isolated: int) -> None:
 def find_1_cheap(g: Graph | Residual) -> CheapSet:
     """Return a two-vertex 1-cheap set of one of the three minimal patterns.
 
-    C and D are the first two layers of `cheap_layers(g)`; the first to apply:
+    C and D are the first two cheap layers of g; the first to apply:
     type-I:   the first edge uw inside C (ascending u, then w).
     type-III: the two least C-neighbours of the first vertex with two; they
               are nonadjacent, as type-I found no edge inside C.
@@ -118,7 +118,8 @@ def find_1_cheap(g: Graph | Residual) -> CheapSet:
     C-neighbour, raises CheapSetSearchError.
 
     A Graph is wrapped in one Residual.  Type-I and type-III are read from
-    the Residual's kept cheap state; only type-II strips C to find D.
+    the Residual's kept cheap state, and type-II from its kept second layer
+    (`CheapState.second`): no layer is stripped.
     """
     r = _residual(g)
     state = r.cheap_state()
@@ -133,9 +134,7 @@ def find_1_cheap(g: Graph | Residual) -> CheapSet:
     if hub is not None:
         return _checked(r, set(sorted(r.adj[hub] & cheap)[:2]), 1, "type-III")
 
-    with closing(cheap_layers(r)) as layers:
-        next(layers)
-        w = min(next(layers, ()), default=None)
+    w = state.second().least()
     partners = () if w is None else r.adj[w] & cheap
     if len(partners) != 1:
         raise CheapSetSearchError(f"no type-II pair at {w}; the search invariant is broken")
@@ -160,11 +159,15 @@ def _checked(r: Residual, s: set[int], level: int, kind: str) -> CheapSet:
 def find_2_cheap(g: Graph | Residual) -> CheapSet:
     """Return the first candidate of the layered chain, verified exactly once.
 
-    C is the first layer of `cheap_layers(g)`.  The first stage to apply wins:
-    adjacent-pair (the first edge inside C), triple-common-neighbor (the three
-    least C-neighbours of the least vertex with three), then stages over the
-    deeper layers in dependency order, down to the whole live graph (no proof
-    yet says `whole-path-union` is unreachable).  A failed verification raises
+    C and D are the first two cheap layers of g.  The first stage to apply
+    wins: adjacent-pair (the first edge inside C), triple-common-neighbor
+    (the three least C-neighbours of the least vertex with three),
+    pair-plus-c2-neighbor (the least vertex of D with two C-neighbours, and
+    those two), c1-with-two-c2 (the least vertex of C with two or more
+    D-neighbours, and the two least), induced-path-4 (the first edge uw
+    inside D, with the C-neighbours of u and w), then stages over the deeper
+    layers in dependency order, down to the whole live graph (no proof yet
+    says `whole-path-union` is unreachable).  A failed verification raises
     CheapSetSearchError.  By three lemmas the first-layer answers verify and
     no down-chain breaks:
     - adjacent u, w in C have zeta = deg = z >= 1, and N[{u, w}] has at most
@@ -175,45 +178,56 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
     - a vertex of layer j > 0 has a neighbour in layer j - 1, else it keeps
       its degree as that layer goes, so deg >= zeta_before >= zeta_after =
       deg and it was cheap one layer earlier (type-II of `find_1_cheap`).
+    The first edge uw inside D always gives an induced path of four: by the
+    third lemma and the two stages before it, each vertex of D has exactly
+    one C-neighbour, u' and w', and no vertex of C has two D-neighbours, so
+    u' != w', uw' and wu' are no edges, and neither is u'w' (C is
+    independent): u'-u-w-w' is induced.
 
-    A Graph is wrapped in one Residual, whose kept cheap state answers the
-    first layer.  A deeper stage strips layers 0..i-1 on it afresh to reach
-    layer i, and rolls them back.
+    A Graph is wrapped in one Residual.  Its kept cheap state answers the
+    first two stages and its kept second layer (`CheapState.second`) the
+    next three, from counts and heaps.  A deeper stage strips the second
+    layer's own Residual from D down, in one stream per call that is rolled
+    back before the call returns; the residual answered for is not stripped.
     """
     r = _residual(g)
     state = r.cheap_state()
     _require_no_isolated(r, state.isolated)
-    adj = r.adj
+    adj, cheap = r.adj, state.cheap
     edge = state.least_edge()
     if edge is not None:
         return _checked(r, set(edge), 2, "adjacent-pair")
     hub = state.least_hub(3)
     if hub is not None:
-        return _checked(r, set(sorted(adj[hub] & state.cheap)[:3]), 2,
-                        "triple-common-neighbor")
-    # the layers are stripped only as far as the candidates reach; a vertex
-    # not stripped yet has a layer index above every real one
-    layers: list[frozenset[int]] = []
-    lof: dict[int, int] = {}
+        return _checked(r, set(sorted(adj[hub] & cheap)[:3]), 2, "triple-common-neighbor")
+    second = state.second()
+    d = second.cheap
+    p = second.least_pair()
+    if p is not None:
+        return _checked(r, {p, *sorted(adj[p] & cheap)[:2]}, 2, "pair-plus-c2-neighbor")
+    u = second.least_up()
+    if u is not None:
+        return _checked(r, {u, *sorted(adj[u] & d)[:2]}, 2, "c1-with-two-c2")
+    edge = second.least_edge()
+    if edge is not None:
+        return _checked(r, {*edge, *(min(adj[x] & cheap) for x in edge)}, 2, "induced-path-4")
+    # the layers below D are stripped only as far as the candidates reach,
+    # and a vertex not stripped yet has a layer index above every real one
+    layers = [cheap, d]
+    deep: dict[int, int] = {}
     top = len(adj)
 
-    def reach(i: int) -> bool:
-        """Strip until layers[i] is known; False, and no further call, when
-        there are fewer layers."""
-        if len(layers) <= i:
-            with closing(cheap_layers(r)) as stream:
-                layers[:] = islice(stream, i + 1)
-            for j, layer in enumerate(layers):
-                lof.update(dict.fromkeys(layer, j))
-        return i < len(layers)
+    def lof(v: int) -> int:
+        return 0 if v in cheap else 1 if v in d else deep.get(v, top)
 
     def down(v: int) -> int:
-        return min(u for u in adj[v] if lof.get(u, top) == lof[v] - 1)
+        below = lof(v) - 1
+        return min(u for u in adj[v] if lof(u) == below)
 
     def chain(v: int) -> list[int]:
         """v followed by iterated down-neighbors, ending in the first layer."""
         path = [v]
-        while lof[path[-1]] > 0:
+        while lof(path[-1]) > 0:
             path.append(down(path[-1]))
         return path
 
@@ -234,21 +248,17 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
                 return None
         return sa | sb
 
-    def candidates() -> Iterator[tuple[set[int], str]]:
-        if reach(1):
-            c1, c2 = layers[0], layers[1]
-            for p in sorted(c2):
-                cn = sorted(adj[p] & c1)
-                if len(cn) >= 2:
-                    yield {cn[0], cn[1], p}, "pair-plus-c2-neighbor"
-            for u in sorted(c1):
-                up = sorted(adj[u] & c2)
-                if len(up) >= 2:
-                    yield {u, up[0], up[1]}, "c1-with-two-c2"
-            for u, w in _inner_edges(r, c2):
-                s = pair_union(u, w, joined=True)
-                if s is not None:
-                    yield s, "induced-path-4"
+    def candidates(stream: Iterator[frozenset[int]]) -> Iterator[tuple[set[int], str]]:
+        def reach(i: int) -> bool:
+            """Strip until layers[i] is known; False when there are fewer layers."""
+            while len(layers) <= i:
+                layer = next(stream, None)
+                if layer is None:
+                    return False
+                deep.update(dict.fromkeys(layer, len(layers)))
+                layers.append(layer)
+            return True
+
         # upward sweep: each layer's down-multiplicities, jumping edges, and
         # chain merges, in that order — every union's side conditions were
         # scanned at a lower layer, so the first structural hit verifies
@@ -256,13 +266,13 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
         while reach(i):
             li = sorted(layers[i])
             for u in li:
-                dn = sorted(v for v in adj[u] if lof.get(v, top) == i - 1)
+                dn = sorted(v for v in adj[u] if lof(v) == i - 1)
                 if len(dn) >= 2:
                     s = pair_union(dn[0], dn[1])
                     if s is not None:
                         yield s, "two-layer-paths"
             for u in li:
-                jumps = sorted((lof[v], v) for v in adj[u] if lof.get(v, top) <= i - 2)
+                jumps = sorted((lof(v), v) for v in adj[u] if lof(v) <= i - 2)
                 if not jumps:
                     continue
                 p = chain(down(u))
@@ -276,7 +286,7 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
             # two chains merging one layer down extend to a single layered
             # path: the shared vertex plus one of its upper neighbors
             for x in sorted(layers[i - 1]):
-                ups = sorted(v for v in adj[x] if lof.get(v, top) == i)
+                ups = sorted(v for v in adj[x] if lof(v) == i)
                 if len(ups) >= 2:
                     yield {ups[0], *chain(x)}, "layer-path"
             i += 1
@@ -288,7 +298,8 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
                     yield s, "layer-path-pair-bridge"
         yield set(r.vertices()), "whole-path-union"
 
-    s, kind = next(candidates())
+    with closing(cheap_layers(second.r)) as stream:
+        s, kind = next(candidates(islice(stream, 1, None)))     # past D, kept already
     return _checked(r, s, 2, kind)
 
 

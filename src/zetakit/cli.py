@@ -318,6 +318,8 @@ def _cmd_gen(args) -> dict:
 
 def _cmd_conjecture(args) -> dict:
     """Search for counterexamples to alpha_k >= Z_{k+1}; report only."""
+    if args.trials < 0:
+        raise _UsageError(f"--trials must be >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     probs = (0.1, 0.3, 0.5, 0.7)
     violations = []

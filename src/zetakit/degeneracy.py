@@ -13,7 +13,9 @@ decomposition delete from.  It keeps the original vertex ids and carries its
 own coreness: built with one `zeta_profile`, then repaired locally on
 per-vertex support counts after each deletion instead of being recomputed.
 Once asked, it keeps its cheap set the same way, and a deletion can be rolled
-back from an undo log.
+back from an undo log.  The second cheap layer, the cheap set of the live
+graph minus the first, is kept on a second Residual that also takes vertices
+back (`Residual.insert`), brought up to date when it is next read.
 """
 from __future__ import annotations
 
@@ -90,7 +92,8 @@ class Residual:
     The live cheap set with its counts (`CheapState`) is built the first
     time `cheap_state()` is asked for, and every later delete repairs it; a
     Residual that is never asked pays nothing for it.  A delete given an
-    undo log can be rolled back exactly with `undo`.
+    undo log can be rolled back exactly with `undo`.  `insert` makes a
+    deleted vertex live again; only the kept second layer uses it.
     """
 
     def __init__(self, g: Graph, profile: ZetaProfile | None = None):
@@ -134,7 +137,8 @@ class Residual:
         vertex's neighbour set, the old zeta and support of every vertex
         whose zeta or support it lowers, the old n and m, and the cheap state,
         which it sets aside unrepaired until the undo puts it back.  Without
-        one, a built cheap state is repaired (see CheapState.repair).
+        one, a built cheap state is repaired (see CheapState.repair) and
+        notes the delete for its kept second layer (see CheapState.drop).
         """
         adj, alive, zeta, support = self.adj, self.alive, self.zeta, self.support
         drop = set(s)
@@ -149,8 +153,7 @@ class Residual:
             log.append((gone, saved, self.n, self.m, state))
             self._cheap = state = None
         elif state is not None:
-            for v in drop & state.cheap:
-                state.leave(v)
+            state.drop(drop)
         for v in drop:
             alive[v] = False
         changed: set[int] = set()
@@ -199,6 +202,92 @@ class Residual:
             state.repair(changed)
         return changed
 
+    def _copy(self) -> Residual:
+        """A new Residual of the same live graph, with the same coreness and no cheap state."""
+        r = object.__new__(Residual)
+        r.adj = [set(a) for a in self.adj]
+        r.alive, r.zeta, r.support = self.alive[:], self.zeta[:], self.support[:]
+        r.n, r.m, r._cheap = self.n, self.m, None
+        return r
+
+    def insert(self, v: int, nbrs: Iterable[int]) -> None:
+        """Make the deleted vertex v live again, joined to the live vertices nbrs.
+
+        The edges go in one at a time, each raising coreness by `_rise`, the
+        ones to neighbours of higher zeta first, so that v's own rise meets
+        few vertices of its level.  A built cheap state is repaired on v, its
+        neighbours and the risen vertices: the neighbours in C leave it
+        before their degree changes and rejoin in the repair if still cheap,
+        so every count is taken on one adjacency.  Not logged: an undo log
+        must not span an insert.
+        """
+        adj, alive, zeta = self.adj, self.alive, self.zeta
+        if not (0 <= v < len(alive)) or alive[v]:
+            raise GraphInputError(f"vertex {v} is not deleted")
+        nbrs = sorted(nbrs, key=zeta.__getitem__, reverse=True)
+        if not all(alive[u] for u in nbrs):
+            raise GraphInputError(f"a neighbour of {v} is not live")
+        state = self._cheap
+        if state is not None:
+            state.arrive(v, nbrs)
+        alive[v] = True
+        zeta[v] = self.support[v] = 0
+        self.n += 1
+        self.m += len(nbrs)
+        changed = {v, *nbrs}
+        for u in nbrs:
+            adj[v].add(u)
+            adj[u].add(v)
+            changed |= self._rise(v, u)
+        if state is not None:
+            state.repair(changed)
+
+    def _rise(self, a: int, b: int) -> set[int]:
+        """Repair coreness after the edge ab went in; return the vertices that rose.
+
+        The traversal of Sariyuce et al. (VLDB 2013), on the support counts.
+        With k = min(zeta[a], zeta[b]), only vertices of zeta k can rise, by
+        one at most, and each that does has > k supports after the edge and
+        is joined to an endpoint of zeta k through such vertices: a risen
+        part with no endpoint was a (k+1)-core already.  So the search visits
+        those vertices from the endpoints, then evicts, until none is left,
+        every visited vertex with <= k neighbours that have zeta > k or are
+        still visited.  Each vertex that stays has > k such neighbours, so
+        with the (k+1)-core the rest spans minimum degree k + 1: all of it
+        rises.  Support is recounted for a risen vertex and raised by one for
+        each of its neighbours that already had zeta k + 1.
+        """
+        adj, zeta, support = self.adj, self.zeta, self.support
+        k = min(zeta[a], zeta[b])
+        for x in (a, b):
+            if zeta[x] == k:
+                support[x] += 1
+        seen = {x for x in (a, b) if zeta[x] == k and support[x] > k}
+        stack = list(seen)
+        while stack:
+            for y in adj[stack.pop()]:
+                if zeta[y] == k and support[y] > k and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        cd = {x: sum(zeta[y] > k or y in seen for y in adj[x]) for x in seen}
+        out = [x for x in seen if cd[x] <= k]
+        while out:
+            x = out.pop()
+            seen.discard(x)
+            for y in adj[x]:
+                if y in seen:
+                    cd[y] -= 1
+                    if cd[y] == k:
+                        out.append(y)
+        for x in seen:
+            zeta[x] = k + 1
+        for x in seen:
+            support[x] = sum(zeta[y] > k for y in adj[x])
+            for y in adj[x]:
+                if zeta[y] == k + 1 and y not in seen:
+                    support[y] += 1
+        return seen
+
     def undo(self, log: list) -> None:
         """Roll back the deletes recorded in log, newest first, and empty it.
 
@@ -245,11 +334,18 @@ class CheapState:
     at least two or three neighbours in C (`least_hub`).  A vertex is pushed
     when it starts to qualify; an entry that no longer qualifies is popped
     when it reaches the top, so the top is the least qualifying id.
+
+    C is found by a scan of the live vertices, or only of `among` when the
+    caller knows that no other live vertex is cheap.  The second layer D,
+    the cheap set of the live graph minus C, is kept once `second()` has
+    been asked for (see SecondLayer).  Between reads the state only notes
+    the vertices that were deleted, joined C or left it; the next read
+    brings D up to date from those in one batch.
     """
 
-    def __init__(self, r: Residual):
+    def __init__(self, r: Residual, among: Iterable[int] | None = None):
         self._r = r
-        self.cheap = set(cheap_vertices(r))
+        self.cheap = set(cheap_vertices(r) if among is None else _cheap_among(r, r.zeta, among))
         count = self.count = [0] * len(r.adj)
         for u in self.cheap:
             for v in r.adj[u]:
@@ -257,6 +353,8 @@ class CheapState:
         self.isolated = sum(not r.adj[u] for u in self.cheap)
         self._paired = sorted(u for u in self.cheap if count[u])
         self._hubs = {k: [v for v, c in enumerate(count) if c >= k] for k in (2, 3)}
+        self._second: SecondLayer | None = None
+        self._stale: set[int] = set()
 
     def least_edge(self) -> tuple[int, int] | None:
         """The edge uw inside C with the least u, then the least w; None when C is independent.
@@ -277,6 +375,35 @@ class CheapState:
             heappop(heap)
         return heap[0] if heap else None
 
+    def second(self) -> SecondLayer:
+        """The kept second layer, built on the first call and brought up to date on each."""
+        if self._second is None:
+            self._second = SecondLayer(self)
+        elif self._stale:
+            self._second.sync(self._stale)
+            self._stale = set()
+        return self._second
+
+    def drop(self, s: set[int]) -> None:
+        """Take the live vertices S, about to be deleted, out of C and out of D's counts."""
+        for v in s & self.cheap:
+            self.leave(v)
+        second = self._second
+        if second is not None:
+            self._stale |= s
+            up, adj = second.up, self._r.adj
+            for v in s & second.cheap:
+                for x in adj[v]:
+                    up[x] -= 1
+
+    def arrive(self, v: int, nbrs: list[int]) -> None:
+        """Make ready for the deleted vertex v to come back next to nbrs: they leave C,
+        and the repair rejoins those still cheap.  Only a SecondLayer's residual takes
+        vertices back, and it keeps no second layer that would have to learn of v."""
+        for u in self.cheap.intersection(nbrs):
+            self.leave(u)
+        self.count[v] = 0
+
     def leave(self, u: int) -> None:
         self.cheap.discard(u)
         count, nbrs = self.count, self._r.adj[u]
@@ -284,9 +411,11 @@ class CheapState:
             self.isolated -= 1
         for v in nbrs:
             count[v] -= 1
+        if self._second is not None:
+            self._stale.add(u)
 
     def join(self, u: int) -> None:
-        cheap, count, hubs = self.cheap, self.count, self._hubs
+        cheap, count, hubs, second = self.cheap, self.count, self._hubs, self._second
         cheap.add(u)
         if count[u]:
             heappush(self._paired, u)
@@ -298,6 +427,12 @@ class CheapState:
                     heappush(self._paired, v)
             elif c <= 3:
                 heappush(hubs[c], v)
+                if c == 2 and second is not None:
+                    heappush(second._pairs, v)
+        if second is not None:
+            self._stale.add(u)
+            if second.up[u] >= 2:
+                heappush(second._ups, u)
 
     def repair(self, changed: set[int]) -> None:
         """Recheck C after a delete that changed the degree or zeta of `changed`.
@@ -314,6 +449,101 @@ class CheapState:
             self.leave(u)
         for u in now - cheap:
             self.join(u)
+
+
+class SecondLayer(CheapState):
+    """The second cheap layer D of a Residual R: the cheap state of a Residual R2
+    of R's live graph minus its cheap set C, on R's vertex ids.
+
+    R2 is built from a copy of R by one delete of C, whose changed vertices
+    are the only ones that can be cheap there (see cheap_layers), and R's
+    CheapState brings it up to date when it is read (`sync`).  Besides D
+    with its own counts and heaps, it keeps what the 2-cheap finder reads
+    across the two layers: up[x] = |N(x) & D| in R for every live x of R,
+    and lazy min-heaps for the least member of D (`least`), the least member
+    of D with two neighbours in C (`least_pair`), and the least member of C
+    with two neighbours in D (`least_up`).  up is counted on D as of the
+    last sync and on R's adjacency as it is now: a delete in R takes its
+    members of that D out of their neighbours' counts (CheapState.drop), and
+    a vertex joining or leaving D at a sync counts on R's adjacency of that
+    moment, which is empty for a vertex R has deleted.  R only deletes, so
+    no vertex of R comes back next to D.  The 2-cheap finder strips R2 below
+    D (see cheap_layers); `second()` is never asked of this state.
+    """
+
+    def __init__(self, outer: CheapState):
+        r, cheap = outer._r, outer.cheap
+        r2 = r._copy()
+        super().__init__(r2, r2.delete(cheap))
+        r2._cheap = self
+        self.outer = outer
+        up = self.up = [0] * len(r.adj)
+        for v in self.cheap:
+            for x in r.adj[v]:
+                up[x] += 1
+        self._members = sorted(self.cheap)
+        self._pairs = sorted(v for v in self.cheap if outer.count[v] >= 2)
+        self._ups = sorted(u for u in cheap if up[u] >= 2)
+
+    @property
+    def r(self) -> Residual:
+        """R2, the Residual whose cheap set this is."""
+        return self._r
+
+    def least(self) -> int | None:
+        """The least member of D, or None when D is empty."""
+        heap, cheap = self._members, self.cheap
+        while heap and heap[0] not in cheap:
+            heappop(heap)
+        return heap[0] if heap else None
+
+    def least_pair(self) -> int | None:
+        """The least member of D with at least two neighbours in C, or None."""
+        heap, cheap, count = self._pairs, self.cheap, self.outer.count
+        while heap and not (heap[0] in cheap and count[heap[0]] >= 2):
+            heappop(heap)
+        return heap[0] if heap else None
+
+    def least_up(self) -> int | None:
+        """The least member of C with at least two neighbours in D, or None."""
+        heap, cheap, up = self._ups, self.outer.cheap, self.up
+        while heap and not (heap[0] in cheap and up[heap[0]] >= 2):
+            heappop(heap)
+        return heap[0] if heap else None
+
+    def join(self, u: int) -> None:
+        super().join(u)
+        outer, up = self.outer, self.up
+        heappush(self._members, u)
+        if outer.count[u] >= 2:
+            heappush(self._pairs, u)
+        for x in outer._r.adj[u]:
+            up[x] += 1
+            if up[x] == 2 and x in outer.cheap:
+                heappush(self._ups, x)
+
+    def leave(self, u: int) -> None:
+        super().leave(u)
+        up = self.up
+        for x in self.outer._r.adj[u]:
+            up[x] -= 1
+
+    def sync(self, stale: set[int]) -> None:
+        """Bring R2 up to date with R after changes to the vertices `stale`.
+
+        A stale vertex belongs in R2 when it is live in R and outside C.  The
+        ones in R2 that no longer belong are deleted in one batch; then each
+        one that now belongs, a live vertex that left C, is inserted, joined
+        to its neighbours in R2 (those inserted before it included).
+        """
+        r, r2, cheap = self.outer._r, self._r, self.outer.cheap
+        wanted = {v for v in stale if r.alive[v] and v not in cheap}
+        gone = {v for v in stale if r2.alive[v]} - wanted
+        if gone:
+            r2.delete(gone)
+        for v in wanted:
+            if not r2.alive[v]:
+                r2.insert(v, [x for x in r.adj[v] if r2.alive[x]])
 
 
 def profile_of(g: Graph | Residual) -> ZetaProfile | Residual:
@@ -409,7 +639,10 @@ def cheap_layers(g: Graph | Residual,
     layer, on a Residual built from g when g is a Graph, or on g itself when
     g is a Residual.  Then every delete goes into one undo log, and g is
     rolled back when the stream ends or is closed, so a reader that stops
-    early closes it (`contextlib.closing`) before it reads g again.  After a
+    early closes it (`contextlib.closing`) before it reads g again.  The
+    2-cheap finder reads it on the second layer's Residual (see
+    SecondLayer), so that its first layer is the kept D and the strips never
+    touch the residual the finder answers for.  After a
     delete only the vertices whose degree or zeta changed are rechecked: the
     others were not cheap, and cheapness depends only on deg and zeta (see
     cheap_vertices).  Each nonempty residual has a cheap vertex, so the

@@ -193,31 +193,35 @@ def residual_state(r):
 
 
 def test_finders_strip_a_residual_only_for_the_second_layer(monkeypatch):
-    """Logged deletes (the layer strips) happen only for a second-layer answer,
-    and the finder leaves the residual as it found it."""
+    """Logged deletes (the layer strips) happen only for an answer below the
+    second layer, once per layer stripped and only on the residual that keeps
+    the second layer; the finder leaves the residual it answers for as it was."""
     strips = []
     real_delete = Residual.delete
 
     def counted(self, s, log=None):
         if log is not None:
-            strips.append(s)
+            strips.append(self)
         return real_delete(self, s, log)
 
     monkeypatch.setattr(Residual, "delete", counted)
     cases = [(find_1_cheap, cycle_graph(4), "type-I", 0),
              (find_1_cheap, path_graph(3), "type-III", 0),
-             (find_1_cheap, path_graph(4), "type-II", 1),
+             (find_1_cheap, path_graph(4), "type-II", 0),
              (find_2_cheap, cycle_graph(4), "adjacent-pair", 0),
              (find_2_cheap, star_graph(3), "triple-common-neighbor", 0),
-             (find_2_cheap, path_graph(3), "pair-plus-c2-neighbor", 1),
-             # layer 2 is reached by stripping layers 0 and 1 afresh: 1 + 2 deletes
-             (find_2_cheap, path_graph(5), "two-layer-paths", 3)]
+             (find_2_cheap, path_graph(3), "pair-plus-c2-neighbor", 0),
+             # the layers of 0-1-2-3-4 are {0, 4}, {1, 3}, {2}: one strip of D
+             (find_2_cheap, path_graph(5), "two-layer-paths", 1),
+             # the fourth layer {3} of 0-...-6 takes one more, of {2, 4}
+             (find_2_cheap, path_graph(7), "two-layer-paths", 2)]
     for finder, g, kind, expected in cases:
         strips.clear()
         r = Residual(g)
         before = residual_state(r)
         assert finder(r).kind == kind
         assert len(strips) == expected, (finder.__name__, kind, len(strips))
+        assert all(x is r.cheap_state().second().r for x in strips)
         assert residual_state(r) == before
 
 

@@ -258,6 +258,12 @@ def test_conjecture_smoke(capsys):
     assert "exact" in out["min_slack"]
 
 
+def test_conjecture_rejects_negative_trials(capsys):
+    rc, out, err = run(capsys, "conjecture", "--k", "3", "--n", "5",
+                       "--trials", "-1", "--seed", "0")
+    assert rc == 1 and out is None and "--trials" in err
+
+
 # ── exit codes ──────────────────────────────────────────────────────────────
 
 

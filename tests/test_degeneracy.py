@@ -296,6 +296,78 @@ def test_undo_restores_the_residual_exactly(g, data):
         assert cheap_state_answers(r) == recomputed_cheap_answers(r)
 
 
+def kept_layer_answers(r):
+    """What the kept second layer of r says once brought up to date, in plain
+    values: its cheap set, its residual's live vertices, adjacency, zeta and
+    support, the layer counts `up` over r, and the four heap answers."""
+    layer = r.cheap_state().second()
+    res, live = layer.r, list(r.vertices())
+    return (set(layer.cheap), set(res.vertices()), [res.adj[v] for v in live],
+            [res.zeta[v] for v in res.vertices()], [res.support[v] for v in res.vertices()],
+            [layer.up[v] for v in live],
+            layer.least(), layer.least_pair(), layer.least_up(), layer.least_edge())
+
+
+def recomputed_layer(g, r):
+    """The same answers from scratch: the second layer is layers[1] of the
+    rebuilt live graph's decomposition, and its residual, the live graph
+    minus the first layer, is rebuilt and its zeta and support recomputed."""
+    dead = {v for v in range(g.n) if not r.alive[v]}
+    sub = remove_vertices(g, dead)
+    first, here = ([frozenset(sub.old_of[x] for x in layer)
+                    for layer in layer_decomposition(sub.graph).layers] + [frozenset()] * 2)[:2]
+    live = [v for v in range(g.n) if v not in dead]
+    rest = remove_vertices(g, dead | first)
+    zeta = dict(zip(rest.old_of, zeta_oracle(rest.graph)))
+    adj = {v: {rest.old_of[y] for y in rest.graph.adj[x]} for x, v in enumerate(rest.old_of)}
+    return (set(here), set(rest.old_of), [adj.get(v, set()) for v in live],
+            [zeta[v] for v in rest.old_of],
+            [sum(zeta[w] >= zeta[v] for w in adj[v]) for v in rest.old_of],
+            [len(g.adj[v] & here) for v in live],
+            min(here, default=None),
+            min((p for p in here if len(g.adj[p] & first) >= 2), default=None),
+            min((u for u in first if len(g.adj[u] & here) >= 2), default=None),
+            min(((u, min(g.adj[u] & here)) for u in here if g.adj[u] & here), default=None))
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=150, deadline=None)
+def test_kept_layers_match_recompute(g, data):
+    """Through random deletes, some read after each and some batched into one
+    update, the kept second layer equals a recompute of the live graph's
+    second layer, of its residual's zeta and support, and of the finders'
+    heap answers; a logged delete rolled back leaves it exact."""
+    r = Residual(g)
+    kept_layer_answers(r)
+    while r.n:
+        if data.draw(st.booleans()):
+            assert kept_layer_answers(r) == recomputed_layer(g, r)
+            if data.draw(st.booleans()):
+                log = []
+                r.delete(draw_deletion(data, r), log)
+                r.undo(log)
+                assert cheap_state_answers(r) == recomputed_cheap_answers(r)
+                assert kept_layer_answers(r) == recomputed_layer(g, r)
+        r.delete(draw_deletion(data, r))
+    assert kept_layer_answers(r) == recomputed_layer(g, r)
+
+
+def test_kept_layers_take_back_vertices_that_leave_a_layer():
+    """Deleting one vertex of a cycle makes the others a path, whose inner
+    vertices leave C alive and go back into the second layer's residual."""
+    g = cycle_graph(9)
+    r = Residual(g)
+    state = r.cheap_state()
+    assert kept_layer_answers(r) == recomputed_layer(g, r)
+    assert state.second().cheap == set() and state.cheap == set(range(9))
+    r.delete({0})
+    assert state.cheap == {1, 8}
+    assert kept_layer_answers(r) == recomputed_layer(g, r)
+    assert state.second().cheap == {2, 7}
+    r.delete({1, 8})
+    assert kept_layer_answers(r) == recomputed_layer(g, r)
+
+
 @given(graphs(max_n=16), st.data())
 @settings(max_examples=60, deadline=None)
 def test_cheap_layers_leave_the_residual_unchanged(g, data):
@@ -314,6 +386,32 @@ def test_cheap_layers_leave_the_residual_unchanged(g, data):
     with closing(cheap_layers(r)) as stream:
         assert list(islice(stream, 2)) == layers[:2]
     assert residual_state(r) == before
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=120, deadline=None)
+def test_residual_insert_repairs_coreness(g, data):
+    """Deleted vertices put back one by one, in any order, each joined to its
+    live neighbours: after each insert the coreness and support counts equal a
+    recompute and a kept cheap state equals a scan, and once all are back the
+    residual is as it was before the delete."""
+    r = Residual(g)
+    kept = data.draw(st.booleans())
+    if kept:
+        r.cheap_state()
+    before = residual_state(r)
+    gone = data.draw(st.lists(st.sampled_from(range(g.n)), unique=True, min_size=1))
+    r.delete(gone)
+    for v in data.draw(st.permutations(gone)):
+        r.insert(v, [u for u in g.adj[v] if r.alive[u]])
+        expect = zeta_oracle(remove_vertices(g, {x for x in range(g.n) if not r.alive[x]}).graph)
+        assert [r.zeta[x] for x in r.vertices()] == list(expect)
+        assert all(r.support[x] == recomputed_support(r, x) for x in r.vertices())
+        if kept:
+            assert cheap_state_answers(r) == recomputed_cheap_answers(r)
+    assert residual_state(r) == before
+    with pytest.raises(GraphInputError):
+        r.insert(gone[0], [])
 
 
 def test_residual_undo_restores_and_delete_checks_ids():
