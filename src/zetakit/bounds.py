@@ -255,20 +255,29 @@ def _greedy_mis(g: Graph | Residual, pool: frozenset[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _min_lambda_group(g: Graph | Residual, zeta, cheap: frozenset[int]
+def _min_lambda_group(g: Graph | Residual, zeta, s: frozenset[int]
                       ) -> tuple[Fraction, int, frozenset[int]]:
-    """(lambda, class zeta, S) of least lambda over the zeta-classes of the nonempty `cheap`.
+    """(lambda, class zeta, S) of least lambda over the zeta-classes of s.
 
-    Per class: greedy maximal independent subset, then select_dense_subset;
-    the smallest class wins ties.  S is independent with degree z, its class,
-    so lambda = 1 - z + |N(S)|/|S|, and zeta >= z on N[S] gives zeta + lambda >= 1.
+    s is `_greedy_mis` of the cheap vertices, nonempty.  Per class: its
+    members in s, then select_dense_subset; the smallest class wins ties.
+    Those members are the class's own greedy maximal independent subset.
+    Adjacent cheap vertices have equal zeta, since each holds the least zeta
+    of the other's closed neighbourhood, so no edge of G[cheap] joins two
+    classes: a class's degrees in G[cheap] are its degrees in G[class], and
+    each pick of the whole pool's greedy deletes vertices and lowers degrees
+    only in its own class.  So the picks that fall in a class are the least
+    (degree, id) of what is left of it, one after the other, as in the
+    greedy run on the class alone.  S is independent with degree z, its
+    class, so lambda = 1 - z + |N(S)|/|S|, and zeta >= z on N[S] gives
+    zeta + lambda >= 1.
     """
     groups: dict[int, set[int]] = {}
-    for u in cheap:
+    for u in s:
         groups.setdefault(zeta[u], set()).add(u)
     best: tuple[Fraction, int, frozenset[int]] | None = None
     for zval in sorted(groups):
-        subset, num, size = _dense_subset(g, _greedy_mis(g, frozenset(groups[zval])))
+        subset, num, size = _dense_subset(g, frozenset(groups[zval]))
         lam = Fraction(size + num, size)
         if best is None or lam < best[0]:
             best = (lam, zval, subset)
@@ -287,7 +296,7 @@ def strong_bound_grouped(g: Graph | Residual, profile: ZetaProfile | Residual | 
         return Inapplicable("empty graph")
     prof = profile or profile_of(g)
     zeta = prof.zeta
-    lam, zval, subset = _min_lambda_group(g, zeta, cheap_vertices(g, prof))
+    lam, zval, subset = _min_lambda_group(g, zeta, independent_cheap_set(g, prof))
     closed = closed_neighborhood(g, subset)
     value = (zeta_weight((zeta[v] for v in closed), lam)
              + zeta_weight((zeta[v] for v in g.vertices() if v not in closed), 1))

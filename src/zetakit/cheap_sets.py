@@ -165,9 +165,8 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
     pair-plus-c2-neighbor (the least vertex of D with two C-neighbours, and
     those two), c1-with-two-c2 (the least vertex of C with two or more
     D-neighbours, and the two least), induced-path-4 (the first edge uw
-    inside D, with the C-neighbours of u and w), then stages over the deeper
-    layers in dependency order, down to the whole live graph (no proof yet
-    says `whole-path-union` is unreachable).  A failed verification raises
+    inside D, with the C-neighbours of u and w), then a sweep up the deeper
+    layers and a bridge stage (below).  A failed verification raises
     CheapSetSearchError.  By three lemmas the first-layer answers verify and
     no down-chain breaks:
     - adjacent u, w in C have zeta = deg = z >= 1, and N[{u, w}] has at most
@@ -183,6 +182,49 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
     one C-neighbour, u' and w', and no vertex of C has two D-neighbours, so
     u' != w', uw' and wu' are no edges, and neither is u'w' (C is
     independent): u'-u-w-w' is induced.
+
+    Past the five stages, C and D are independent, each vertex of D has
+    exactly one C-neighbour and no vertex of C has two D-neighbours.  The
+    chain of v is v, then its least neighbour one layer down, and so on
+    down to C.  The sweep takes the layers i = 2, 3, ... in turn and in each,
+    vertex by ascending vertex: (a) a vertex with two or more neighbours in
+    layer i - 1, a < b the least two: the union of their chains
+    (two-layer-paths); (b) a vertex u with a neighbour two or more layers
+    down, z the least of those in the lowest layer, p the chain of u's least
+    down-neighbour: p itself if z is on p (layer-path), else the union of p
+    and z's chain; (c) the least x in layer i - 1 with two neighbours in
+    layer i: the lesser of those and x's chain (layer-path).  A union of two
+    chains is refused, and the sweep goes on, when an edge joins them.
+    After the sweep, the bridge stage yields, untested, the union of
+    the chains of u and w for the first edge uw inside a layer above D
+    (lowest layer, then ascending u, w).  Three facts make this complete:
+    - No shared vertex.  The highest vertex x shared by two chains whose
+      tops differ is below both tops, so it has two neighbours one layer up.
+      Stage (c) at that layer, or c1-with-two-c2 when x is in C, answers for
+      such an x before any union reaching below it is formed.  The tops
+      always differ: a != b in (a), z off p is tested in (b), u != w in the
+      bridge stage.
+    - First failure.  If the first union refused for an edge is formed at
+      sweep layer i, one of the layers 2..i-1 holds an edge.  Else every
+      vertex of layers 1..i-1 has exactly one neighbour one layer down (D by
+      pair-plus-c2-neighbor, a deeper one since (a) would have answered for
+      a second) and none further down ((b) would have answered).  An edge
+      between the two chains, both in layers 0..i-1, is then no jump; across
+      consecutive layers, the lower end is the upper end's one down-neighbour
+      and so on both chains, a shared vertex; inside one layer, it is an
+      edge inside C, D or layers 2..i-1.
+    - The bridge stage answers.  Let L be the lowest layer above D that holds
+      an edge.  By the first failure no union formed at sweep layers 2..L is
+      refused, so none is formed there, and each vertex of layers 1..L has
+      one neighbour one layer down and none further.  The chains of the first
+      edge uw of L are then joined by uw alone, as above: a path.  If no
+      layer above D holds an edge, this holds in every layer, so every edge
+      joins consecutive layers.  The top vertex of a component, if above C,
+      then has only its down-neighbour: degree 1 = zeta, so it is cheap, in
+      C after all.  Each component then lies in the independent C, i.e. is
+      an isolated vertex, and g has none.  So the sweep or the bridge stage
+      always answers; if neither does, the invariant is broken and
+      CheapSetSearchError is raised.
 
     A Graph is wrapped in one Residual.  Its kept cheap state answers the
     first two stages and its kept second layer (`CheapState.second`) the
@@ -231,22 +273,12 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
             path.append(down(path[-1]))
         return path
 
-    def pair_union(a: int, b: int, joined: bool = False) -> set[int] | None:
-        """Union of the down-chains of a and b, or None when the pair-of-paths
-        argument does not apply: merged chains are owned by the up-merge stage
-        and cross edges by the stage at their own level.  With joined=True the
-        a-b edge itself is the expected bridge and is not a cross edge."""
-        ca, cb = chain(a), chain(b)
-        sa, sb = set(ca), set(cb)
-        if sa & sb:
+    def pair_union(a: int, b: int) -> set[int] | None:
+        """Union of the down-chains of a and b, or None when an edge joins them."""
+        ca, sb = chain(a), set(chain(b))
+        if any(adj[x] & sb for x in ca):
             return None
-        for x in ca:
-            hits = adj[x] & sb
-            if joined and x == a:
-                hits = hits - {b}
-            if hits:
-                return None
-        return sa | sb
+        return sb.union(ca)
 
     def candidates(stream: Iterator[frozenset[int]]) -> Iterator[tuple[set[int], str]]:
         def reach(i: int) -> bool:
@@ -290,13 +322,11 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
                 if len(ups) >= 2:
                     yield {ups[0], *chain(x)}, "layer-path"
             i += 1
-        # same-layer edges above the second layer, after all chains are clean
+        # the first same-layer edge above the second layer bridges two chains
         for i in range(2, len(layers)):
             for u, w in _inner_edges(r, layers[i]):
-                s = pair_union(u, w, joined=True)
-                if s is not None:
-                    yield s, "layer-path-pair-bridge"
-        yield set(r.vertices()), "whole-path-union"
+                yield {*chain(u), *chain(w)}, "layer-path-pair-bridge"
+        raise CheapSetSearchError("no 2-cheap candidate in any layer; the search invariant is broken")
 
     with closing(cheap_layers(second.r)) as stream:
         s, kind = next(candidates(islice(stream, 1, None)))     # past D, kept already

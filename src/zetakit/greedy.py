@@ -45,7 +45,8 @@ class TraceStep:
 @dataclass(frozen=True)
 class GreedyRun:
     """A greedy's result.  `anomalies` is always (), as a finder whose candidate
-    fails verification raises instead; it stays for its readers (`bench` rows)."""
+    fails verification raises instead; it stays because the benchmark pipeline
+    (`zkbench/pipeline.py`) and the pinned run digest in the tests read it."""
     chosen: frozenset[int]
     certificate: Fraction
     level: int                      # max degree allowed inside the chosen set
@@ -78,17 +79,11 @@ def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep]) -> Greed
 
 
 def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet]) -> GreedyRun:
-    """Drive rounds that take the finder's cheap set, delete its N[S] and bank N[S]'s weight.
-
-    A verified set carries both; only an unverified one (min_greedy's pick)
-    has them computed here.
-    """
+    """Drive rounds that take the finder's verified cheap set, delete its N[S]
+    and bank the weight of N[S] that the verification computed."""
     def pick(r: Residual) -> TraceStep:
         cs = finder(r)
-        closed, weight = cs.closed, cs.weight
-        if weight is None:
-            closed, weight = _weighed_neighborhood(r, r.zeta, cs.vertices, level)
-        return TraceStep(cs.kind, tuple(sorted(cs.vertices)), tuple(sorted(closed)), weight)
+        return TraceStep(cs.kind, tuple(sorted(cs.vertices)), tuple(sorted(cs.closed)), cs.weight)
 
     return _drive(g, level, pick)
 
@@ -111,7 +106,7 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
     heapify(heap)
     fell: set[int] = set()                 # vertices next to the last removed N[v]
 
-    def pick(r: Residual) -> CheapSet:
+    def pick(r: Residual) -> TraceStep:
         adj, alive = r.adj, r.alive
         for x in fell:
             if alive[x]:
@@ -134,9 +129,10 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
             fell.update(adj[w])
         fell.difference_update(adj[v])
         fell.discard(v)
-        return CheapSet(frozenset({v}), 0, "single-cheap")
+        closed, weight = _weighed_neighborhood(r, r.zeta, (v,), 0)
+        return TraceStep("single-cheap", (v,), tuple(sorted(closed)), weight)
 
-    return _with_finder(g, 0, pick)
+    return _drive(g, 0, pick)
 
 
 def cheap_greedy(g: Graph) -> GreedyRun:
@@ -144,18 +140,17 @@ def cheap_greedy(g: Graph) -> GreedyRun:
 
     Each round takes the cheap vertices once and builds two candidates: S1,
     a maximal independent subset accounted per bipartite component, and S2,
-    the grouped minimum-lambda subset, which always applies.  S1 wins when its
-    component lambdas are all >= 0 and its smallest is <= S2's lambda.  The
-    round banks the weight of N[S] at the winner's lambdas.  The certificate
-    is >= Z_1 of the input.
+    the grouped minimum-lambda subset of S1's zeta classes, which always
+    applies.  S1 wins when its component lambdas are all >= 0 and its
+    smallest is <= S2's lambda.  The round banks the weight of N[S] at the
+    winner's lambdas.  The certificate is >= Z_1 of the input.
     """
     def pick(r: Residual) -> TraceStep:
         zeta = r.zeta                      # a Residual is its own zeta profile
-        cheap = cheap_vertices(r)
-        s1 = _greedy_mis(r, cheap)
+        s1 = _greedy_mis(r, cheap_vertices(r))
         comps = _lambda_components(r, s1)
         lam1 = min(c.lam for c in comps)
-        lam2, _, s2 = _min_lambda_group(r, zeta, cheap)
+        lam2, _, s2 = _min_lambda_group(r, zeta, s1)
         if 0 <= lam1 <= lam2:
             s, lam, kind = s1, lam1, "component-lambda"
             contribution = sum((zeta_weight((zeta[v] for v in c.vertices), c.lam)

@@ -221,6 +221,36 @@ def test_greedy_mis_matches_scan_twin_exhaustive(dedup_suite):
             assert _greedy_mis(g, pool) == rebuild_greedy.greedy_mis(g, pool)
 
 
+# ── the class lemma behind _min_lambda_group ────────────────────────────────
+
+def greedy_splits_by_class(g):
+    """No edge of G[cheap] joins two zeta classes, and the greedy over all cheap
+    vertices, restricted to a class, is the greedy over that class alone.
+
+    Returns the number of classes checked."""
+    zeta = zeta_profile(g).zeta
+    cheap = cheap_vertices(g)
+    for u in cheap:
+        assert all(zeta[w] == zeta[u] for w in g.adj[u] & cheap), (g.edges(), u)
+    mis = _greedy_mis(g, cheap)
+    classes = {zeta[u] for u in cheap}
+    for z in classes:
+        cls = frozenset(u for u in cheap if zeta[u] == z)
+        assert mis & cls == _greedy_mis(g, cls), (g.edges(), z)
+    return len(classes)
+
+
+@given(graphs(min_n=0, max_n=24, ps=(0.0, 0.1, 0.25, 0.5, 0.8)))
+@settings(max_examples=150)
+def test_greedy_splits_by_zeta_class(g):
+    greedy_splits_by_class(g)
+
+
+def test_greedy_splits_by_zeta_class_exhaustive(dedup_suite):
+    counts = [greedy_splits_by_class(g) for n in range(1, 8) for g in dedup_suite[n]]
+    assert sum(c > 1 for c in counts) > 100     # graphs with several classes are checked
+
+
 # ── slow twin: every prefix's lambda recounted as a Fraction ────────────────
 
 def dense_subset_agrees(g, s):

@@ -25,7 +25,7 @@ from zetakit.oracle import enumerate_small_graphs
 _2CHEAP_KINDS = {
     "adjacent-pair", "triple-common-neighbor", "pair-plus-c2-neighbor",
     "c1-with-two-c2", "induced-path-4", "two-layer-paths", "layer-path",
-    "layer-path-pair-bridge", "whole-path-union",
+    "layer-path-pair-bridge",
 }
 
 
@@ -311,9 +311,10 @@ def test_find_2_cheap_ten_thousand_random_no_anomalies():
 
 
 def test_2_cheap_merged_chain_regression():
-    # chains from layer-3 vertices 0 and 3 both run down through vertex 5;
-    # their union {0, 1, 3, 5} has inner degree 3 at 5.  The fix yields the
-    # single layered path {upper neighbor} + chain instead.
+    # the layers are {1}, {5}, {0, 3}, {2, 4}: 0 and 3 both have 5 as their one
+    # neighbour one layer down, so their chains would merge at 5 (the union
+    # {0, 1, 3, 5} has inner degree 3 at 5).  Stage (c) of sweep layer 2
+    # answers first, with 0 and the chain of 5, before any chains could merge.
     g = build_graph(6, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3),
                         (2, 4), (3, 4), (3, 5)])
     cs = find_2_cheap(g)
@@ -323,10 +324,31 @@ def test_2_cheap_merged_chain_regression():
 
 
 def test_2_cheap_bridge_shapes():
-    # triangle with three pendants: needs the bridge/whole-union stages
+    # triangle 1-2-3 with three pendants: the layers are {0, 4, 5}, {1, 2, 3},
+    # and the first edge 1-2 inside the second gives the induced path 0-2-1-5
     g = build_graph(6, [(0, 2), (1, 2), (1, 3), (1, 5), (2, 3), (3, 4)])
     cs = find_2_cheap(g)
+    assert cs.kind == "induced-path-4"
     assert verify_k_cheap(g, cs.vertices, 2).ok
+
+
+def test_2_cheap_bridge_after_a_refused_union():
+    """The one union test the proofs keep: an edge between the two chains.
+
+    The layers are {7, 8, 10}, {4, 6, 9}, {2, 3, 5}, {0, 1}.  At sweep layer 3,
+    stage (a) finds 3 and 5 below vertex 1 and refuses the union of their
+    chains 3-4-7 and 5-6-8, which the edge 3-5 joins.  Nothing else in the
+    sweep answers, and the bridge stage takes 3-5, the first edge inside a
+    layer above D: the induced path 7-4-3-5-6-8.  Without the edge test,
+    stage (a) would answer, tagged two-layer-paths."""
+    g = build_graph(11, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 9), (3, 4), (3, 5),
+                         (4, 7), (5, 6), (6, 8), (9, 10)])
+    assert degeneracy.layer_decomposition(g).layers == (
+        frozenset({7, 8, 10}), frozenset({4, 6, 9}), frozenset({2, 3, 5}), frozenset({0, 1}))
+    cs = find_2_cheap(g)
+    assert cs.kind == "layer-path-pair-bridge"
+    assert cs.vertices == frozenset({3, 4, 5, 6, 7, 8})
+    assert cs == scan_finders.find_2_cheap(g)
 
 
 def test_cycles_and_paths_2_cheap():

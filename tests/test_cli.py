@@ -209,6 +209,17 @@ def test_greedy_min_seed_reproducible(tmp_path, capsys):
     assert rc == rc2 == 0 and a == b
 
 
+@pytest.mark.parametrize("algo, flag", [("2cheap", "--seed"), ("cheap", "--seed"),
+                                        ("forest-k", "--seed"), ("min", "--k"),
+                                        ("2cheap", "--k"), ("1cheap", "--k")])
+def test_greedy_rejects_a_flag_its_algorithm_ignores(tmp_path, capsys, algo, flag):
+    f = tmp_path / "p4.edges"
+    f.write_text("0 1\n1 2\n2 3\n")
+    rc, out, err = run(capsys, "greedy", "--algo", algo, flag, "4", str(f))
+    assert rc == 1 and out is None
+    assert f"{flag} applies only to" in err and "Traceback" not in err
+
+
 def test_oracle_command(tmp_path, capsys):
     f = tmp_path / "c7.edges"
     f.write_text("".join(f"{i} {(i + 1) % 7}\n" for i in range(7)))
