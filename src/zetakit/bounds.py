@@ -161,13 +161,18 @@ def strong_bound_component(g: Graph | Residual, profile: ZetaProfile | Residual,
     in this per-component form).  Then zeta + lambda >= 1 throughout: zeta >= 1
     off the isolated members of S, whose components have lambda = 1.
     """
-    comps = component_lambdas(g, profile, s)
+    _check_cheap_independent(g, profile, s)
+    return _component_bound(g, profile.zeta, s)
+
+
+def _component_bound(g: Graph | Residual, zeta, s: frozenset[int]) -> BoundValue:
+    """strong_bound_component for an S known to be a nonempty independent set of cheap vertices."""
+    comps = _lambda_components(g, s)
     neg = [c for c in comps if c.lam < 0]
     if neg:
         worst = min(neg, key=lambda c: c.lam)
         return Inapplicable(
             f"component with lambda {worst.lam} < 0 (vertices {sorted(worst.vertices)[:6]}...)")
-    zeta = profile.zeta
     covered = set().union(*(c.vertices for c in comps))
     return (sum((zeta_weight((zeta[v] for v in c.vertices), c.lam) for c in comps), Fraction(0))
             + zeta_weight((zeta[v] for v in g.vertices() if v not in covered), 1))
@@ -295,8 +300,12 @@ def strong_bound_grouped(g: Graph | Residual, profile: ZetaProfile | Residual | 
     if g.n == 0:
         return Inapplicable("empty graph")
     prof = profile or profile_of(g)
-    zeta = prof.zeta
-    lam, zval, subset = _min_lambda_group(g, zeta, independent_cheap_set(g, prof))
+    return _grouped_bound(g, prof.zeta, independent_cheap_set(g, prof))
+
+
+def _grouped_bound(g: Graph | Residual, zeta, s: frozenset[int]) -> GroupedBound:
+    """strong_bound_grouped for s = `_greedy_mis` of the cheap vertices, nonempty."""
+    lam, zval, subset = _min_lambda_group(g, zeta, s)
     closed = closed_neighborhood(g, subset)
     value = (zeta_weight((zeta[v] for v in closed), lam)
              + zeta_weight((zeta[v] for v in g.vertices() if v not in closed), 1))
@@ -312,6 +321,9 @@ def forest_z_closed_form(n: int, isolated: int, k: int) -> Fraction:
 
 def full_bound_report(g: Graph, profile: ZetaProfile | None = None) -> dict[str, BoundValue]:
     """Every bound this library knows, keyed by its report name.
+
+    strong_component and strong_grouped share one `independent_cheap_set`;
+    built here, it needs none of the public functions' input checks.
 
     forest_zk is the forest closed form at k=1 (it must equal z2 exactly on
     forests — kept as a cross-check witness, inapplicable elsewhere).
@@ -333,10 +345,9 @@ def full_bound_report(g: Graph, profile: ZetaProfile | None = None) -> dict[str,
         report["forest_zk"] = Inapplicable("empty graph")
         return report
     report["turan_zeta"] = turan_zeta(g, prof)
-    report["strong_component"] = strong_bound_component(
-        g, prof, independent_cheap_set(g, prof))
-    grouped = strong_bound_grouped(g, prof)
-    report["strong_grouped"] = grouped if isinstance(grouped, Inapplicable) else grouped.value
+    s = independent_cheap_set(g, prof)
+    report["strong_component"] = _component_bound(g, prof.zeta, s)
+    report["strong_grouped"] = _grouped_bound(g, prof.zeta, s).value
     report.update(baseline_bounds(g))
     if is_forest(g):
         isolated = sum(1 for a in g.adj if not a)

@@ -28,6 +28,8 @@ from .greedy import (GreedyRun, cheap_greedy, forest_k_greedy, min_greedy,
 from .oracle import GeneratorSpec, exact_alpha_k, generate, is_in_family_F
 
 SCHEMA = "zeta-kit/1"
+# a DIMACS header declaring more vertices is refused before anything is allocated
+MAX_DIMACS_VERTICES = 10**6
 
 
 class ParseError(ValueError):
@@ -92,7 +94,9 @@ def serialize_edge_list(doc: GraphDocument) -> str:
 def parse_dimacs(text: str) -> GraphDocument:
     """DIMACS: "c" comments, one "p edge N M" header, "e u v" 1-based edges.
 
-    Header edge-count mismatches (after dedup) are warnings, not errors.
+    Header edge-count mismatches (after dedup) are warnings, not errors.  A
+    header N above MAX_DIMACS_VERTICES is an error: every declared vertex
+    costs a neighbour set and a label, whether or not an edge names it.
     """
     n = None
     m_declared = 0
@@ -112,6 +116,9 @@ def parse_dimacs(text: str) -> GraphDocument:
                 raise ParseError(f"line {lineno}: non-integer header counts") from None
             if n < 0 or m_declared < 0:
                 raise ParseError(f"line {lineno}: negative header counts")
+            if n > MAX_DIMACS_VERTICES:
+                raise ParseError(f"line {lineno}: header declares {n} vertices, "
+                                 f"more than the limit of {MAX_DIMACS_VERTICES}")
             continue
         if tokens[0] == "e":
             if n is None:

@@ -8,14 +8,16 @@ zeta(v) is the largest minimum degree over all induced subgraphs containing v
 peel, level by level: at level k every vertex whose degree among the
 unpeeled vertices is at most k is peeled with zeta = k.
 
-A `Residual` is the mutable graph that the greedy rounds and the layer
-decomposition delete from.  It keeps the original vertex ids and carries its
-own coreness: built with one `zeta_profile`, then repaired locally on
-per-vertex support counts after each deletion instead of being recomputed.
-Once asked, it keeps its cheap set the same way, and a deletion can be rolled
-back from an undo log.  The second cheap layer, the cheap set of the live
-graph minus the first, is kept on a second Residual that also takes vertices
-back (`Residual.insert`), brought up to date when it is next read.
+A `Residual` is the mutable graph that the greedy rounds delete from.  It
+keeps the original vertex ids and carries its own coreness: built with one
+`zeta_profile`, then repaired locally on per-vertex support counts after each
+deletion instead of being recomputed.  Once asked, it keeps its cheap set
+the same way, and a deletion can be rolled back from an undo log.  The second
+cheap layer, the cheap set of the live graph minus the first, is kept on a
+second Residual that also takes vertices back (`Residual.insert`), brought up
+to date when it is next read.  The layer decomposition of a Graph makes the
+same repair on plain per-vertex lists over the frozen adjacency, with no
+Residual (see cheap_layers).
 """
 from __future__ import annotations
 
@@ -81,7 +83,7 @@ class Residual:
     count the live vertices and edges.  It answers the read-only calls the
     finders and bound helpers make of a Graph (vertices(), adj, n, m), and
     it serves as its own zeta profile wherever one is taken.  Built from a
-    Graph with one `zeta_profile`, or none when that profile is handed in.
+    Graph with one `zeta_profile`.
 
     support[v] counts v's live neighbours w with zeta[w] >= zeta[v] (the
     max-core degree of Sariyuce et al., VLDB 2013); it is built in one pass
@@ -96,10 +98,10 @@ class Residual:
     deleted vertex live again; only the kept second layer uses it.
     """
 
-    def __init__(self, g: Graph, profile: ZetaProfile | None = None):
+    def __init__(self, g: Graph):
         self.adj: list[set[int]] = [set(a) for a in g.adj]
         self.alive = [True] * g.n
-        zeta = self.zeta = list((profile or zeta_profile(g)).zeta)
+        zeta = self.zeta = list(zeta_profile(g).zeta)
         self.support = [len([w for w in a if zeta[w] >= z]) for a, z in zip(g.adj, zeta)]
         self.n = g.n
         self.m = g.m
@@ -306,12 +308,13 @@ class Residual:
                 support[v] = c
 
 
-def _fall(zeta: list[int], nbrs: set[int], old: int) -> tuple[int, int]:
+def _fall(zeta: list[int], nbrs: Iterable[int], old: int) -> tuple[int, int]:
     """The value a vertex of zeta `old` with neighbours `nbrs` falls to, and its support there.
 
     The value is the h-index of the neighbours' zeta capped at old - 1: the
     largest h < old with h neighbours of zeta >= h.  The support is the
-    number of neighbours of zeta >= that value.
+    number of neighbours of zeta >= that value.  A neighbour of zeta 0 (a
+    deleted one, in _graph_layers) counts only toward a support at value 0.
     """
     values = sorted([zeta[w] for w in nbrs], reverse=True)
     new = min(old - 1, len(values))
@@ -634,34 +637,90 @@ def cheap_layers(g: Graph | Residual,
                  profile: ZetaProfile | None = None) -> Iterator[frozenset[int]]:
     """The cheap layers of g in stripping order, each stripped when it is asked for.
 
-    The first layer is g's own cheap set: the kept one when g is a Residual
-    that has built its `cheap_state`.  The others are stripped one delete per
-    layer, on a Residual built from g when g is a Graph, or on g itself when
-    g is a Residual.  Then every delete goes into one undo log, and g is
-    rolled back when the stream ends or is closed, so a reader that stops
-    early closes it (`contextlib.closing`) before it reads g again.  The
-    2-cheap finder reads it on the second layer's Residual (see
-    SecondLayer), so that its first layer is the kept D and the strips never
-    touch the residual the finder answers for.  After a
-    delete only the vertices whose degree or zeta changed are rechecked: the
-    others were not cheap, and cheapness depends only on deg and zeta (see
-    cheap_vertices).  Each nonempty residual has a cheap vertex, so the
-    layers cover every live vertex.  A profile handed in for a Graph saves
-    the Residual its own `zeta_profile`.
+    Each layer is the cheap set of what the layers before it leave.  After a
+    layer goes, only the vertices whose degree or zeta changed are
+    rechecked: the others were not cheap, and cheapness depends only on deg
+    and zeta (see cheap_vertices).  Each nonempty residual has a cheap
+    vertex, so the layers cover every live vertex.  There are two strips:
+
+    - A Graph is stripped on plain lists (see _graph_layers), with one
+      `zeta_profile`, or none when a profile is handed in.  Nothing reads
+      that residual but the strip, so it needs no neighbour sets of its own
+      and no undo.
+    - A Residual is stripped in place, one delete per layer, its first layer
+      the kept cheap set when it has built its `cheap_state`.  Every delete
+      goes into one undo log, and g is rolled back when the stream ends or
+      is closed, so a reader that stops early closes it
+      (`contextlib.closing`) before it reads g again.  The 2-cheap finder
+      reads it on the second layer's Residual (see SecondLayer), so that its
+      first layer is the kept D, each layer below D costs only what it
+      touches, and the strips never touch the residual the finder answers
+      for.
     """
     if isinstance(g, Residual):
-        r, log = g, []
-        cheap = frozenset(g._cheap.cheap) if g._cheap else cheap_vertices(g)
-    else:
-        r, log = Residual(g, profile), None
-        cheap = cheap_vertices(r)
+        return _residual_layers(g)
+    return _graph_layers(g, profile)
+
+
+def _residual_layers(r: Residual) -> Iterator[frozenset[int]]:
+    log: list = []
+    cheap = frozenset(r._cheap.cheap) if r._cheap else cheap_vertices(r)
     try:
         while cheap:
             yield cheap
             cheap = _cheap_among(r, r.zeta, r.delete(cheap, log))
     finally:
-        if log:
-            r.undo(log)
+        r.undo(log)
+
+
+def _graph_layers(g: Graph, profile: ZetaProfile | None) -> Iterator[frozenset[int]]:
+    """cheap_layers of a Graph, on four lists: live degree, alive, zeta and support.
+
+    zeta and support start as Residual's do, and each layer's deletion
+    repairs them by the rule of Residual.delete: the live neighbours of a
+    deleted vertex lose one degree, and one support where their zeta is at
+    most its zeta; a vertex whose support falls below its zeta falls to
+    `_fall` and takes one support from each neighbour w with new < zeta[w]
+    <= old.  A deleted vertex's zeta is set to 0, so it neither counts in a
+    neighbour's `_fall` above level 0 nor ever loses a support.
+    """
+    adj = g.adj
+    zeta = list((profile or zeta_profile(g)).zeta)
+    deg = [len(a) for a in adj]
+    alive = [True] * g.n
+    support = [len([w for w in a if zeta[w] >= z]) for a, z in zip(adj, zeta)]
+    cheap = frozenset(u for u in range(g.n) if zeta[u] == deg[u])
+    while cheap:
+        yield cheap
+        for v in cheap:
+            alive[v] = False
+        changed: set[int] = set()
+        pending: set[int] = set()
+        for v in cheap:
+            zv = zeta[v]
+            for u in adj[v]:
+                if alive[u]:
+                    deg[u] -= 1
+                    changed.add(u)
+                    zu = zeta[u]
+                    if zu <= zv:
+                        support[u] -= 1
+                        if support[u] < zu:
+                            pending.add(u)
+            zeta[v] = 0
+        while pending:
+            v = pending.pop()
+            old = zeta[v]
+            new, support[v] = _fall(zeta, adj[v], old)
+            zeta[v] = new
+            changed.add(v)
+            for w in adj[v]:
+                zw = zeta[w]
+                if new < zw <= old:
+                    support[w] -= 1
+                    if support[w] < zw:
+                        pending.add(w)
+        cheap = frozenset(u for u in changed if zeta[u] == deg[u])
 
 
 def layer_decomposition(g: Graph | Residual,
@@ -669,7 +728,8 @@ def layer_decomposition(g: Graph | Residual,
     """Iteratively strip the cheap vertices of what is left (see cheap_layers).
 
     layers[i] holds the vertex ids removed at step i+1; every live vertex is
-    assigned a layer.
+    assigned a layer.  A Graph is stripped on plain lists, a Residual in
+    place and then rolled back.
     """
     layers = tuple(cheap_layers(g, profile))
     layer_of = [-1] * len(g.adj)

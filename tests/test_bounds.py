@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rebuild_greedy
 import zetakit
-from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
+from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
                       graphs, graphs_with_edges, path_graph, random_forest,
                       star_graph)
 from zetakit.bounds import (GroupedBound, Inapplicable, _greedy_mis, baseline_bounds,
@@ -359,6 +359,27 @@ def test_full_report_keys_and_empty_graph():
     assert empty["z1"] == 0 and empty["caro_wei"] == 0
     assert isinstance(empty["turan_zeta"], Inapplicable)
     assert isinstance(empty["strong_grouped"], Inapplicable)
+
+
+def test_report_builds_one_independent_cheap_set(monkeypatch):
+    """Both strengthened bounds of a report come from one greedy independent
+    cheap set, one cheap_vertices pass and one _greedy_mis, and equal what the
+    public functions give."""
+    suite = [gnp(40, 0.1, seed) for seed in range(4)] + [path_graph(6), star_graph(5)]
+    want = []
+    for g in suite:
+        prof = zeta_profile(g)
+        want.append((strong_bound_component(g, prof, independent_cheap_set(g, prof)),
+                     strong_bound_grouped(g, prof).value))
+    cheap = count_calls(monkeypatch, zetakit.degeneracy, "cheap_vertices")
+    mis = count_calls(monkeypatch, zetakit.bounds, "_greedy_mis")
+    for g, expected in zip(suite, want):
+        prof = zeta_profile(g)
+        cheap.clear()
+        mis.clear()
+        report = full_bound_report(g, prof)
+        assert (report["strong_component"], report["strong_grouped"]) == expected
+        assert (len(cheap), len(mis)) == (1, 1)
 
 
 def test_forest_zk_only_on_forests():

@@ -302,6 +302,15 @@ def test_exit_dimacs_edge_before_header(tmp_path, capsys):
     assert rc == 2 and "line 1" in err
 
 
+def test_exit_dimacs_header_above_the_vertex_limit(tmp_path, capsys):
+    """Refused before a vertex is allocated: building 10^20 sets would never end."""
+    f = tmp_path / "huge.dimacs"
+    f.write_text("p edge 99999999999999999999 0\n")
+    rc, out, err = run(capsys, "zeta", str(f))
+    assert rc == 2 and out is None and "Traceback" not in err
+    assert "line 1" in err and str(cli.MAX_DIMACS_VERTICES) in err
+
+
 def test_exit_non_utf8_file(tmp_path, capsys):
     f = tmp_path / "latin1.edges"
     f.write_bytes("caf\xe9 b\n".encode("latin-1"))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_finders
-from conftest import (complete_bipartite, complete_graph, cycle_graph, gnp,
+from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
                       graphs, path_graph, star_graph)
 from zetakit import degeneracy
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
@@ -163,22 +163,48 @@ def rebuilt_layers(g):
     return tuple(scan_finders.rebuilt_layers(g))
 
 
+def every_strip(g):
+    """layer_decomposition of g by both strips: on a Graph, with and without a
+    profile handed in, and on a Residual."""
+    return (layer_decomposition(g), layer_decomposition(g, zeta_profile(g)),
+            layer_decomposition(Residual(g)))
+
+
 @given(graphs(max_n=16))
 @settings(max_examples=60)
 def test_layers_partition_and_recompute(g):
-    dec = layer_decomposition(g)
+    dec, *others = every_strip(g)
     flat = [v for layer in dec.layers for v in layer]
     assert sorted(flat) == list(range(g.n))
     assert all(dec.layer_of[v] == i
                for i, layer in enumerate(dec.layers) for v in layer)
     # layer i is exactly the cheap set of the graph with layers < i stripped
     assert dec.layers == rebuilt_layers(g)
+    assert all(other == dec for other in others)
 
 
 def test_layers_match_rebuild_on_all_small_graphs(dedup_suite):
     for n, suite in dedup_suite.items():
         for g in suite:
-            assert layer_decomposition(g).layers == rebuilt_layers(g), g.edges()
+            want = rebuilt_layers(g)
+            assert all(dec.layers == want for dec in every_strip(g)), g.edges()
+
+
+def test_graph_layers_build_no_residual(monkeypatch):
+    """A Graph is stripped on plain lists: no Residual is built, and zeta_profile
+    runs once, or not at all when the profile is handed in."""
+    g = gnp(300, 8 / 300, 3)
+    prof = zeta_profile(g)
+    residuals, init = [], Residual.__init__
+
+    def counted_init(self, *args):
+        residuals.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Residual, "__init__", counted_init)
+    profiles = count_calls(monkeypatch, degeneracy, "zeta_profile")
+    assert layer_decomposition(g) == layer_decomposition(g, prof)
+    assert (len(residuals), len(profiles)) == (0, 1)
 
 
 def test_every_h_index_lowers_a_zeta(monkeypatch):
