@@ -2,9 +2,9 @@
 
 Every value below is an exact fractions.Fraction; nothing here ever rounds.
 The sums and comparisons under those values run on integers: each weight sum
-builds one Fraction, each lambda is one Fraction of integer counts, and the
-candidate prefixes of a dense subset are compared by cross-multiplication.
-The headline quantity is
+builds one Fraction, each distinct lambda is one Fraction of integer counts,
+and the candidate prefixes of a dense subset are compared by
+cross-multiplication.  The headline quantity is
 
     Z_k(G) = sum_v min{1, 1/(zeta(v) + 1/k)}        (k >= 1)
 
@@ -12,17 +12,20 @@ which lower-bounds the (k-1)-independence number; Z_1, Z_2 and Z_3 are
 proven bounds on alpha_0, alpha_1 and alpha_2.  The "strong" variants replace
 the shift on N[S] by a lambda derived from an independent set S of cheap
 vertices; lambda may be negative, which is where they beat Z_1.  Every such
-sum is `degeneracy.zeta_weight`, one call per shift.
+sum is `degeneracy.zeta_weight` or its histogram form, one call per
+distinct shift.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from typing import Iterator
 
-from .degeneracy import (Residual, ZetaProfile, cheap_vertices, profile_of, zeta_profile,
-                         zeta_weight)
+from .degeneracy import (Residual, ZetaProfile, cheap_vertices, histogram_weight, profile_of,
+                         zeta_profile, zeta_weight)
 from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
 
 
@@ -66,7 +69,7 @@ def z_bound(g: Graph, k: int, profile: ZetaProfile | None = None) -> Fraction:
 
 def caro_wei(g: Graph) -> Fraction:
     """Classical degree-based bound sum 1/(deg(v)+1); Z_1 always dominates it."""
-    return zeta_weight((len(a) for a in g.adj), 1)
+    return zeta_weight(map(len, g.adj), 1)
 
 
 def turan_zeta(g: Graph, profile: ZetaProfile | None = None) -> Fraction:
@@ -86,13 +89,18 @@ def baseline_bounds(g: Graph) -> dict[str, BoundValue]:
     """
     if g.n == 0:
         raise GraphInputError("baseline_bounds needs at least one vertex")
+    return _baselines(g)
+
+
+def _baselines(g: Graph, caro: Fraction | None = None) -> dict[str, BoundValue]:
+    """baseline_bounds of a nonempty g; caro is caro_wei(g) when the caller has it."""
     dbar = Fraction(2 * g.m, g.n)
     out: dict[str, BoundValue] = {
         "ch_a1": Fraction(2 * g.n, math.ceil(dbar) + 2),
         "ch_a2": Fraction(3 * g.n) / (dbar + 3),
     }
     if min(len(a) for a in g.adj) >= 2:
-        out["caro_tuza_a1"] = Fraction(3, 2) * caro_wei(g)
+        out["caro_tuza_a1"] = Fraction(3, 2) * (caro_wei(g) if caro is None else caro)
     else:
         out["caro_tuza_a1"] = Inapplicable("requires minimum degree >= 2")
     return out
@@ -119,37 +127,65 @@ def component_lambdas(g: Graph | Residual, profile: ZetaProfile | Residual,
     """Split the bipartite graph (S, N(S)) into components and compute lambda.
 
     Only S-to-N(S) edges count; edges inside N(S) are ignored.  Components are
-    returned in order of their smallest vertex id.
+    returned in order of their least member of S.
     """
     _check_cheap_independent(g, profile, s)
-    return _lambda_components(g, s)
+    return [ComponentLambda(frozenset(members), s_n, t_n, e, Fraction(s_n - e + t_n, s_n))
+            for members, s_n, t_n, e in _components(g, s)]
 
 
-def _lambda_components(g: Graph | Residual, s: frozenset[int]) -> list[ComponentLambda]:
-    """component_lambdas for an S known to be a nonempty independent set of cheap vertices."""
+def _components(g: Graph | Residual, s: frozenset[int]
+                ) -> Iterator[tuple[list[int], int, int, int]]:
+    """The components of (S, N(S)) for an independent S, in order of their least
+    member of S, each as (members, |S side|, |N side|, edges)."""
+    adj = g.adj
     seen: set[int] = set()
-    comps: list[ComponentLambda] = []
     for root in sorted(s):
         if root in seen:
             continue
-        stack = [root]
         seen.add(root)
-        members: set[int] = set()
-        while stack:
-            v = stack.pop()
-            members.add(v)
-            nxt = g.adj[v] if v in s else (g.adj[v] & s)
-            for u in nxt:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        side_s = members & s
-        side_t = members - s
-        e = sum(len(g.adj[v]) for v in side_s)   # S is independent: all edges leave S
-        s_n, t_n = len(side_s), len(side_t)
-        comps.append(ComponentLambda(frozenset(members), s_n, t_n, e,
-                                     Fraction(s_n - e + t_n, s_n)))
-    return comps
+        members, s_n, e = [root], 0, 0
+        for v in members:                  # the walk appends what it reaches
+            if v in s:
+                s_n += 1
+                e += len(adj[v])           # S is independent: all edges leave S
+                new = adj[v] - seen
+            else:
+                new = (adj[v] & s) - seen
+            seen |= new
+            members += new
+        yield members, s_n, len(members) - s_n, e
+
+
+def _lambda_parts(g: Graph | Residual, s: frozenset[int]
+                  ) -> tuple[dict[Fraction, list[int]], Fraction, list[int]]:
+    """The members of the components of (S, N(S)), S nonempty, grouped by lambda =
+    (s - e + t)/s; the least lambda; and the members of the first component with it.
+
+    A part is weighed in one sum: at a fixed shift, the sum over a union is
+    the sum over its parts.
+    """
+    parts: dict[tuple[int, int], tuple[int, list[int]]] = {}   # (size of the first, members)
+    for members, s_n, t_n, e in _components(g, s):
+        num = s_n - e + t_n
+        d = math.gcd(num, s_n)                                     # lambda in lowest terms
+        parts.setdefault((num // d, s_n // d), (len(members), []))[1].extend(members)
+    lams = {Fraction(*key): part for key, part in parts.items()}
+    least = min(lams)
+    size, vs = lams[least]
+    return {lam: members for lam, (_, members) in lams.items()}, least, vs[:size]
+
+
+def _weigh_parts(zeta, hist: Counter, parts: dict[Fraction, list[int]]) -> Fraction:
+    """Weigh each part's vertices at its lambda and the other vertices, whose
+    zeta values are hist less the parts', at shift 1."""
+    rest = hist.copy()
+    total = Fraction(0)
+    for lam, vs in parts.items():
+        counts = Counter(map(zeta.__getitem__, vs))
+        rest.subtract(counts)
+        total += histogram_weight(counts, lam)
+    return total + histogram_weight(+rest, 1)
 
 
 def strong_bound_component(g: Graph | Residual, profile: ZetaProfile | Residual,
@@ -162,20 +198,17 @@ def strong_bound_component(g: Graph | Residual, profile: ZetaProfile | Residual,
     off the isolated members of S, whose components have lambda = 1.
     """
     _check_cheap_independent(g, profile, s)
-    return _component_bound(g, profile.zeta, s)
+    zeta = profile.zeta
+    return _component_bound(g, zeta, s, Counter(map(zeta.__getitem__, g.vertices())))
 
 
-def _component_bound(g: Graph | Residual, zeta, s: frozenset[int]) -> BoundValue:
-    """strong_bound_component for an S known to be a nonempty independent set of cheap vertices."""
-    comps = _lambda_components(g, s)
-    neg = [c for c in comps if c.lam < 0]
-    if neg:
-        worst = min(neg, key=lambda c: c.lam)
-        return Inapplicable(
-            f"component with lambda {worst.lam} < 0 (vertices {sorted(worst.vertices)[:6]}...)")
-    covered = set().union(*(c.vertices for c in comps))
-    return (sum((zeta_weight((zeta[v] for v in c.vertices), c.lam) for c in comps), Fraction(0))
-            + zeta_weight((zeta[v] for v in g.vertices() if v not in covered), 1))
+def _component_bound(g: Graph | Residual, zeta, s: frozenset[int], hist: Counter) -> BoundValue:
+    """strong_bound_component for an S known to be a nonempty independent set of
+    cheap vertices; hist counts the zeta values of g's vertices."""
+    parts, least, first = _lambda_parts(g, s)
+    if least < 0:
+        return Inapplicable(f"component with lambda {least} < 0 (vertices {sorted(first)[:6]}...)")
+    return _weigh_parts(zeta, hist, parts)
 
 
 def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int]:
@@ -300,15 +333,16 @@ def strong_bound_grouped(g: Graph | Residual, profile: ZetaProfile | Residual | 
     if g.n == 0:
         return Inapplicable("empty graph")
     prof = profile or profile_of(g)
-    return _grouped_bound(g, prof.zeta, independent_cheap_set(g, prof))
+    zeta = prof.zeta
+    return _grouped_bound(g, zeta, independent_cheap_set(g, prof),
+                          Counter(map(zeta.__getitem__, g.vertices())))
 
 
-def _grouped_bound(g: Graph | Residual, zeta, s: frozenset[int]) -> GroupedBound:
-    """strong_bound_grouped for s = `_greedy_mis` of the cheap vertices, nonempty."""
+def _grouped_bound(g: Graph | Residual, zeta, s: frozenset[int], hist: Counter) -> GroupedBound:
+    """strong_bound_grouped for s = `_greedy_mis` of the cheap vertices, nonempty;
+    hist counts the zeta values of g's vertices."""
     lam, zval, subset = _min_lambda_group(g, zeta, s)
-    closed = closed_neighborhood(g, subset)
-    value = (zeta_weight((zeta[v] for v in closed), lam)
-             + zeta_weight((zeta[v] for v in g.vertices() if v not in closed), 1))
+    value = _weigh_parts(zeta, hist, {lam: closed_neighborhood(g, subset)})
     return GroupedBound(value=value, subset=subset, lam=lam, group_zeta=zval)
 
 
@@ -323,18 +357,18 @@ def full_bound_report(g: Graph, profile: ZetaProfile | None = None) -> dict[str,
     """Every bound this library knows, keyed by its report name.
 
     strong_component and strong_grouped share one `independent_cheap_set`;
-    built here, it needs none of the public functions' input checks.
+    built here, it needs none of the public functions' input checks.  One
+    zeta histogram serves z1, z2, z3 and both strong bounds, and one
+    caro_wei serves caro_tuza_a1.
 
     forest_zk is the forest closed form at k=1 (it must equal z2 exactly on
     forests — kept as a cross-check witness, inapplicable elsewhere).
     """
     prof = profile or zeta_profile(g)
-    report: dict[str, BoundValue] = {
-        "z1": z_bound(g, 1, prof),
-        "z2": z_bound(g, 2, prof),
-        "z3": z_bound(g, 3, prof),
-        "caro_wei": caro_wei(g),
-    }
+    hist = Counter(prof.zeta)
+    report: dict[str, BoundValue] = {f"z{k}": histogram_weight(hist, Fraction(1, k))
+                                     for k in (1, 2, 3)}
+    report["caro_wei"] = caro_wei(g)
     if g.n == 0:
         report["turan_zeta"] = Inapplicable("empty graph")
         report["strong_component"] = Inapplicable("empty graph")
@@ -346,9 +380,9 @@ def full_bound_report(g: Graph, profile: ZetaProfile | None = None) -> dict[str,
         return report
     report["turan_zeta"] = turan_zeta(g, prof)
     s = independent_cheap_set(g, prof)
-    report["strong_component"] = _component_bound(g, prof.zeta, s)
-    report["strong_grouped"] = _grouped_bound(g, prof.zeta, s).value
-    report.update(baseline_bounds(g))
+    report["strong_component"] = _component_bound(g, prof.zeta, s, hist)
+    report["strong_grouped"] = _grouped_bound(g, prof.zeta, s, hist).value
+    report.update(_baselines(g, report["caro_wei"]))
     if is_forest(g):
         isolated = sum(1 for a in g.adj if not a)
         report["forest_zk"] = forest_z_closed_form(g.n, isolated, 1)

@@ -1,7 +1,8 @@
 """Degenerate degree (zeta) profiles, their weight sum, cheap vertices, and layer decompositions.
 
 The weight sum `zeta_weight` returns an exact Fraction, but it sums in
-integers and builds that Fraction once, at the end.
+integers and builds that Fraction once, at the end; `histogram_weight` is
+the same sum over a histogram of the values.
 
 zeta(v) is the largest minimum degree over all induced subgraphs containing v
 — equivalently v's coreness.  It is computed in linear time by one bucket
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .graph import Graph, GraphInputError
 
@@ -587,17 +588,22 @@ def zeta_oracle(g: Graph) -> tuple[int, ...]:
 
 
 def zeta_weight(values: Iterable[int], shift: Fraction | int) -> Fraction:
-    """Sum of min{1, 1/(z + shift)} over the multiset of integers `values`.
+    """Sum of min{1, 1/(z + shift)} over the multiset of integers `values`."""
+    return histogram_weight(Counter(values), shift)
+
+
+def histogram_weight(counts: Mapping[int, int], shift: Fraction | int) -> Fraction:
+    """zeta_weight of the multiset that holds each z counts[z] > 0 times.
 
     With shift = p/q (q > 0) a term is q/(qz + p), or 1 when 0 < qz + p <= q.
     The distinct values are summed as one integer numerator over the product
     of their denominators, and the result is the one Fraction built from
-    them, so the cost is O(len(values)) integer steps plus integer work per
-    distinct value.  z + shift = 0 raises ZeroDivisionError.
+    them, so the cost is integer work per distinct value.  z + shift = 0
+    raises ZeroDivisionError.
     """
     p, q = shift.numerator, shift.denominator
     ones, num, den = 0, 0, 1
-    for z, count in Counter(values).items():
+    for z, count in counts.items():
         d = q * z + p
         if 0 < d <= q:
             ones += count

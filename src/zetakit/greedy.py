@@ -24,9 +24,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Callable
 
-from .bounds import _greedy_mis, _lambda_components, _min_lambda_group
+from .bounds import _greedy_mis, _lambda_parts, _min_lambda_group
 from .cheap_sets import (CheapSet, _weighed_neighborhood, find_1_cheap, find_2_cheap,
                          find_k_cheap_forest)
 from .degeneracy import Residual, cheap_vertices, zeta_weight
@@ -143,23 +144,24 @@ def cheap_greedy(g: Graph) -> GreedyRun:
     the grouped minimum-lambda subset of S1's zeta classes, which always
     applies.  S1 wins when its component lambdas are all >= 0 and its
     smallest is <= S2's lambda.  The round banks the weight of N[S] at the
-    winner's lambdas.  The certificate is >= Z_1 of the input.
+    winner's lambdas, one weight sum per distinct lambda, and only the
+    winner is weighed.  The certificate is >= Z_1 of the input.
     """
     def pick(r: Residual) -> TraceStep:
         zeta = r.zeta                      # a Residual is its own zeta profile
         s1 = _greedy_mis(r, cheap_vertices(r))
-        comps = _lambda_components(r, s1)
-        lam1 = min(c.lam for c in comps)
+        parts, lam1, _ = _lambda_parts(r, s1)
         lam2, _, s2 = _min_lambda_group(r, zeta, s1)
         if 0 <= lam1 <= lam2:
             s, lam, kind = s1, lam1, "component-lambda"
-            contribution = sum((zeta_weight((zeta[v] for v in c.vertices), c.lam)
-                                for c in comps), Fraction(0))
+            closed = chain.from_iterable(parts.values())    # the components cover N[S1]
+            contribution = sum((zeta_weight(map(zeta.__getitem__, vs), part_lam)
+                                for part_lam, vs in parts.items()), Fraction(0))
         else:
             s, lam, kind = s2, lam2, "grouped-lambda"
-            contribution = zeta_weight((zeta[v] for v in closed_neighborhood(r, s)), lam)
-        return TraceStep(kind, tuple(sorted(s)), tuple(sorted(closed_neighborhood(r, s))),
-                         contribution, lam)
+            closed = closed_neighborhood(r, s)
+            contribution = zeta_weight(map(zeta.__getitem__, closed), lam)
+        return TraceStep(kind, tuple(sorted(s)), tuple(sorted(closed)), contribution, lam)
 
     return _drive(g, 0, pick)
 

@@ -1,5 +1,6 @@
 """Exact-rational lower bounds and the lambda strengthening."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import compress
 
@@ -19,7 +20,7 @@ from zetakit.bounds import (GroupedBound, Inapplicable, _greedy_mis, baseline_bo
                             strong_bound_grouped, turan_zeta, z_bound)
 from zetakit.degeneracy import cheap_vertices, zeta_profile, zeta_weight
 from zetakit.graph import (GraphInputError, build_graph, closed_neighborhood,
-                           connected_components)
+                           connected_components, is_forest)
 from zetakit.oracle import exact_alpha_k
 
 
@@ -184,23 +185,39 @@ def twin_lambda_bound(g, zeta, parts):
                        Fraction(0))
 
 
-@given(graphs(max_n=16))
-@settings(max_examples=100)
-def test_weight_sums_match_per_vertex_twin(g):
+def weight_sums_match_twin(g):
+    """The weight sums against the per-vertex twin, the components taken from
+    `rebuild_greedy.lambda_components`.  Where a component's lambda is negative
+    the reason names the first component of least lambda, in order of least
+    member of S, and its six least vertices: zkbench digests that string."""
     prof = zeta_profile(g)
     for k in (1, 2, 3):
         assert z_bound(g, k, prof) == twin_z_bound(prof.zeta, k)
     assert caro_wei(g) == sum((Fraction(1, len(a) + 1) for a in g.adj), Fraction(0))
     s = independent_cheap_set(g, prof)
-    comps = component_lambdas(g, prof, s)
+    comps = sorted(rebuild_greedy.lambda_components(g, s), key=lambda c: min(c[0] & s))
     got = strong_bound_component(g, prof, s)
-    if all(c.lam >= 0 for c in comps):
-        assert got == twin_lambda_bound(g, prof.zeta, [(c.vertices, c.lam) for c in comps])
+    worst, least = min(comps, key=lambda c: c[1])
+    if least >= 0:
+        assert got == twin_lambda_bound(g, prof.zeta, comps)
     else:
-        assert isinstance(got, Inapplicable)
+        assert got == Inapplicable(
+            f"component with lambda {least} < 0 (vertices {sorted(worst)[:6]}...)")
     grouped = strong_bound_grouped(g, prof)
     nbhd = closed_neighborhood(g, grouped.subset)
     assert grouped.value == twin_lambda_bound(g, prof.zeta, [(nbhd, grouped.lam)])
+    return least < 0
+
+
+@given(graphs(max_n=16))
+@settings(max_examples=100)
+def test_weight_sums_match_per_vertex_twin(g):
+    weight_sums_match_twin(g)
+
+
+def test_weight_sums_match_per_vertex_twin_exhaustive(dedup_suite):
+    inapplicable = sum(weight_sums_match_twin(g) for n in range(1, 8) for g in dedup_suite[n])
+    assert inapplicable > 100          # the reason string is checked
 
 
 # ── slow twin: the greedy independent set picked by a scan for the minimum ──
@@ -318,6 +335,13 @@ def test_independent_cheap_set_properties():
     assert s in ({1, 3}, {2, 3})
 
 
+def test_component_lambdas_come_in_order_of_least_member_of_s():
+    """Not of least vertex: the Inapplicable reason's tie-break rests on this order."""
+    g = build_graph(4, [(0, 3), (1, 2)])
+    comps = component_lambdas(g, zeta_profile(g), frozenset({2, 3}))
+    assert [sorted(c.vertices) for c in comps] == [[1, 2], [0, 3]]
+
+
 def test_component_lambdas_reject_bad_seed():
     g = path_graph(4)
     prof = zeta_profile(g)
@@ -380,6 +404,57 @@ def test_report_builds_one_independent_cheap_set(monkeypatch):
         report = full_bound_report(g, prof)
         assert (report["strong_component"], report["strong_grouped"]) == expected
         assert (len(cheap), len(mis)) == (1, 1)
+
+
+def report_matches_public_functions(g):
+    """Each of the 11 report entries equals its public function, in report order."""
+    prof = zeta_profile(g)
+    want = {f"z{k}": z_bound(g, k, prof) for k in (1, 2, 3)}
+    want["caro_wei"] = caro_wei(g)
+    want["turan_zeta"] = turan_zeta(g, prof)
+    want["strong_component"] = strong_bound_component(g, prof, independent_cheap_set(g, prof))
+    want["strong_grouped"] = strong_bound_grouped(g, prof).value
+    want.update(baseline_bounds(g))
+    want["forest_zk"] = (forest_z_closed_form(g.n, sum(not a for a in g.adj), 1) if is_forest(g)
+                         else Inapplicable("not a forest"))
+    assert list(full_bound_report(g).items()) == list(want.items())
+
+
+@given(graphs(max_n=16, ps=(0.0, 0.1, 0.25, 0.5, 0.8)))
+@settings(max_examples=100)
+def test_report_entries_equal_public_functions(g):
+    report_matches_public_functions(g)
+
+
+def test_report_entries_equal_public_functions_exhaustive(dedup_suite):
+    for n in range(1, 8):
+        for g in dedup_suite[n]:
+            report_matches_public_functions(g)
+
+
+def test_report_weighs_each_lambda_once_on_one_histogram(monkeypatch):
+    """On a forest whose independent cheap set has hundreds of (S, N(S))
+    components but few distinct lambdas, a report makes one weight sum per
+    distinct lambda plus seven: z1, z2, z3, caro_wei, strong_component's rest
+    and strong_grouped's N[S] and rest.  It counts one zeta histogram, shared
+    by z1, z2, z3 and both strong bounds."""
+    g = random_forest(800, 2)
+    prof = zeta_profile(g)
+    comps = component_lambdas(g, prof, independent_cheap_set(g, prof))
+    lams = {c.lam for c in comps}
+    assert len(comps) > 300 and len(lams) < 10
+    sums = count_calls(monkeypatch, zetakit.degeneracy, "histogram_weight")
+    hists = []
+
+    def counted(*args):
+        hists.append(Counter(*args))
+        return hists[-1]
+
+    for mod in (zetakit.degeneracy, zetakit.bounds):
+        monkeypatch.setattr(mod, "Counter", counted)
+    full_bound_report(g, prof)
+    assert len(sums) <= len(lams) + 7
+    assert sum(h == Counter(prof.zeta) for h in hists) == 1
 
 
 def test_forest_zk_only_on_forests():

@@ -355,3 +355,40 @@ def test_finder_rounds_build_their_closed_neighborhood_once(monkeypatch):
         trace = run(graph).trace
         rounds = sum(step.kind != "isolated-block" for step in trace)
         assert rounds > 0 and len(calls) == rounds
+
+
+
+def test_cheap_greedy_weighs_only_its_winner(monkeypatch):
+    """A cheap_greedy round makes one weight sum per distinct lambda of S1's
+    components when they win, and one for the grouped N[S] otherwise, counted
+    at every module binding.  On a random forest the rounds walk hundreds of
+    components, against a handful of distinct lambdas."""
+    distinct, comps = [], []
+    real_parts, real_components = zetakit.bounds._lambda_parts, zetakit.bounds._components
+
+    def parts(r, s):
+        got = real_parts(r, s)
+        distinct.append(len(got[0]))
+        return got
+
+    def components(g, s):
+        found = list(real_components(g, s))
+        comps.append(len(found))
+        return iter(found)
+
+    monkeypatch.setattr(zetakit.greedy, "_lambda_parts", parts)
+    monkeypatch.setattr(zetakit.bounds, "_components", components)
+    sums = count_calls(monkeypatch, zetakit.degeneracy, "histogram_weight")
+    kinds, walked = set(), []
+    for g in (random_forest(800, 2), gnp(300, 8 / 300, 1)):
+        distinct.clear()
+        comps.clear()
+        sums.clear()
+        rounds = [step.kind for step in cheap_greedy(g).trace if step.kind != "isolated-block"]
+        kinds.update(rounds)
+        walked.append((sum(comps), sum(distinct)))
+        assert len(distinct) == len(rounds)
+        assert len(sums) == sum(d if kind == "component-lambda" else 1
+                                for d, kind in zip(distinct, rounds))
+    assert kinds == {"component-lambda", "grouped-lambda"}
+    assert walked[0][0] > 250 and walked[0][1] < 10, walked
