@@ -10,15 +10,16 @@ peel, level by level: at level k every vertex whose degree among the
 unpeeled vertices is at most k is peeled with zeta = k.
 
 A `Residual` is the mutable graph that the greedy rounds delete from.  It
-keeps the original vertex ids and carries its own coreness: built with one
-`zeta_profile`, then repaired locally on per-vertex support counts after each
-deletion instead of being recomputed.  Once asked, it keeps its cheap set
-the same way, and a deletion can be rolled back from an undo log.  The second
-cheap layer, the cheap set of the live graph minus the first, is kept on a
-second Residual that also takes vertices back (`Residual.insert`), brought up
-to date when it is next read.  The layer decomposition of a Graph makes the
-same repair on plain per-vertex lists over the frozen adjacency, with no
-Residual (see cheap_layers).
+keeps the original vertex ids and carries its own coreness: zeta and the
+per-vertex support counts come from one peel, and after each deletion they
+are repaired locally instead of being recomputed, most falls in one pass
+over the falling vertex's neighbours, with no sort.  Once asked, it keeps
+its cheap set the same way, and a deletion can be rolled back from an undo
+log.  The second cheap layer, the cheap set of the live graph minus the
+first, is kept on a second Residual that also takes vertices back
+(`Residual.insert`), brought up to date when it is next read.  The layer
+decomposition of a Graph makes the same repair on plain per-vertex lists
+over the frozen adjacency, with no Residual (see cheap_layers).
 """
 from __future__ import annotations
 
@@ -76,6 +77,36 @@ def zeta_profile(g: Graph) -> ZetaProfile:
     return ZetaProfile(tuple(deg), max(deg, default=0))
 
 
+def _peel(adj) -> tuple[list[int], list[int]]:
+    """zeta and the support counts of Residual together, from zeta_profile's peel.
+
+    When v is peeled at level k, its neighbours of degree >= k are the
+    unpeeled ones, whose zeta will be >= k, and those peeled at level k
+    before it, whose zeta is k; a neighbour peeled at a lower level kept
+    that level, below k, as its degree.  So v's degree less its neighbours
+    of degree < k at that moment is #{w in adj[v] : zeta[w] >= zeta[v]}.
+    Counting slows a peel, and a zeta profile alone needs no count, so
+    zeta_profile keeps its own loop.
+    """
+    deg = [len(a) for a in adj]
+    support = deg[:]
+    bins: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, d in enumerate(deg):
+        bins[d].append(v)
+    for k, stack in enumerate(bins):
+        while stack:
+            v = stack.pop()
+            if deg[v] == k:
+                for u in adj[v]:
+                    d = deg[u]
+                    if d > k:
+                        deg[u] = d = d - 1
+                        bins[d].append(u)
+                    elif d < k:
+                        support[v] -= 1
+    return deg, support
+
+
 class Residual:
     """A graph under deletion, keyed by the vertex ids of the Graph it was built from.
 
@@ -84,11 +115,11 @@ class Residual:
     count the live vertices and edges.  It answers the read-only calls the
     finders and bound helpers make of a Graph (vertices(), adj, n, m), and
     it serves as its own zeta profile wherever one is taken.  Built from a
-    Graph with one `zeta_profile`.
+    Graph with one peel that also counts the supports (`_peel`).
 
     support[v] counts v's live neighbours w with zeta[w] >= zeta[v] (the
-    max-core degree of Sariyuce et al., VLDB 2013); it is built in one pass
-    and kept by every delete, and a deleted vertex's entry is left as it was.
+    max-core degree of Sariyuce et al., VLDB 2013); it is exact after every
+    delete, undo and insert, and a deleted vertex's entry is left as it was.
     Coreness makes support[v] >= zeta[v] for every live v: v lies in the
     zeta[v]-core with at least zeta[v] neighbours there.
 
@@ -102,8 +133,7 @@ class Residual:
     def __init__(self, g: Graph):
         self.adj: list[set[int]] = [set(a) for a in g.adj]
         self.alive = [True] * g.n
-        zeta = self.zeta = list(zeta_profile(g).zeta)
-        self.support = [len([w for w in a if zeta[w] >= z]) for a, z in zip(g.adj, zeta)]
+        self.zeta, self.support = _peel(g.adj)
         self.n = g.n
         self.m = g.m
         self._cheap: CheapState | None = None
@@ -129,8 +159,9 @@ class Residual:
         fall: values never rise, so at most support[v] < zeta[v] neighbours
         can still hold a value >= zeta[v].  A pending vertex drops to the
         h-index of its neighbours' values capped at old - 1, which is the
-        h-index capped at old, and its support is recounted from the same
-        sorted values.  The old coreness bounds the new one from above and a
+        h-index capped at old, and its support becomes the count there; with
+        support old - 1 that is one level down, found with no sort (see
+        _settle).  The old coreness bounds the new one from above and a
         step never raises a value, so the process stops at the largest fixed
         point below the old coreness.  At that fixed point support[v] >=
         zeta[v] for every live v, so every set {v : zeta[v] >= k} has
@@ -185,22 +216,7 @@ class Residual:
             zeta[v] = 0
         self.n -= len(drop)
         self.m -= lost // 2
-        while pending:
-            v = pending.pop()
-            old = zeta[v]
-            if saved is not None:
-                saved.setdefault(v, (old, support[v]))
-            new, support[v] = _fall(zeta, adj[v], old)
-            zeta[v] = new
-            changed.add(v)
-            for w in adj[v]:
-                zw = zeta[w]
-                if new < zw <= old:
-                    if saved is not None:
-                        saved.setdefault(w, (zw, support[w]))
-                    support[w] -= 1
-                    if support[w] < zw:
-                        pending.add(w)
+        _settle(adj, zeta, support, pending, changed, saved)
         if state is not None:
             state.repair(changed)
         return changed
@@ -214,7 +230,7 @@ class Residual:
         return r
 
     def insert(self, v: int, nbrs: Iterable[int]) -> None:
-        """Make the deleted vertex v live again, joined to the live vertices nbrs.
+        """Make the deleted vertex v live again, joined to the live vertices nbrs, each named once.
 
         The edges go in one at a time, each raising coreness by `_rise`, the
         ones to neighbours of higher zeta first, so that v's own rise meets
@@ -227,9 +243,10 @@ class Residual:
         adj, alive, zeta = self.adj, self.alive, self.zeta
         if not (0 <= v < len(alive)) or alive[v]:
             raise GraphInputError(f"vertex {v} is not deleted")
-        nbrs = sorted(nbrs, key=zeta.__getitem__, reverse=True)
-        if not all(alive[u] for u in nbrs):
-            raise GraphInputError(f"a neighbour of {v} is not live")
+        nbrs = list(nbrs)
+        if len(set(nbrs)) < len(nbrs) or not all(0 <= u < len(alive) and alive[u] for u in nbrs):
+            raise GraphInputError(f"the neighbours of {v} must be distinct live vertices")
+        nbrs.sort(key=zeta.__getitem__, reverse=True)
         state = self._cheap
         if state is not None:
             state.arrive(v, nbrs)
@@ -307,6 +324,51 @@ class Residual:
             for v, (z, c) in saved.items():
                 zeta[v] = z
                 support[v] = c
+
+
+def _settle(adj, zeta: list[int], support: list[int], pending: set[int],
+            changed: set[int], saved: dict[int, tuple[int, int]] | None = None) -> None:
+    """Lower the pending vertices, and those they take support from, to the new coreness.
+
+    On entry support is exact: support[v] = #{w in adj[v] : zeta[w] >=
+    zeta[v]} for every vertex v that can still fall, and pending holds those
+    with support[v] < zeta[v].  A pending v of value old falls to new, and
+    each neighbour w with new < zeta[w] <= old loses the support v gave it,
+    going pending when that takes it below its zeta; so support stays exact.
+
+    With sv = support[v] = old - 1, v falls one level: sv neighbours hold
+    >= old, hence >= old - 1, so the h-index capped at old - 1 is old - 1.
+    Then one pass over the neighbours does all of it: those of zeta old lose
+    a support, and those of zeta old - 1 join the sv that hold more, which
+    makes the new support.  Only with sv < old - 1 is the sorted h-index of
+    `_fall` taken.  In a Graph strip a deleted neighbour has zeta 0 (see
+    _graph_layers): it never loses a support, and it counts toward v's new
+    support only when old = 1, as it does in `_fall`.  changed gains every
+    vertex that falls; with saved, each vertex's zeta and support before its
+    first change here is kept for an undo.
+    """
+    while pending:
+        v = pending.pop()
+        old, sv = zeta[v], support[v]
+        if saved is not None:
+            saved.setdefault(v, (old, sv))
+        new = old - 1
+        recount = sv < new
+        if recount:
+            new, count = _fall(zeta, adj[v], old)
+        for w in adj[v]:
+            zw = zeta[w]
+            if new < zw <= old:
+                if saved is not None:
+                    saved.setdefault(w, (zw, support[w]))
+                support[w] -= 1
+                if support[w] < zw:
+                    pending.add(w)
+            elif zw == new:
+                sv += 1
+        zeta[v] = new
+        support[v] = count if recount else sv
+        changed.add(v)
 
 
 def _fall(zeta: list[int], nbrs: Iterable[int], old: int) -> tuple[int, int]:
@@ -650,7 +712,7 @@ def cheap_layers(g: Graph | Residual,
     vertex, so the layers cover every live vertex.  There are two strips:
 
     - A Graph is stripped on plain lists (see _graph_layers), with one
-      `zeta_profile`, or none when a profile is handed in.  Nothing reads
+      peel, or none when a profile is handed in.  Nothing reads
       that residual but the strip, so it needs no neighbour sets of its own
       and no undo.
     - A Residual is stripped in place, one delete per layer, its first layer
@@ -682,19 +744,22 @@ def _residual_layers(r: Residual) -> Iterator[frozenset[int]]:
 def _graph_layers(g: Graph, profile: ZetaProfile | None) -> Iterator[frozenset[int]]:
     """cheap_layers of a Graph, on four lists: live degree, alive, zeta and support.
 
-    zeta and support start as Residual's do, and each layer's deletion
-    repairs them by the rule of Residual.delete: the live neighbours of a
-    deleted vertex lose one degree, and one support where their zeta is at
-    most its zeta; a vertex whose support falls below its zeta falls to
-    `_fall` and takes one support from each neighbour w with new < zeta[w]
-    <= old.  A deleted vertex's zeta is set to 0, so it neither counts in a
-    neighbour's `_fall` above level 0 nor ever loses a support.
+    zeta and support come from one `_peel`, as Residual's do, or, when a
+    profile is handed in, support is counted from its zeta.  Each layer's
+    deletion repairs them by the rule of Residual.delete, with the same
+    `_settle`: the live neighbours of a deleted vertex lose one degree, and
+    one support where their zeta is at most its zeta.  A deleted vertex's
+    zeta is set to 0, so it counts toward a neighbour's support only at
+    level 0 and never loses a support.
     """
     adj = g.adj
-    zeta = list((profile or zeta_profile(g)).zeta)
+    if profile is None:
+        zeta, support = _peel(adj)
+    else:
+        zeta = list(profile.zeta)
+        support = [len([w for w in a if zeta[w] >= z]) for a, z in zip(adj, zeta)]
     deg = [len(a) for a in adj]
     alive = [True] * g.n
-    support = [len([w for w in a if zeta[w] >= z]) for a, z in zip(adj, zeta)]
     cheap = frozenset(u for u in range(g.n) if zeta[u] == deg[u])
     while cheap:
         yield cheap
@@ -714,18 +779,7 @@ def _graph_layers(g: Graph, profile: ZetaProfile | None) -> Iterator[frozenset[i
                         if support[u] < zu:
                             pending.add(u)
             zeta[v] = 0
-        while pending:
-            v = pending.pop()
-            old = zeta[v]
-            new, support[v] = _fall(zeta, adj[v], old)
-            zeta[v] = new
-            changed.add(v)
-            for w in adj[v]:
-                zw = zeta[w]
-                if new < zw <= old:
-                    support[w] -= 1
-                    if support[w] < zw:
-                        pending.add(w)
+        _settle(adj, zeta, support, pending, changed)
         cheap = frozenset(u for u in changed if zeta[u] == deg[u])
 
 

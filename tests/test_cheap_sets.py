@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_finders
-from conftest import (cycle_graph, fail_first_verification, gnp, graphs_with_edges,
-                      path_graph, random_tree, star_graph)
+from conftest import (count_calls, cycle_graph, fail_first_verification, gnp,
+                      graphs_with_edges, path_graph, random_tree, star_graph)
 from zetakit import degeneracy
 from zetakit.cheap_sets import (CheapSet, CheapSetSearchError, cheap_weight,
                                 find_1_cheap, find_2_cheap,
@@ -226,14 +226,15 @@ def test_finders_strip_a_residual_only_for_the_second_layer(monkeypatch):
 
 
 def test_finders_profile_a_graph_once(monkeypatch):
-    """A finder handed a Graph computes its zeta profile once, in its one Residual."""
-    calls = []
-    real = degeneracy.zeta_profile
-    monkeypatch.setattr(degeneracy, "zeta_profile", lambda g: calls.append(g) or real(g))
+    """A finder handed a Graph peels it once, in its one Residual, and makes no
+    other zeta profile."""
+    profiles = count_calls(monkeypatch, degeneracy, "zeta_profile")
+    peels = count_calls(monkeypatch, degeneracy, "_peel")
     for run in (find_1_cheap, find_2_cheap, lambda g: find_k_cheap_forest(path_graph(4), 1)):
-        calls.clear()
+        profiles.clear()
+        peels.clear()
         run(cycle_graph(4))
-        assert len(calls) == 1
+        assert (len(profiles), len(peels)) == (0, 1)
 
 
 def assert_finders_match_scan_twins(g):

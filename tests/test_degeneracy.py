@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 
 import scan_finders
 from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
-                      graphs, path_graph, star_graph)
+                      graphs, path_graph, random_forest, star_graph)
 from zetakit import degeneracy
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
                                 is_zeta_regular, layer_decomposition, zeta_oracle,
                                 zeta_profile, zeta_weight)
 from zetakit.graph import GraphInputError, build_graph, remove_vertices, smallest_last_order
+from zetakit.greedy import (cheap_greedy, forest_k_greedy, min_greedy, one_cheap_greedy,
+                            two_cheap_greedy)
+from zetakit.oracle import layered_example_graph
 
 
 def subset_max_zeta(g):
@@ -191,8 +194,8 @@ def test_layers_match_rebuild_on_all_small_graphs(dedup_suite):
 
 
 def test_graph_layers_build_no_residual(monkeypatch):
-    """A Graph is stripped on plain lists: no Residual is built, and zeta_profile
-    runs once, or not at all when the profile is handed in."""
+    """A Graph is stripped on plain lists: no Residual is built, and one peel
+    counts zeta and support, or none runs when the profile is handed in."""
     g = gnp(300, 8 / 300, 3)
     prof = zeta_profile(g)
     residuals, init = [], Residual.__init__
@@ -203,27 +206,54 @@ def test_graph_layers_build_no_residual(monkeypatch):
 
     monkeypatch.setattr(Residual, "__init__", counted_init)
     profiles = count_calls(monkeypatch, degeneracy, "zeta_profile")
-    assert layer_decomposition(g) == layer_decomposition(g, prof)
-    assert (len(residuals), len(profiles)) == (0, 1)
+    peels = count_calls(monkeypatch, degeneracy, "_peel")
+    plain = layer_decomposition(g)
+    assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
+    assert layer_decomposition(g, prof) == plain
+    assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
 
 
-def test_every_h_index_lowers_a_zeta(monkeypatch):
-    """A vertex's h-index is computed only when its zeta must fall: on the
-    layer decomposition of G(2000, 8/n), each call finds the h-index capped
-    at the old zeta below that zeta, and returns it with its support."""
+def counted_falls(monkeypatch):
+    """Wrap _fall; each call appends whether the h-index capped at the old zeta
+    is below that zeta, whether _fall returned it with its support, and whether
+    the vertex had fewer than old - 1 neighbours of zeta >= old, so that the
+    one-level rule of _settle could not place it."""
     fall, calls = degeneracy._fall, []
 
     def counted(zeta, nbrs, old):
         values = [zeta[w] for w in nbrs]
         h = max(h for h in range(old + 1) if sum(z >= h for z in values) >= h)
         new, support = fall(zeta, nbrs, old)
-        calls.append((h < old, new == h, support == sum(z >= new for z in values)))
+        calls.append((h < old, new == h, support == sum(z >= new for z in values),
+                      sum(z >= old for z in values) < old - 1))
         return new, support
 
     monkeypatch.setattr(degeneracy, "_fall", counted)
+    return calls
+
+
+def test_every_h_index_lowers_a_zeta(monkeypatch):
+    """A vertex's h-index is computed only when its zeta must fall by more than
+    the one level that its support settles: on the layer decomposition of
+    G(2000, 8/n), each call finds the h-index capped at the old zeta below that
+    zeta, and returns it with its support."""
+    calls = counted_falls(monkeypatch)
     g = gnp(2000, 8 / 2000, 7)
     assert layer_decomposition(g).layers == rebuilt_layers(g)
-    assert calls and set(calls) == {(True, True, True)}
+    assert calls and set(calls) == {(True, True, True, True)}
+
+
+def test_greedies_sort_only_for_multi_level_falls(monkeypatch):
+    """Every greedy on G(n, p), forest and layered inputs calls _fall only for
+    a vertex with fewer than old - 1 supports, and its answer is the h-index."""
+    calls = counted_falls(monkeypatch)
+    forest = random_forest(300, 5)
+    for g in (gnp(300, 0.05, 3), gnp(400, 8 / 400, 5), forest, layered_example_graph(3)):
+        for run in (min_greedy, cheap_greedy, one_cheap_greedy, two_cheap_greedy):
+            run(g)
+    for k in (0, 1, 2):
+        forest_k_greedy(forest, k)
+    assert calls and set(calls) == {(True, True, True, True)}
 
 
 @given(graphs(max_n=18), st.data())
@@ -438,6 +468,52 @@ def test_residual_insert_repairs_coreness(g, data):
     assert residual_state(r) == before
     with pytest.raises(GraphInputError):
         r.insert(gone[0], [])
+
+
+def live_zeta_oracle(r):
+    """zeta_oracle of r's live graph on r's vertex ids; a deleted vertex is isolated."""
+    return list(zeta_oracle(build_graph(len(r.adj), [(u, v) for u in r.vertices()
+                                                     for v in r.adj[u] if u < v])))
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=120, deadline=None)
+def test_support_stays_exact_under_every_operation(g, data):
+    """Through random plain deletes, logged deletes rolled back, and inserts of
+    deleted vertices next to any live vertices, support[v] stays the number of
+    v's neighbours with zeta >= zeta[v] and zeta stays the live graph's oracle."""
+    r = Residual(g)
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(("delete", "undo", "insert")))
+        dead = [v for v in range(g.n) if not r.alive[v]]
+        if op == "insert" and dead:
+            live = sorted(r.vertices())
+            r.insert(data.draw(st.sampled_from(dead)),
+                     data.draw(st.sets(st.sampled_from(live))) if live else ())
+        elif op == "undo" and r.n:
+            log = []
+            r.delete(draw_deletion(data, r), log)
+            r.undo(log)
+        elif r.n:
+            r.delete(draw_deletion(data, r))
+        assert all(r.support[v] == recomputed_support(r, v) for v in r.vertices())
+        assert r.zeta == live_zeta_oracle(r)
+
+
+def test_insert_refuses_repeated_or_bad_neighbours():
+    """A repeated neighbour would count its edge twice in m and raise coreness
+    twice, and an id out of range would index another vertex or none; each is
+    refused before anything changes."""
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    r = Residual(g)
+    r.delete({3})
+    before = residual_state(r)
+    for nbrs in ([0, 0, 2], [-2], [4], [1, 3]):
+        with pytest.raises(GraphInputError):
+            r.insert(3, nbrs)
+        assert residual_state(r) == before
+    r.insert(3, [0, 2])
+    assert (r.n, r.m) == (4, 5) and r.zeta == live_zeta_oracle(r)
 
 
 def test_residual_undo_restores_and_delete_checks_ids():

@@ -214,13 +214,14 @@ def test_greedies_match_rebuild_reference_on_layered_example(k):
 
 
 def test_greedy_runs_neither_rebuild_nor_reprofile(monkeypatch):
-    """One zeta_profile per run and no remove_vertices, strong_bound_grouped or
-    independent_cheap_set, counted at every module binding."""
-    expected = {"remove_vertices": 0, "zeta_profile": 1, "strong_bound_grouped": 0,
-                "independent_cheap_set": 0}
+    """One peel per run, in its Residual, and no zeta_profile, remove_vertices,
+    strong_bound_grouped or independent_cheap_set, counted at every module binding."""
+    expected = {"remove_vertices": 0, "zeta_profile": 0, "_peel": 1,
+                "strong_bound_grouped": 0, "independent_cheap_set": 0}
     calls = {}
     for name, module in (("remove_vertices", zetakit.graph),
                          ("zeta_profile", zetakit.degeneracy),
+                         ("_peel", zetakit.degeneracy),
                          ("strong_bound_grouped", zetakit.bounds),
                          ("independent_cheap_set", zetakit.bounds)):
         original = getattr(module, name)
