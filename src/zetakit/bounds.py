@@ -25,7 +25,7 @@ from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 from .degeneracy import (Residual, ZetaProfile, cheap_vertices, histogram_weight, profile_of,
-                         zeta_profile, zeta_weight)
+                         require_live, zeta_profile, zeta_weight)
 from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
 
 
@@ -112,10 +112,13 @@ def _check_cheap_independent(g: Graph | Residual, profile: ZetaProfile | Residua
                              s: frozenset[int]) -> None:
     if not s:
         raise GraphInputError("subset must be nonempty")
-    cheap = cheap_vertices(g, profile)
-    stray = s - cheap
+    stray = s - cheap_vertices(g, profile)
     if stray:
         raise GraphInputError(f"vertices {sorted(stray)} are not cheap")
+    _require_independent(g, s)
+
+
+def _require_independent(g: Graph | Residual, s: frozenset[int]) -> None:
     for u in s:
         hit = g.adj[u] & s
         if hit:
@@ -216,8 +219,11 @@ def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int
 
     lambda(S') = 1 + (|N(S')| - e(S'))/|S'|; ties keep the largest subset.
     Because S is independent, a member's degree into N(S') is just its graph
-    degree, so the peeling order is static: ascending (degree, id).
+    degree, so the peeling order is static: ascending (degree, id).  S must
+    be a nonempty independent set of live vertices.
     """
+    require_live(g, s)
+    _require_independent(g, s)
     return _dense_subset(g, s)[0]
 
 

@@ -8,7 +8,6 @@ exactly; every finder raises CheapSetSearchError when the verification fails.
 """
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -16,7 +15,7 @@ from itertools import islice
 from typing import Iterable, Iterator
 
 from .degeneracy import (Residual, ZetaProfile, cheap_layers, profile_of,
-                         zeta_weight)
+                         require_live, zeta_weight)
 from .graph import (Graph, GraphInputError, closed_neighborhood,
                     connected_components)
 
@@ -65,10 +64,14 @@ def _weighed_neighborhood(g: Graph | Residual, zeta, s,
 
 def verify_k_cheap(g: Graph | Residual, s, level: int,
                    profile: ZetaProfile | Residual | None = None) -> VerifyResult:
-    """Exact-arithmetic check of both cheapness conditions, with diagnostics."""
+    """Exact-arithmetic check of both cheapness conditions, with diagnostics.
+
+    Every member of s must be a live vertex of g.
+    """
     if level < 0:
         raise GraphInputError(f"cheapness level must be >= 0, got {level}")
     sset = frozenset(s)
+    require_live(g, sset)
     if not sset:
         return VerifyResult(False, "empty set", Fraction(0), 0, 0)
     zeta = (profile or profile_of(g)).zeta
@@ -228,9 +231,9 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
 
     A Graph is wrapped in one Residual.  Its kept cheap state answers the
     first two stages and its kept second layer (`CheapState.second`) the
-    next three, from counts and heaps.  A deeper stage strips the second
-    layer's own Residual from D down, in one stream per call that is rolled
-    back before the call returns; the residual answered for is not stripped.
+    next three, from counts and heaps.  A deeper stage reads the cheap
+    layers of the second layer's own Residual from D down, in one stream per
+    call that writes to neither residual (see cheap_layers).
     """
     r = _residual(g)
     state = r.cheap_state()
@@ -328,8 +331,7 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
                 yield {*chain(u), *chain(w)}, "layer-path-pair-bridge"
         raise CheapSetSearchError("no 2-cheap candidate in any layer; the search invariant is broken")
 
-    with closing(cheap_layers(second.r)) as stream:
-        s, kind = next(candidates(islice(stream, 1, None)))     # past D, kept already
+    s, kind = next(candidates(islice(cheap_layers(second.r), 1, None)))     # past D, kept already
     return _checked(r, s, 2, kind)
 
 

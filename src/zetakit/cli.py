@@ -389,7 +389,7 @@ def _bench_row(path: Path, oracle_n: int) -> dict:
                         "certificate": run.certificate,
                         "level": run.level}
     t4 = time.perf_counter()
-    alpha0 = exact_alpha_k(g, 0)[0] if g.n <= oracle_n else None
+    alpha0 = exact_alpha_k(g, 0, limit=oracle_n)[0] if g.n <= oracle_n else None
     try:
         family_f = is_in_family_F(g)[0]
     except GraphInputError:        # no structural cover, too big for the oracle

@@ -14,12 +14,13 @@ keeps the original vertex ids and carries its own coreness: zeta and the
 per-vertex support counts come from one peel, and after each deletion they
 are repaired locally instead of being recomputed, most falls in one pass
 over the falling vertex's neighbours, with no sort.  Once asked, it keeps
-its cheap set the same way, and a deletion can be rolled back from an undo
-log.  The second cheap layer, the cheap set of the live graph minus the
-first, is kept on a second Residual that also takes vertices back
-(`Residual.insert`), brought up to date when it is next read.  The layer
-decomposition of a Graph makes the same repair on plain per-vertex lists
-over the frozen adjacency, with no Residual (see cheap_layers).
+its cheap set the same way.  The second cheap layer, the cheap set of the
+live graph minus the first, is kept on a second Residual that also takes
+vertices back (`Residual.insert`), brought up to date when it is next read.
+The cheap layers of a Graph or a Residual come from one strip (`_strip`)
+that makes the same repair on per-vertex maps over the frozen adjacency:
+fresh lists for a Graph, and for a Residual copies of its lists with an
+overlay for the degrees, so a strip never changes what it strips.
 """
 from __future__ import annotations
 
@@ -119,15 +120,15 @@ class Residual:
 
     support[v] counts v's live neighbours w with zeta[w] >= zeta[v] (the
     max-core degree of Sariyuce et al., VLDB 2013); it is exact after every
-    delete, undo and insert, and a deleted vertex's entry is left as it was.
+    delete and insert, and a deleted vertex's entry is left as it was.
     Coreness makes support[v] >= zeta[v] for every live v: v lies in the
     zeta[v]-core with at least zeta[v] neighbours there.
 
     The live cheap set with its counts (`CheapState`) is built the first
     time `cheap_state()` is asked for, and every later delete repairs it; a
-    Residual that is never asked pays nothing for it.  A delete given an
-    undo log can be rolled back exactly with `undo`.  `insert` makes a
-    deleted vertex live again; only the kept second layer uses it.
+    Residual that is never asked pays nothing for it.  `insert` makes a
+    deleted vertex live again; only the kept second layer uses it.  Reading
+    its cheap layers leaves it as it is (see cheap_layers).
     """
 
     def __init__(self, g: Graph):
@@ -148,7 +149,7 @@ class Residual:
             self._cheap = CheapState(self)
         return self._cheap
 
-    def delete(self, s: Iterable[int], log: list | None = None) -> set[int]:
+    def delete(self, s: Iterable[int]) -> set[int]:
         """Delete the live vertices S; return the live vertices whose degree or zeta changed.
 
         Coreness is repaired locally, on the support counts.  A deleted v
@@ -167,26 +168,14 @@ class Residual:
         zeta[v] for every live v, so every set {v : zeta[v] >= k} has
         minimum degree >= k, and the fixed point is the new coreness.
 
-        With a log, the delete appends what `undo` needs: each deleted
-        vertex's neighbour set, the old zeta and support of every vertex
-        whose zeta or support it lowers, the old n and m, and the cheap state,
-        which it sets aside unrepaired until the undo puts it back.  Without
-        one, a built cheap state is repaired (see CheapState.repair) and
-        notes the delete for its kept second layer (see CheapState.drop).
+        A built cheap state is repaired (see CheapState.repair) and notes
+        the delete for its kept second layer (see CheapState.drop).
         """
         adj, alive, zeta, support = self.adj, self.alive, self.zeta, self.support
         drop = set(s)
-        for v in drop:
-            if not (0 <= v < len(alive) and alive[v]):
-                raise GraphInputError(f"vertex {v} is not live")
+        require_live(self, drop)
         state = self._cheap
-        saved: dict[int, tuple[int, int]] | None = None
-        if log is not None:
-            gone: dict[int, set[int]] = {}
-            saved = {}
-            log.append((gone, saved, self.n, self.m, state))
-            self._cheap = state = None
-        elif state is not None:
+        if state is not None:
             state.drop(drop)
         for v in drop:
             alive[v] = False
@@ -201,22 +190,17 @@ class Residual:
                     changed.add(u)
                     zu = zeta[u]
                     if zu <= zv:
-                        if saved is not None:
-                            saved.setdefault(u, (zu, support[u]))
                         support[u] -= 1
                         if support[u] < zu:
                             pending.add(u)
                     lost += 2
                 else:
                     lost += 1
-            if saved is not None:
-                gone[v] = adj[v]
-                saved[v] = (zv, support[v])
             adj[v] = set()
             zeta[v] = 0
         self.n -= len(drop)
         self.m -= lost // 2
-        _settle(adj, zeta, support, pending, changed, saved)
+        _settle(adj, zeta, support, pending, changed)
         if state is not None:
             state.repair(changed)
         return changed
@@ -237,8 +221,7 @@ class Residual:
         few vertices of its level.  A built cheap state is repaired on v, its
         neighbours and the risen vertices: the neighbours in C leave it
         before their degree changes and rejoin in the repair if still cheap,
-        so every count is taken on one adjacency.  Not logged: an undo log
-        must not span an insert.
+        so every count is taken on one adjacency.
         """
         adj, alive, zeta = self.adj, self.alive, self.zeta
         if not (0 <= v < len(alive)) or alive[v]:
@@ -308,26 +291,16 @@ class Residual:
                     support[y] += 1
         return seen
 
-    def undo(self, log: list) -> None:
-        """Roll back the deletes recorded in log, newest first, and empty it.
 
-        Every delete made since the first one in log must be in log.
-        """
-        adj, alive, zeta, support = self.adj, self.alive, self.zeta, self.support
-        while log:
-            gone, saved, self.n, self.m, self._cheap = log.pop()
-            for v, nbrs in gone.items():
-                alive[v] = True
-                adj[v] = nbrs
-                for u in nbrs:
-                    adj[u].add(v)
-            for v, (z, c) in saved.items():
-                zeta[v] = z
-                support[v] = c
+def require_live(g: Graph | Residual, s: Iterable[int]) -> None:
+    """Refuse any member of s that is not a live vertex id of g."""
+    n, alive = len(g.adj), g.alive if isinstance(g, Residual) else None
+    for v in s:
+        if not (0 <= v < n and (alive is None or alive[v])):
+            raise GraphInputError(f"vertex {v} is not live")
 
 
-def _settle(adj, zeta: list[int], support: list[int], pending: set[int],
-            changed: set[int], saved: dict[int, tuple[int, int]] | None = None) -> None:
+def _settle(adj, zeta, support, pending: set[int], changed: set[int]) -> None:
     """Lower the pending vertices, and those they take support from, to the new coreness.
 
     On entry support is exact: support[v] = #{w in adj[v] : zeta[w] >=
@@ -341,17 +314,14 @@ def _settle(adj, zeta: list[int], support: list[int], pending: set[int],
     Then one pass over the neighbours does all of it: those of zeta old lose
     a support, and those of zeta old - 1 join the sv that hold more, which
     makes the new support.  Only with sv < old - 1 is the sorted h-index of
-    `_fall` taken.  In a Graph strip a deleted neighbour has zeta 0 (see
-    _graph_layers): it never loses a support, and it counts toward v's new
-    support only when old = 1, as it does in `_fall`.  changed gains every
-    vertex that falls; with saved, each vertex's zeta and support before its
-    first change here is kept for an undo.
+    `_fall` taken.  In a strip a stripped neighbour has zeta 0 (see
+    _strip): it never loses a support, and it counts toward v's new support
+    only when old = 1, as it does in `_fall`.  changed gains every vertex
+    that falls.
     """
     while pending:
         v = pending.pop()
         old, sv = zeta[v], support[v]
-        if saved is not None:
-            saved.setdefault(v, (old, sv))
         new = old - 1
         recount = sv < new
         if recount:
@@ -359,8 +329,6 @@ def _settle(adj, zeta: list[int], support: list[int], pending: set[int],
         for w in adj[v]:
             zw = zeta[w]
             if new < zw <= old:
-                if saved is not None:
-                    saved.setdefault(w, (zw, support[w]))
                 support[w] -= 1
                 if support[w] < zw:
                     pending.add(w)
@@ -377,7 +345,7 @@ def _fall(zeta: list[int], nbrs: Iterable[int], old: int) -> tuple[int, int]:
     The value is the h-index of the neighbours' zeta capped at old - 1: the
     largest h < old with h neighbours of zeta >= h.  The support is the
     number of neighbours of zeta >= that value.  A neighbour of zeta 0 (a
-    deleted one, in _graph_layers) counts only toward a support at value 0.
+    stripped one, in _strip) counts only toward a support at value 0.
     """
     values = sorted([zeta[w] for w in nbrs], reverse=True)
     new = min(old - 1, len(values))
@@ -390,7 +358,7 @@ def _fall(zeta: list[int], nbrs: Iterable[int], old: int) -> tuple[int, int]:
 
 
 class CheapState:
-    """The live cheap set C of a Residual and what the finders read of it.
+    """The live cheap set C of the Residual r and what the finders read of it.
 
     cheap is C, count[v] = |N(v) & C| for every live v, and isolated the
     number of live vertices without a neighbour, all of which are in C
@@ -410,7 +378,7 @@ class CheapState:
     """
 
     def __init__(self, r: Residual, among: Iterable[int] | None = None):
-        self._r = r
+        self.r = r
         self.cheap = set(cheap_vertices(r) if among is None else _cheap_among(r, r.zeta, among))
         count = self.count = [0] * len(r.adj)
         for u in self.cheap:
@@ -432,11 +400,11 @@ class CheapState:
         heap, cheap, count = self._paired, self.cheap, self.count
         while heap and not (heap[0] in cheap and count[heap[0]]):
             heappop(heap)
-        return (heap[0], min(self._r.adj[heap[0]] & cheap)) if heap else None
+        return (heap[0], min(self.r.adj[heap[0]] & cheap)) if heap else None
 
     def least_hub(self, k: int) -> int | None:
         """The least live vertex with at least k (2 or 3) neighbours in C, or None."""
-        heap, count, alive = self._hubs[k], self.count, self._r.alive
+        heap, count, alive = self._hubs[k], self.count, self.r.alive
         while heap and not (alive[heap[0]] and count[heap[0]] >= k):
             heappop(heap)
         return heap[0] if heap else None
@@ -457,7 +425,7 @@ class CheapState:
         second = self._second
         if second is not None:
             self._stale |= s
-            up, adj = second.up, self._r.adj
+            up, adj = second.up, self.r.adj
             for v in s & second.cheap:
                 for x in adj[v]:
                     up[x] -= 1
@@ -472,7 +440,7 @@ class CheapState:
 
     def leave(self, u: int) -> None:
         self.cheap.discard(u)
-        count, nbrs = self.count, self._r.adj[u]
+        count, nbrs = self.count, self.r.adj[u]
         if not nbrs:
             self.isolated -= 1
         for v in nbrs:
@@ -485,7 +453,7 @@ class CheapState:
         cheap.add(u)
         if count[u]:
             heappush(self._paired, u)
-        for v in self._r.adj[u]:
+        for v in self.r.adj[u]:
             count[v] += 1
             c = count[v]
             if c == 1:
@@ -507,8 +475,8 @@ class CheapState:
         only on deg(u) and zeta(u) (see cheap_vertices), so a vertex whose
         degree and zeta did not change keeps its answer.
         """
-        cheap, adj = self.cheap, self._r.adj
-        now = _cheap_among(self._r, self._r.zeta, changed)
+        cheap, adj = self.cheap, self.r.adj
+        now = _cheap_among(self.r, self.r.zeta, changed)
         # a changed vertex had a neighbour or a positive zeta, so it was not isolated
         self.isolated += sum(not adj[v] for v in changed)
         for u in (changed & cheap) - now:
@@ -533,12 +501,13 @@ class SecondLayer(CheapState):
     members of that D out of their neighbours' counts (CheapState.drop), and
     a vertex joining or leaving D at a sync counts on R's adjacency of that
     moment, which is empty for a vertex R has deleted.  R only deletes, so
-    no vertex of R comes back next to D.  The 2-cheap finder strips R2 below
-    D (see cheap_layers); `second()` is never asked of this state.
+    no vertex of R comes back next to D.  Its r is R2, whose cheap layers
+    below D the 2-cheap finder reads (see cheap_layers); `second()` is never
+    asked of this state.
     """
 
     def __init__(self, outer: CheapState):
-        r, cheap = outer._r, outer.cheap
+        r, cheap = outer.r, outer.cheap
         r2 = r._copy()
         super().__init__(r2, r2.delete(cheap))
         r2._cheap = self
@@ -550,11 +519,6 @@ class SecondLayer(CheapState):
         self._members = sorted(self.cheap)
         self._pairs = sorted(v for v in self.cheap if outer.count[v] >= 2)
         self._ups = sorted(u for u in cheap if up[u] >= 2)
-
-    @property
-    def r(self) -> Residual:
-        """R2, the Residual whose cheap set this is."""
-        return self._r
 
     def least(self) -> int | None:
         """The least member of D, or None when D is empty."""
@@ -583,7 +547,7 @@ class SecondLayer(CheapState):
         heappush(self._members, u)
         if outer.count[u] >= 2:
             heappush(self._pairs, u)
-        for x in outer._r.adj[u]:
+        for x in outer.r.adj[u]:
             up[x] += 1
             if up[x] == 2 and x in outer.cheap:
                 heappush(self._ups, x)
@@ -591,7 +555,7 @@ class SecondLayer(CheapState):
     def leave(self, u: int) -> None:
         super().leave(u)
         up = self.up
-        for x in self.outer._r.adj[u]:
+        for x in self.outer.r.adj[u]:
             up[x] -= 1
 
     def sync(self, stale: set[int]) -> None:
@@ -602,7 +566,7 @@ class SecondLayer(CheapState):
         one that now belongs, a live vertex that left C, is inserted, joined
         to its neighbours in R2 (those inserted before it included).
         """
-        r, r2, cheap = self.outer._r, self._r, self.outer.cheap
+        r, r2, cheap = self.outer.r, self.r, self.outer.cheap
         wanted = {v for v in stale if r.alive[v] and v not in cheap}
         gone = {v for v in stale if r2.alive[v]} - wanted
         if gone:
@@ -709,58 +673,58 @@ def cheap_layers(g: Graph | Residual,
     layer goes, only the vertices whose degree or zeta changed are
     rechecked: the others were not cheap, and cheapness depends only on deg
     and zeta (see cheap_vertices).  Each nonempty residual has a cheap
-    vertex, so the layers cover every live vertex.  There are two strips:
+    vertex, so the layers cover every live vertex.  One strip (`_strip`)
+    does it on four per-vertex maps:
 
-    - A Graph is stripped on plain lists (see _graph_layers), with one
-      peel, or none when a profile is handed in.  Nothing reads
-      that residual but the strip, so it needs no neighbour sets of its own
-      and no undo.
-    - A Residual is stripped in place, one delete per layer, its first layer
-      the kept cheap set when it has built its `cheap_state`.  Every delete
-      goes into one undo log, and g is rolled back when the stream ends or
-      is closed, so a reader that stops early closes it
-      (`contextlib.closing`) before it reads g again.  The 2-cheap finder
-      reads it on the second layer's Residual (see SecondLayer), so that its
-      first layer is the kept D, each layer below D costs only what it
-      touches, and the strips never touch the residual the finder answers
-      for.
-    """
-    if isinstance(g, Residual):
-        return _residual_layers(g)
-    return _graph_layers(g, profile)
-
-
-def _residual_layers(r: Residual) -> Iterator[frozenset[int]]:
-    log: list = []
-    cheap = frozenset(r._cheap.cheap) if r._cheap else cheap_vertices(r)
-    try:
-        while cheap:
-            yield cheap
-            cheap = _cheap_among(r, r.zeta, r.delete(cheap, log))
-    finally:
-        r.undo(log)
-
-
-def _graph_layers(g: Graph, profile: ZetaProfile | None) -> Iterator[frozenset[int]]:
-    """cheap_layers of a Graph, on four lists: live degree, alive, zeta and support.
-
-    zeta and support come from one `_peel`, as Residual's do, or, when a
-    profile is handed in, support is counted from its zeta.  Each layer's
-    deletion repairs them by the rule of Residual.delete, with the same
-    `_settle`: the live neighbours of a deleted vertex lose one degree, and
-    one support where their zeta is at most its zeta.  A deleted vertex's
-    zeta is set to 0, so it counts toward a neighbour's support only at
-    level 0 and never loses a support.
+    - for a Graph, fresh lists, with one peel, or none when a profile is
+      handed in;
+    - for a Residual, copies of its alive flags, zeta and support, and for
+      the degrees, which it keeps in no list, an overlay (`_Degrees`) that
+      reads len(adj[v]) and keeps the strip's writes; its first layer is the
+      kept cheap set when it has built its `cheap_state`.  g is never
+      written to, so a reader may stop at any layer.  A strip costs three
+      list copies at memory speed plus what its layers touch: overlays on
+      all four maps measured 20-25% slower on trees, as a dict subclass
+      reads a missing key about ten times slower than a list.  The 2-cheap
+      finder reads it on the second layer's Residual (see SecondLayer), so
+      that its first layer is the kept D.
     """
     adj = g.adj
+    if isinstance(g, Residual):
+        first = frozenset(g._cheap.cheap) if g._cheap else cheap_vertices(g)
+        return _strip(adj, _Degrees(adj), g.alive[:], g.zeta[:], g.support[:], first)
     if profile is None:
         zeta, support = _peel(adj)
     else:
         zeta = list(profile.zeta)
         support = [len([w for w in a if zeta[w] >= z]) for a, z in zip(adj, zeta)]
     deg = [len(a) for a in adj]
-    alive = [True] * g.n
-    cheap = frozenset(u for u in range(g.n) if zeta[u] == deg[u])
+    first = frozenset(u for u in range(g.n) if zeta[u] == deg[u])
+    return _strip(adj, deg, [True] * g.n, zeta, support, first)
+
+
+class _Degrees(dict):
+    """A strip's live degrees over an adjacency it only reads: unwritten, v has len(adj[v])."""
+
+    def __init__(self, adj):
+        super().__init__()
+        self.adj = adj
+
+    def __missing__(self, v):
+        return len(self.adj[v])
+
+
+def _strip(adj, deg, alive, zeta, support, first: frozenset[int]) -> Iterator[frozenset[int]]:
+    """The cheap layers from `first` down, on live degree, alive, zeta and support.
+
+    zeta and support are exact for the live vertices on entry.  Each layer's
+    deletion repairs them by the rule of Residual.delete, with the same
+    `_settle`: the live neighbours of a deleted vertex lose one degree, and
+    one support where their zeta is at most its zeta.  A deleted vertex's
+    zeta is set to 0, so it counts toward a neighbour's support only at
+    level 0 and never loses a support.  adj is only read.
+    """
+    cheap = first
     while cheap:
         yield cheap
         for v in cheap:
@@ -788,8 +752,7 @@ def layer_decomposition(g: Graph | Residual,
     """Iteratively strip the cheap vertices of what is left (see cheap_layers).
 
     layers[i] holds the vertex ids removed at step i+1; every live vertex is
-    assigned a layer.  A Graph is stripped on plain lists, a Residual in
-    place and then rolled back.
+    assigned a layer.  A Residual is read, never written to.
     """
     layers = tuple(cheap_layers(g, profile))
     layer_of = [-1] * len(g.adj)

@@ -13,8 +13,8 @@ finder's search plus work near N[S], with no rebuild.  The search is heap
 operations for min_greedy and for the 1-cheap and 2-cheap rounds that the
 residual's kept cheap layers answer (C on the residual, the second layer D on
 a residual of its own, brought up to date in one batch when a round reads
-it); a strip of D's residual from D down, rolled back afterwards, for the
-2-cheap rounds that need a layer below D; a scan of the live graph
+it); a read-only strip of D's residual from D down for the 2-cheap rounds
+that need a layer below D; a scan of the live graph
 for cheap_greedy; and for forest_k_greedy a scan plus leaf repairs that
 recount N[S] over the tree processed so far.
 """

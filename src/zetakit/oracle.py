@@ -168,17 +168,17 @@ def _peel_clique_cover(g: Graph) -> tuple[frozenset[int], ...] | None:
 
     A block is the closed neighborhood of a minimum-degree vertex that forms
     a clique of uniform zeta equal to that degree, and whose removal leaves
-    every remaining zeta untouched.  When the whole graph peels this way the
-    blocks are a clique cover of size Z_1, so alpha0 == Z_1 is certified.
-    Ties between minimum-degree vertices are broken by trying each distinct
-    block (up to a small cap); None means inconclusive, never a refutation.
+    every remaining zeta untouched (see _keeps_zeta); only such a block is
+    removed.  When the whole graph peels this way the blocks are a clique
+    cover of size Z_1, so alpha0 == Z_1 is certified.  Ties between
+    minimum-degree vertices are broken by trying each distinct block (up to
+    a small cap); None means inconclusive, never a refutation.
     """
     parts: list[frozenset[int]] = []
     work = Residual(g)
     while work.n:
         dmin = min(len(work.adj[v]) for v in work.vertices())
         seen: set[frozenset[int]] = set()
-        peeled = None
         for u in work.vertices():
             if len(work.adj[u]) != dmin:
                 continue
@@ -186,22 +186,31 @@ def _peel_clique_cover(g: Graph) -> tuple[frozenset[int], ...] | None:
             if block in seen:
                 continue
             if len(seen) >= _PEEL_TRIES:
-                break
+                return None
             seen.add(block)
-            if any(work.zeta[v] != dmin for v in block):
-                continue
-            if any(block - work.adj[a] - {a} for a in block):
-                continue
-            before, log = work.zeta[:], []
-            if any(work.zeta[x] != before[x] for x in work.delete(block, log)):
-                work.undo(log)
-                continue
-            peeled = block
-            break
-        if peeled is None:
+            if (all(work.zeta[v] == dmin for v in block)
+                    and all(block <= work.adj[a] | {a} for a in block)
+                    and _keeps_zeta(work, block, dmin)):
+                break
+        else:
             return None
-        parts.append(peeled)
+        work.delete(block)
+        parts.append(block)
     return tuple(parts)
+
+
+def _keeps_zeta(r: Residual, block: frozenset[int], dmin: int) -> bool:
+    """Whether deleting block from r would leave every other zeta as it is.
+
+    dmin is r's minimum degree and every member of block has zeta dmin.
+    Every live vertex has zeta >= dmin, so a delete of block takes support
+    (see Residual) only from the outside vertices u of zeta dmin, one for
+    each neighbour in block.  Support is exact, and a vertex falls iff its
+    support drops below its zeta (see Residual.delete), so no zeta moves
+    iff each such u keeps support >= dmin.
+    """
+    return all(r.support[u] - len(r.adj[u] & block) >= dmin
+               for a in block for u in r.adj[a] - block if r.zeta[u] == dmin)
 
 
 def is_in_family_F(g: Graph, limit: int = 4096) -> tuple[bool, tuple[frozenset[int], ...] | None]:

@@ -121,6 +121,22 @@ def count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def count_strips(monkeypatch) -> list:
+    """Record each layer that a cheap-layer strip removes, i.e. each layer whose
+    reader asks for the next one: one (adjacency stripped, layer size) entry
+    per layer removed, in the order the strips remove them."""
+    real = zetakit.degeneracy._strip
+    removed = []
+
+    def counted(adj, *args):
+        for layer in real(adj, *args):
+            yield layer
+            removed.append((adj, len(layer)))
+
+    monkeypatch.setattr(zetakit.degeneracy, "_strip", counted)
+    return removed
+
+
 # --------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from zetakit.bounds import (GroupedBound, Inapplicable, _greedy_mis, baseline_bo
                             full_bound_report, independent_cheap_set,
                             select_dense_subset, strong_bound_component,
                             strong_bound_grouped, turan_zeta, z_bound)
-from zetakit.degeneracy import cheap_vertices, zeta_profile, zeta_weight
+from zetakit.degeneracy import Residual, cheap_vertices, zeta_profile, zeta_weight
 from zetakit.graph import (GraphInputError, build_graph, closed_neighborhood,
                            connected_components, is_forest)
 from zetakit.oracle import exact_alpha_k
@@ -349,6 +349,21 @@ def test_component_lambdas_reject_bad_seed():
         component_lambdas(g, prof, frozenset())
     with pytest.raises(GraphInputError):
         component_lambdas(g, prof, frozenset({0, 1}))    # not independent
+
+
+def test_select_dense_subset_rejects_bad_subsets():
+    """A subset that is not independent, or holds an id that is not a live
+    vertex, is refused, as component_lambdas refuses its subsets; so is an
+    empty one."""
+    g = path_graph(4)
+    for s in ({1, 2}, {-1}, {0, 9}, set()):
+        with pytest.raises(GraphInputError):
+            select_dense_subset(g, frozenset(s))
+    r = Residual(g)
+    r.delete({3})
+    with pytest.raises(GraphInputError):
+        select_dense_subset(r, frozenset({0, 3}))
+    assert select_dense_subset(r, frozenset({0, 2})) == {0, 2}
 
 
 def test_baseline_gating():

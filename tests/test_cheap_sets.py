@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_finders
-from conftest import (count_calls, cycle_graph, fail_first_verification, gnp,
+from conftest import (count_calls, count_strips, cycle_graph, fail_first_verification, gnp,
                       graphs_with_edges, path_graph, random_tree, star_graph)
 from zetakit import degeneracy
 from zetakit.cheap_sets import (CheapSet, CheapSetSearchError, cheap_weight,
@@ -67,6 +67,20 @@ def test_verify_rejects_empty_and_bad_level():
     assert not verify_k_cheap(g, set(), 1)
     with pytest.raises(Exception):
         verify_k_cheap(g, {0}, -1)
+
+
+def test_verify_rejects_ids_that_are_not_live_vertices():
+    """-1 would index the last vertex, 9 no vertex, and a deleted vertex of a
+    Residual has no neighbours left to weigh: each is refused."""
+    g = path_graph(4)
+    for s in ({-1}, {9}, {0, -1}):
+        with pytest.raises(GraphInputError):
+            verify_k_cheap(g, s, 0)
+    r = Residual(g)
+    r.delete({0})
+    with pytest.raises(GraphInputError):
+        verify_k_cheap(r, {0}, 0)
+    assert verify_k_cheap(r, {1}, 0).ok
 
 
 def test_verify_reports_inner_degree_violation():
@@ -193,18 +207,10 @@ def residual_state(r):
 
 
 def test_finders_strip_a_residual_only_for_the_second_layer(monkeypatch):
-    """Logged deletes (the layer strips) happen only for an answer below the
-    second layer, once per layer stripped and only on the residual that keeps
-    the second layer; the finder leaves the residual it answers for as it was."""
-    strips = []
-    real_delete = Residual.delete
-
-    def counted(self, s, log=None):
-        if log is not None:
-            strips.append(self)
-        return real_delete(self, s, log)
-
-    monkeypatch.setattr(Residual, "delete", counted)
+    """Layer strips happen only for an answer below the second layer, one layer
+    removed per layer moved past and only on the residual that keeps the
+    second layer; the finder leaves both residuals as they were."""
+    strips = count_strips(monkeypatch)
     cases = [(find_1_cheap, cycle_graph(4), "type-I", 0),
              (find_1_cheap, path_graph(3), "type-III", 0),
              (find_1_cheap, path_graph(4), "type-II", 0),
@@ -221,8 +227,11 @@ def test_finders_strip_a_residual_only_for_the_second_layer(monkeypatch):
         before = residual_state(r)
         assert finder(r).kind == kind
         assert len(strips) == expected, (finder.__name__, kind, len(strips))
-        assert all(x is r.cheap_state().second().r for x in strips)
         assert residual_state(r) == before
+        if strips:
+            second = r.cheap_state().second().r
+            assert all(adj is second.adj for adj, _ in strips)
+            assert residual_state(second) == residual_state(Residual(g).cheap_state().second().r)
 
 
 def test_finders_profile_a_graph_once(monkeypatch):

@@ -20,6 +20,7 @@ from zetakit.cli import (GraphDocument, ParseError, parse_dimacs,
                          serialize_edge_list)
 from zetakit.degeneracy import zeta_profile
 from zetakit.graph import GraphInputError, build_graph
+from zetakit.oracle import exact_alpha_k
 
 TRIANGLE_PENDANT = "a b\nb c\nc a\na d\n"
 
@@ -453,6 +454,23 @@ def test_bench_csv_report(bench_dir, tmp_path, capsys):
         if row["z1_exact"]:
             num, _, den = row["z1_exact"].partition("/")
             int(num), int(den or 1)
+
+
+def test_bench_oracle_n_lifts_the_oracle_cap(tmp_path, capsys):
+    """--oracle-n above the exact oracle's default cap of 40 solves alpha0 on a
+    45-vertex graph instead of failing; the default leaves it unsolved."""
+    d = tmp_path / "corpus"
+    d.mkdir()
+    assert run_command(["gen", "--family", "random-gnp", "--n", "45", "--p", "0.1",
+                        "--seed", "7", "--out", str(d / "g.edges")]) == 0
+    capsys.readouterr()
+    g = parse_edge_list((d / "g.edges").read_text()).graph
+    for argv, alpha0 in ((["--oracle-n", "50"], exact_alpha_k(g, 0, limit=45)[0]), ([], None)):
+        out_path = tmp_path / "report.json"
+        rc, _, err = run(capsys, "bench", "--dir", str(d), "--out", str(out_path), *argv)
+        assert rc == 0, err
+        [row] = json.loads(out_path.read_text())["rows"]
+        assert (row["n"], row["alpha0"]) == (45, alpha0)
 
 
 def test_bench_usage_errors(tmp_path, capsys):

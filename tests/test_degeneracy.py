@@ -1,6 +1,5 @@
 """Zeta profiles, cheap vertices, and the layer decomposition."""
 
-from contextlib import closing
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -328,30 +327,6 @@ def test_kept_cheap_state_matches_recompute(g, data):
     assert r.cheap_state().isolated == 0 and not r.cheap_state().cheap
 
 
-@given(graphs(max_n=18), st.data())
-@settings(max_examples=120, deadline=None)
-def test_undo_restores_the_residual_exactly(g, data):
-    """Logged deletes rolled back restore adj, zeta, support, alive, n, m and
-    the cheap state, which later plain deletes keep repairing."""
-    r = Residual(g)
-    if data.draw(st.booleans()):
-        r.cheap_state()
-    if g.n > 1:
-        r.delete(draw_deletion(data, r))
-    before, answers = residual_state(r), cheap_state_answers(r)
-    log = []
-    for _ in range(data.draw(st.integers(1, 3))):
-        if r.n:
-            r.delete(draw_deletion(data, r), log)
-    r.undo(log)
-    assert log == []
-    assert residual_state(r) == before
-    assert cheap_state_answers(r) == answers
-    while r.n:
-        r.delete(draw_deletion(data, r))
-        assert cheap_state_answers(r) == recomputed_cheap_answers(r)
-
-
 def kept_layer_answers(r):
     """What the kept second layer of r says once brought up to date, in plain
     values: its cheap set, its residual's live vertices, adjacency, zeta and
@@ -362,6 +337,13 @@ def kept_layer_answers(r):
             [res.zeta[v] for v in res.vertices()], [res.support[v] for v in res.vertices()],
             [layer.up[v] for v in live],
             layer.least(), layer.least_pair(), layer.least_up(), layer.least_edge())
+
+
+def read_layers(data, r):
+    """Read the cheap layers of r, or of its kept second layer's residual as the
+    2-cheap finder does, to the end or only the first few."""
+    x = data.draw(st.sampled_from((r, r.cheap_state().second().r)))
+    list(islice(cheap_layers(x), data.draw(st.one_of(st.none(), st.integers(0, 3)))))
 
 
 def recomputed_layer(g, r):
@@ -392,16 +374,18 @@ def test_kept_layers_match_recompute(g, data):
     """Through random deletes, some read after each and some batched into one
     update, the kept second layer equals a recompute of the live graph's
     second layer, of its residual's zeta and support, and of the finders'
-    heap answers; a logged delete rolled back leaves it exact."""
+    heap answers; reading cheap layers, of r or of the second layer's residual,
+    wholly or in part, changes neither residual nor any answer."""
     r = Residual(g)
     kept_layer_answers(r)
     while r.n:
         if data.draw(st.booleans()):
             assert kept_layer_answers(r) == recomputed_layer(g, r)
             if data.draw(st.booleans()):
-                log = []
-                r.delete(draw_deletion(data, r), log)
-                r.undo(log)
+                second = r.cheap_state().second().r
+                before = residual_state(r), residual_state(second), cheap_state_answers(r)
+                read_layers(data, r)
+                assert (residual_state(r), residual_state(second), cheap_state_answers(r)) == before
                 assert cheap_state_answers(r) == recomputed_cheap_answers(r)
                 assert kept_layer_answers(r) == recomputed_layer(g, r)
         r.delete(draw_deletion(data, r))
@@ -427,7 +411,7 @@ def test_kept_layers_take_back_vertices_that_leave_a_layer():
 @given(graphs(max_n=16), st.data())
 @settings(max_examples=60, deadline=None)
 def test_cheap_layers_leave_the_residual_unchanged(g, data):
-    """Reading the stream of a Residual to the end, or closing it early, leaves
+    """Reading the stream of a Residual to the end, or stopping early, leaves
     the Residual as it was, and the layers are those of the rebuilt live graph."""
     r = Residual(g)
     if data.draw(st.booleans()):
@@ -439,8 +423,7 @@ def test_cheap_layers_leave_the_residual_unchanged(g, data):
     sub = remove_vertices(g, {v for v in range(g.n) if not r.alive[v]})
     assert tuple(layers) == tuple(frozenset(sub.old_of[x] for x in layer)
                                   for layer in rebuilt_layers(sub.graph))
-    with closing(cheap_layers(r)) as stream:
-        assert list(islice(stream, 2)) == layers[:2]
+    assert list(islice(cheap_layers(r), 2)) == layers[:2]
     assert residual_state(r) == before
 
 
@@ -479,21 +462,22 @@ def live_zeta_oracle(r):
 @given(graphs(max_n=18), st.data())
 @settings(max_examples=120, deadline=None)
 def test_support_stays_exact_under_every_operation(g, data):
-    """Through random plain deletes, logged deletes rolled back, and inserts of
-    deleted vertices next to any live vertices, support[v] stays the number of
-    v's neighbours with zeta >= zeta[v] and zeta stays the live graph's oracle."""
+    """Through random deletes, reads of the cheap layers, and inserts of deleted
+    vertices next to any live vertices, support[v] stays the number of v's
+    neighbours with zeta >= zeta[v] and zeta stays the live graph's oracle; a
+    read of the layers changes nothing."""
     r = Residual(g)
     for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(("delete", "undo", "insert")))
+        op = data.draw(st.sampled_from(("delete", "strip", "insert")))
         dead = [v for v in range(g.n) if not r.alive[v]]
         if op == "insert" and dead:
             live = sorted(r.vertices())
             r.insert(data.draw(st.sampled_from(dead)),
                      data.draw(st.sets(st.sampled_from(live))) if live else ())
-        elif op == "undo" and r.n:
-            log = []
-            r.delete(draw_deletion(data, r), log)
-            r.undo(log)
+        elif op == "strip":
+            before = residual_state(r)
+            read_layers(data, r)
+            assert residual_state(r) == before
         elif r.n:
             r.delete(draw_deletion(data, r))
         assert all(r.support[v] == recomputed_support(r, v) for v in r.vertices())
@@ -516,17 +500,12 @@ def test_insert_refuses_repeated_or_bad_neighbours():
     assert (r.n, r.m) == (4, 5) and r.zeta == live_zeta_oracle(r)
 
 
-def test_residual_undo_restores_and_delete_checks_ids():
+def test_residual_delete_checks_ids():
+    """A delete refuses a deleted vertex and an id out of range, -1 included."""
     g = build_graph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     r = Residual(g)
-    log = []
-    assert r.delete({0}, log) == {1, 2, 3}
+    assert r.delete({0}) == {1, 2, 3}
     assert r.zeta == [0, 1, 1, 0] and (r.n, r.m) == (3, 1)
-    r.undo(log)
-    assert r.zeta == [2, 2, 2, 1] and (r.n, r.m) == (4, 4)
-    assert r.adj == [{1, 2, 3}, {0, 2}, {0, 1}, {0}]
-    assert list(r.vertices()) == [0, 1, 2, 3]
-    r.delete({0})
     for bad in (0, 4, -1):
         with pytest.raises(GraphInputError):
             r.delete({bad})

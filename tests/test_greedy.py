@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import rebuild_greedy
 import zetakit
-from conftest import (complete_graph, count_calls, cycle_graph, gnp, graphs,
+from conftest import (complete_graph, count_calls, count_strips, cycle_graph, gnp, graphs,
                       path_graph, random_forest, random_tree, star_graph)
 from zetakit import cheap_sets
 from zetakit.bounds import z_bound
@@ -302,9 +302,10 @@ def test_cheap_greedies_neither_scan_nor_copy_per_round(monkeypatch):
 
 
 def test_cheap_greedies_delete_few_vertices_per_run(monkeypatch):
-    """Work counter: the vertices handed to Residual.delete over every residual of
-    one run (its round deletes, the updates of its kept second layer and the
-    strips below it), per input vertex.  one_cheap_greedy strips nothing, so it
+    """Work counter: the vertices that one run deletes over every residual (its
+    round deletes and the updates of its kept second layer, through
+    Residual.delete) and strips below the second layer (the layers a strip
+    moves past), per input vertex.  one_cheap_greedy strips nothing, so it
     stays within 3 per vertex on random trees and on G(n, 8/n).  two_cheap_greedy
     on random trees stays within a quarter of what it cost when every round past
     the first layer stripped that layer on the residual itself: 56.7, 116.6 and
@@ -312,19 +313,23 @@ def test_cheap_greedies_delete_few_vertices_per_run(monkeypatch):
     deleted = []
     real_delete = Residual.delete
 
-    def counted(self, s, log=None):
+    def counted(self, s):
         s = set(s)
         deleted.append(len(s))
-        return real_delete(self, s, log)
+        return real_delete(self, s)
 
     monkeypatch.setattr(Residual, "delete", counted)
+    stripped_layers = count_strips(monkeypatch)
     for n, stripped in ((1000, 56.7), (2000, 116.6), (4000, 215.1)):
         tree = random_tree(n, 1)
         for g, run, cap in ((tree, one_cheap_greedy, 3), (gnp(n, 8 / n, 1), one_cheap_greedy, 3),
                             (tree, two_cheap_greedy, stripped / 4)):
             deleted.clear()
+            stripped_layers.clear()
             run(g)
-            assert sum(deleted) <= cap * n, (run.__name__, n, sum(deleted) / n)
+            work = sum(deleted) + sum(size for _, size in stripped_layers)
+            assert work <= cap * n, (run.__name__, n, work / n)
+            assert bool(stripped_layers) == (run is two_cheap_greedy), run.__name__
 
 
 def test_finder_rounds_weigh_their_set_once(monkeypatch):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, gnp, graphs, path_graph
 from zetakit.bounds import z_bound
-from zetakit.degeneracy import cheap_vertices, zeta_profile
-from zetakit.graph import Graph, GraphInputError, build_graph, is_forest
+from zetakit.degeneracy import Residual, cheap_vertices, zeta_oracle, zeta_profile
+from zetakit.graph import Graph, GraphInputError, build_graph, is_forest, remove_vertices
+from zetakit.oracle import _keeps_zeta
 from zetakit.oracle import (GeneratorSpec, alpha_k_subset_enumeration,
                             canonical_mask, enumerate_small_graphs,
                             exact_alpha_k, example_layers, generate,
@@ -79,6 +80,45 @@ def test_family_matches_equality_on_small_suite(dedup_suite):
                     assert all(v in g.adj[u]
                                for u in block for v in block if u != v)
                 assert seen == set(range(g.n))
+
+
+def block_tests_against_recompute(g, rng):
+    """Delete random live vertices from a Residual of g one batch at a time; at
+    each step, for every block the clique peel may test (the closed
+    neighbourhood of a minimum-degree vertex whose members all have zeta equal
+    to that degree, clique or not), compare _keeps_zeta with deleting the block
+    from the rebuilt live graph and recomputing zeta by zeta_oracle.  Returns
+    the answers seen."""
+    r, seen = Residual(g), []
+    while r.n:
+        live = list(r.vertices())
+        dmin = min(len(r.adj[v]) for v in live)
+        for u in live:
+            block = frozenset(r.adj[u]) | {u}
+            if len(r.adj[u]) == dmin and all(r.zeta[v] == dmin for v in block):
+                dead = {v for v in range(g.n) if not r.alive[v]} | block
+                sub = remove_vertices(g, dead)
+                kept = [r.zeta[v] for v in sub.old_of] == list(zeta_oracle(sub.graph))
+                assert _keeps_zeta(r, block, dmin) == kept, (g.edges(), sorted(dead))
+                seen.append(kept)
+        r.delete(rng.sample(live, rng.randint(1, min(3, len(live)))))
+    return seen
+
+
+def test_block_test_matches_delete_and_recompute_on_small_suite(dedup_suite):
+    """The clique peel's block test, which deletes nothing, says what deleting
+    the block and recomputing zeta says, on every graph with n <= 7."""
+    seen = []
+    for n, suite in dedup_suite.items():
+        for i, g in enumerate(suite):
+            seen += block_tests_against_recompute(g, random.Random(n * 10**4 + i))
+    assert True in seen and False in seen
+
+
+@given(graphs(max_n=16, ps=(0.25, 0.5, 0.8)), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_block_test_matches_delete_and_recompute(g, seed):
+    block_tests_against_recompute(g, random.Random(seed))
 
 
 def test_equality_without_clique_cover_uses_fallback():
