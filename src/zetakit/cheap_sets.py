@@ -369,6 +369,9 @@ def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
     tree DP.  A tree vertex with an edge has zeta 1, so that inequality says
     N[S] weighs <= |S|.  Nothing else needs a check:
     - the peel pushes a vertex at deg <= 1 and degrees only fall: it pops leaves;
+    - every pop is live: alive stays a tree, so a vertex is pushed again only
+      at deg 0, i.e. as the last alive vertex, and the loop has stopped by
+      then since k + 1 >= 1;
     - S lies within processed, so |N(w) & S| is w's degree in T[S];
     - S stays k-independent and nonempty: the k+1 survivors and the DP are;
       v joins with degree 1 next to a w of < k; a saturated w has exactly k,
@@ -387,8 +390,6 @@ def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
     elim: list[tuple[int, int]] = []        # (leaf, its surviving neighbor)
     while len(alive) > k + 1:
         v = heappop(heap)
-        if v not in alive:
-            continue
         parent = next(u for u in g.adj[v] if u in alive)
         elim.append((v, parent))
         alive.remove(v)
@@ -424,71 +425,45 @@ def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
 def _tree_max_k_independent(g: Graph | Residual, vertices: set[int], k: int) -> set[int]:
     """Exact maximum k-independent set on an induced subtree, by DP.
 
-    Per vertex: best size with the vertex out of S, in S with spare child
-    budget, and in S with at most k-1 chosen children (so an in-S parent can
-    still adopt it).  Choices are replayed top-down to rebuild the set.
+    Rooted at its least vertex, each vertex v keeps the best sizes of its
+    subtree with v out of S (out), in S with up to k children in S (full),
+    and in S with up to k - 1 (capped, so that a parent in S can still take
+    v).  chosen[v] lists the children c of gain capped[c] - out[c] > 0 by
+    (gain, id) descending, at most k of them; the k - 1 budget takes its
+    first k - 1.  The set is rebuilt top-down from (vertex, in S, full
+    budget) triples: a vertex out of S sends a child in with the full budget
+    iff full > out there, and one in S sends in the children on its list,
+    under the reduced budget, and the rest out.
     """
     root = min(vertices)
-    parent: dict[int, int | None] = {root: None}
+    children: dict[int, list[int]] = {}
     order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in g.adj[v]:
-            if u in vertices and u not in parent:
-                parent[u] = v
-                order.append(u)
-                stack.append(u)
-    children: dict[int, list[int]] = {v: [] for v in vertices}
-    for v in order[1:]:
-        children[parent[v]].append(v)
+    for v in order:                         # breadth first: the parent is a key by now
+        children[v] = [u for u in g.adj[v] if u in vertices and u not in children]
+        order += children[v]
 
     out: dict[int, int] = {}
-    in_best: dict[int, int] = {}            # v in S, any <= k children chosen
-    in_capped: dict[int, int] = {}          # v in S, <= k-1 children chosen
-    pick_out: dict[int, list[tuple[int, bool]]] = {}
-    pick_in: dict[int, dict[bool, list[int]]] = {}
-
+    full: dict[int, int] = {}
+    capped: dict[int, int] = {}
+    chosen: dict[int, list[int]] = {}
     for v in reversed(order):
         ch = children[v]
-        out[v] = sum(max(out[c], in_best[c]) for c in ch)
-        pick_out[v] = [(c, in_best[c] > out[c]) for c in ch]
+        ranked = sorted(((capped[c] - out[c], c) for c in ch), reverse=True)[:k]
+        gains = [(gain, c) for gain, c in ranked if gain > 0]
+        chosen[v] = [c for _, c in gains]
+        out[v] = sum(max(out[c], full[c]) for c in ch)
         base = 1 + sum(out[c] for c in ch)
-        gains = sorted(((in_capped[c] - out[c], c) for c in ch), reverse=True)
-        chosen_full: list[int] = []
-        chosen_capped: list[int] = []
-        acc = 0
-        for idx, (gain, c) in enumerate(gains):
-            if gain <= 0 or idx >= k:
-                break
-            acc += gain
-            chosen_full.append(c)
-            if idx < k - 1:
-                chosen_capped.append(c)
-        in_best[v] = base + acc
-        in_capped[v] = base + sum(in_capped[c] - out[c] for c in chosen_capped)
-        pick_in[v] = {True: chosen_full, False: chosen_capped}
-        # (True: parent not using this child's slot; False: capped variant)
+        full[v] = base + sum(gain for gain, _ in gains)
+        capped[v] = base + sum(gain for gain, _ in gains[:k - 1])
 
     result: set[int] = set()
-    todo: list[tuple[int, str]] = [(root, "best")]
+    todo = [(root, full[root] > out[root], True)]
     while todo:
-        v, state = todo.pop()
-        if state == "out":
-            for c, take in pick_out[v]:
-                todo.append((c, "in_full" if take else "out"))
+        v, inside, budget = todo.pop()
+        if not inside:
+            todo += ((c, full[c] > out[c], True) for c in children[v])
             continue
-        if state == "best":
-            if in_best[v] > out[v]:
-                state = "in_full"
-            else:
-                todo.append((v, "out"))
-                continue
         result.add(v)
-        chosen = pick_in[v][state == "in_full"]
-        for c in children[v]:
-            if c in chosen:
-                todo.append((c, "in_capped"))
-            else:
-                todo.append((c, "out"))
+        picks = chosen[v] if budget else chosen[v][:k - 1]
+        todo += ((c, c in picks, False) for c in children[v])
     return result

@@ -206,8 +206,6 @@ def _cmd_zeta(args) -> dict:
     prof = zeta_profile(doc.graph)
     layers = layer_decomposition(doc.graph, prof)
     return {
-        "schema": SCHEMA,
-        "command": "zeta",
         "n": doc.graph.n,
         "m": doc.graph.m,
         "labels": list(doc.labels),
@@ -223,8 +221,6 @@ def _cmd_bounds(args) -> dict:
     doc = _load(args.file, args.format)
     report = full_bound_report(doc.graph)
     return {
-        "schema": SCHEMA,
-        "command": "bounds",
         "n": doc.graph.n,
         "m": doc.graph.m,
         # forest_zk applies exactly on the nonempty forests; the empty graph is one too
@@ -257,8 +253,6 @@ def _cmd_greedy(args) -> dict:
     doc = _load(args.file, args.format)
     run = _run_greedy(doc.graph, args.algo, args.k, args.seed)
     out = {
-        "schema": SCHEMA,
-        "command": "greedy",
         "algo": args.algo,
         "level": run.level,
         "size": len(run.chosen),
@@ -282,8 +276,6 @@ def _cmd_oracle(args) -> dict:
     doc = _load(args.file, args.format)
     size, witness = exact_alpha_k(doc.graph, args.k, limit=args.limit)
     return {
-        "schema": SCHEMA,
-        "command": "oracle",
         "k": args.k,
         "alpha": size,
         "witness": _names(doc, witness),
@@ -295,8 +287,6 @@ def _cmd_family_f(args) -> dict:
     doc = _load(args.file, args.format)
     member, parts = is_in_family_F(doc.graph)
     return {
-        "schema": SCHEMA,
-        "command": "family-f",
         "member": member,
         "witness": None if parts is None else [_names(doc, p) for p in parts],
         "warnings": list(doc.warnings),
@@ -315,8 +305,6 @@ def _cmd_gen(args) -> dict:
     else:
         out.write_text(serialize_edge_list(doc))
     return {
-        "schema": SCHEMA,
-        "command": "gen",
         "family": args.family,
         "n": g.n,
         "m": g.m,
@@ -348,8 +336,6 @@ def _cmd_conjecture(args) -> dict:
                 "edges": [list(e) for e in g.edges()],
             })
     return {
-        "schema": SCHEMA,
-        "command": "conjecture",
         "k": args.k,
         "n": args.n,
         "trials": args.trials,
@@ -390,10 +376,13 @@ def _bench_row(path: Path, oracle_n: int) -> dict:
                         "level": run.level}
     t4 = time.perf_counter()
     alpha0 = exact_alpha_k(g, 0, limit=oracle_n)[0] if g.n <= oracle_n else None
-    try:
-        family_f = is_in_family_F(g)[0]
-    except GraphInputError:        # no structural cover, too big for the oracle
-        family_f = None
+    if alpha0 is not None:
+        family_f = alpha0 == report["z1"]       # the family's definition
+    else:
+        try:
+            family_f = is_in_family_F(g)[0]
+        except GraphInputError:    # no structural cover, too big for the oracle
+            family_f = None
     t5 = time.perf_counter()
 
     zs = prof.zeta
@@ -483,7 +472,7 @@ def _row_csv(row: dict) -> dict:
     return flat
 
 
-def _cmd_bench(args) -> dict | None:
+def _cmd_bench(args) -> dict:
     root = Path(args.dir)
     if not root.is_dir():
         raise _UsageError(f"--dir {args.dir!r} is not a directory")
@@ -507,8 +496,7 @@ def _cmd_bench(args) -> dict | None:
             writer = csv.DictWriter(fh, fieldnames=list(flat[0]))
             writer.writeheader()
             writer.writerows(flat)
-    return {"schema": SCHEMA, "command": "bench",
-            "graphs": len(rows), "out": str(out)}
+    return {"graphs": len(rows), "out": str(out)}
 
 
 # ── argument plumbing ────────────────────────────────────────────────────────
@@ -531,29 +519,35 @@ def _build_parser() -> _Parser:
                               "certified greedy solvers.")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def graph_cmd(name: str, help_: str) -> _Parser:
+    def command(name: str, help_: str, handler) -> _Parser:
+        """A subcommand whose parsed args carry the handler that answers it."""
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
+        return p
+
+    def graph_cmd(name: str, help_: str, handler) -> _Parser:
+        p = command(name, help_, handler)
         p.add_argument("file", help="graph file, or '-' for stdin")
         p.add_argument("--format", choices=("auto", "edges", "dimacs"),
                        default="auto")
         return p
 
-    graph_cmd("zeta", "print the zeta profile, cheap vertices, and layers")
-    graph_cmd("bounds", "print every lower bound in the report")
-    g = graph_cmd("greedy", "run one certified greedy algorithm")
+    graph_cmd("zeta", "print the zeta profile, cheap vertices, and layers", _cmd_zeta)
+    graph_cmd("bounds", "print every lower bound in the report", _cmd_bounds)
+    g = graph_cmd("greedy", "run one certified greedy algorithm", _cmd_greedy)
     g.add_argument("--algo", choices=_ALGOS, required=True)
     g.add_argument("--k", type=int, default=None,
                    help="inner-degree budget for forest-k (default 1)")
     g.add_argument("--seed", type=int, default=None,
                    help="tie-break seed for --algo min")
     g.add_argument("--trace", action="store_true")
-    o = graph_cmd("oracle", "exact max k-independent set (small graphs)")
+    o = graph_cmd("oracle", "exact max k-independent set (small graphs)", _cmd_oracle)
     o.add_argument("--k", type=int, required=True)
     o.add_argument("--limit", type=int, default=None,
                    help="override the size guard")
-    graph_cmd("family-f", "test membership in the Z1-equality family")
+    graph_cmd("family-f", "test membership in the Z1-equality family", _cmd_family_f)
 
-    gen = sub.add_parser("gen", help="write a generated graph to a file")
+    gen = command("gen", "write a generated graph to a file", _cmd_gen)
     gen.add_argument("--family", required=True)
     gen.add_argument("--n", type=int)
     gen.add_argument("--k", type=int)
@@ -564,14 +558,14 @@ def _build_parser() -> _Parser:
     gen.add_argument("--attach", type=float, default=0.85)
     gen.add_argument("--out", required=True)
 
-    b = sub.add_parser("bench", help="analyze a directory of graph files")
+    b = command("bench", "analyze a directory of graph files", _cmd_bench)
     b.add_argument("--dir", required=True)
     b.add_argument("--out", required=True, help="report path (.json or .csv)")
     b.add_argument("--oracle-n", type=int, default=18,
                    help="solve alpha0 exactly when n is at most this")
 
-    c = sub.add_parser("conjecture",
-                       help="random search for alpha_k < Z_{k+1} (report only)")
+    c = command("conjecture", "random search for alpha_k < Z_{k+1} (report only)",
+                _cmd_conjecture)
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--trials", type=int, required=True)
@@ -580,23 +574,11 @@ def _build_parser() -> _Parser:
     return top
 
 
-_DISPATCH = {
-    "zeta": _cmd_zeta,
-    "bounds": _cmd_bounds,
-    "greedy": _cmd_greedy,
-    "oracle": _cmd_oracle,
-    "family-f": _cmd_family_f,
-    "gen": _cmd_gen,
-    "bench": _cmd_bench,
-    "conjecture": _cmd_conjecture,
-}
-
-
 def run_command(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = _DISPATCH[args.cmd](args)
+        payload = {"schema": SCHEMA, "command": args.cmd, **args.handler(args)}
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -612,8 +594,7 @@ def run_command(argv: list[str]) -> int:
     except (CheapSetSearchError, InvariantViolation) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    if payload is not None:
-        print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
     return 0
 
 

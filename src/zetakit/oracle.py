@@ -26,7 +26,10 @@ def exact_alpha_k(g: Graph, k: int, limit: int | None = None) -> tuple[int, froz
     """Maximum k-independent set size (with witness), exact branch and bound.
 
     k = 0 allows n up to 40 (greedy clique-cover pruning); k >= 1 up to 20.
-    Pass limit to override the guard explicitly.
+    Pass limit to override the guard explicitly.  Refused with
+    GraphInputError: k < 0, n above the guard, and a search that recurses
+    deeper than Python allows (one level per branch, so a limit far past
+    the guard can reach it, e.g. on a path of 3000 vertices).
     """
     if k < 0:
         raise GraphInputError(f"k must be >= 0, got {k}")
@@ -37,9 +40,11 @@ def exact_alpha_k(g: Graph, k: int, limit: int | None = None) -> tuple[int, froz
     cap = limit if limit is not None else (_ALPHA0_LIMIT if k == 0 else _ALPHAK_LIMIT)
     if g.n > cap:
         raise GraphInputError(f"graph has {g.n} > {cap} vertices; raise limit to force")
-    if k == 0:
-        return _alpha0(g)
-    return _alpha_k_bnb(g, k)
+    try:
+        return _alpha0(g) if k == 0 else _alpha_k_bnb(g, k)
+    except RecursionError:
+        raise GraphInputError(f"graph has {g.n} vertices: the exact search recursed "
+                              "deeper than Python allows") from None
 
 
 def _alpha0(g: Graph) -> tuple[int, frozenset[int]]:

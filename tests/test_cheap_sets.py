@@ -15,12 +15,13 @@ import scan_finders
 from conftest import (count_calls, count_strips, cycle_graph, fail_first_verification, gnp,
                       graphs_with_edges, path_graph, random_tree, star_graph)
 from zetakit import degeneracy
-from zetakit.cheap_sets import (CheapSet, CheapSetSearchError, cheap_weight,
-                                find_1_cheap, find_2_cheap,
+from zetakit.cheap_sets import (CheapSet, CheapSetSearchError, _tree_max_k_independent,
+                                cheap_weight, find_1_cheap, find_2_cheap,
                                 find_k_cheap_forest, verify_k_cheap)
 from zetakit.degeneracy import Residual, cheap_vertices, zeta_profile
-from zetakit.graph import GraphInputError, build_graph, is_forest, remove_vertices
-from zetakit.oracle import enumerate_small_graphs
+from zetakit.graph import (GraphInputError, build_graph, connected_components, is_forest,
+                           remove_vertices)
+from zetakit.oracle import alpha_k_subset_enumeration, enumerate_small_graphs, exact_alpha_k
 
 _2CHEAP_KINDS = {
     "adjacent-pair", "triple-common-neighbor", "pair-plus-c2-neighbor",
@@ -464,6 +465,24 @@ def test_forest_repair_lemma(n, seed, k):
     g = random_tree(n, seed)
     for v in tree_leaves(g):
         repair_lemma_cases(g, v, k)
+
+
+def test_tree_dp_matches_the_exact_oracles(dedup_suite):
+    """`_tree_max_k_independent`, run on each component, returns a
+    k-independent set of size alpha_k: on every forest with n <= 7 and on
+    random trees with n <= 18, at k = 0..4, by `exact_alpha_k` and, for
+    n <= 12, by its slow twin `alpha_k_subset_enumeration`."""
+    forests = [g for n in range(1, 8) for g in dedup_suite[n] if is_forest(g)]
+    forests += [random_tree(n, seed) for n in range(1, 19) for seed in range(8)]
+    for g in forests:
+        comps = connected_components(g)
+        for k in range(5):
+            s = set().union(*(_tree_max_k_independent(g, set(comp), k) for comp in comps))
+            assert all(len(g.adj[v] & s) <= k for v in s), (g.edges(), k, sorted(s))
+            alpha = exact_alpha_k(g, k)[0]
+            assert len(s) == alpha, (g.edges(), k, sorted(s))
+            if g.n <= 12:
+                assert alpha_k_subset_enumeration(g, k) == alpha, (g.edges(), k)
 
 
 def test_forest_star_repair():

@@ -228,6 +228,18 @@ def test_oracle_command(tmp_path, capsys):
     assert rc == 0 and out["alpha"] == 3 and len(out["witness"]) == 3
 
 
+def test_oracle_refuses_a_search_too_deep_to_recurse(tmp_path, capsys):
+    """A limit far past the guard lets the search recurse once per level; on a
+    3000-vertex path that is deeper than Python allows, an error (exit 1)
+    that names n, not a traceback."""
+    f = tmp_path / "p.dimacs"
+    assert run_command(["gen", "--family", "path", "--n", "3000", "--out", str(f)]) == 0
+    capsys.readouterr()
+    rc, out, err = run(capsys, "oracle", "--k", "1", "--limit", "5000", str(f))
+    assert rc == 1 and out is None
+    assert "3000 vertices" in err and "Traceback" not in err
+
+
 def test_family_f_command(tmp_path, capsys):
     f = tmp_path / "p6.edges"
     f.write_text("".join(f"{i} {i + 1}\n" for i in range(5)))
@@ -458,19 +470,22 @@ def test_bench_csv_report(bench_dir, tmp_path, capsys):
 
 def test_bench_oracle_n_lifts_the_oracle_cap(tmp_path, capsys):
     """--oracle-n above the exact oracle's default cap of 40 solves alpha0 on a
-    45-vertex graph instead of failing; the default leaves it unsolved."""
+    45-vertex graph instead of failing, and family_f follows from it (alpha0
+    19 > Z_1 = 23/2); the default leaves both unsolved, as the clique peel is
+    inconclusive there."""
     d = tmp_path / "corpus"
     d.mkdir()
     assert run_command(["gen", "--family", "random-gnp", "--n", "45", "--p", "0.1",
                         "--seed", "7", "--out", str(d / "g.edges")]) == 0
     capsys.readouterr()
     g = parse_edge_list((d / "g.edges").read_text()).graph
-    for argv, alpha0 in ((["--oracle-n", "50"], exact_alpha_k(g, 0, limit=45)[0]), ([], None)):
+    for argv, alpha0, family_f in ((["--oracle-n", "50"], exact_alpha_k(g, 0, limit=45)[0], False),
+                                   ([], None, None)):
         out_path = tmp_path / "report.json"
         rc, _, err = run(capsys, "bench", "--dir", str(d), "--out", str(out_path), *argv)
         assert rc == 0, err
         [row] = json.loads(out_path.read_text())["rows"]
-        assert (row["n"], row["alpha0"]) == (45, alpha0)
+        assert (row["n"], row["alpha0"], row["family_f"]) == (45, alpha0, family_f)
 
 
 def test_bench_usage_errors(tmp_path, capsys):
