@@ -12,15 +12,17 @@ unpeeled vertices is at most k is peeled with zeta = k.
 A `Residual` is the mutable graph that the greedy rounds delete from.  It
 keeps the original vertex ids and carries its own coreness: zeta and the
 per-vertex support counts come from one peel, and after each deletion they
-are repaired locally instead of being recomputed, most falls in one pass
-over the falling vertex's neighbours, with no sort.  Once asked, it keeps
-its cheap set the same way.  The second cheap layer, the cheap set of the
-live graph minus the first, is kept on a second Residual that also takes
-vertices back (`Residual.insert`), brought up to date when it is next read.
-The cheap layers of a Graph or a Residual come from one strip (`_strip`)
-that makes the same repair on per-vertex maps over the frozen adjacency:
-fresh lists for a Graph, and for a Residual copies of its lists with an
-overlay for the degrees, so a strip never changes what it strips.
+are repaired locally instead of being recomputed, by one loop (`_settle`)
+that lowers a vertex short of support one level per pass over its
+neighbours.  Once asked, it keeps its cheap set the same way.  The second
+cheap layer, the cheap set of the live graph minus the first, is kept on a
+second Residual that also takes vertices back (`Residual.insert`), brought
+up to date when it is next read; an insert raises the vertices its search
+visits and the same loop lowers back those that cannot stay.  The cheap
+layers of a Graph or a Residual come from one strip (`_strip`) that makes
+the same repair, with the same loop, on per-vertex maps over the frozen
+adjacency: fresh lists for a Graph, and for a Residual copies of its lists
+with an overlay for the degrees, so a strip never changes what it strips.
 """
 from __future__ import annotations
 
@@ -153,20 +155,11 @@ class Residual:
         """Delete the live vertices S; return the live vertices whose degree or zeta changed.
 
         Coreness is repaired locally, on the support counts.  A deleted v
-        takes one support from each live neighbour u with zeta[u] <= zeta[v],
-        and a vertex that falls from old to new takes one from each neighbour
-        w with new < zeta[w] <= old; no other count moves.  A vertex goes
-        pending only when its support falls below its zeta, and then it must
-        fall: values never rise, so at most support[v] < zeta[v] neighbours
-        can still hold a value >= zeta[v].  A pending vertex drops to the
-        h-index of its neighbours' values capped at old - 1, which is the
-        h-index capped at old, and its support becomes the count there; with
-        support old - 1 that is one level down, found with no sort (see
-        _settle).  The old coreness bounds the new one from above and a
-        step never raises a value, so the process stops at the largest fixed
-        point below the old coreness.  At that fixed point support[v] >=
-        zeta[v] for every live v, so every set {v : zeta[v] >= k} has
-        minimum degree >= k, and the fixed point is the new coreness.
+        takes one support from each live neighbour u with zeta[u] <= zeta[v];
+        no other count moves.  A deletion never raises a coreness, so the old
+        values bound the new ones from above, and `_settle` lowers the
+        vertices whose support fell below their zeta one level at a time
+        until every support reaches its zeta, which is the new coreness.
 
         A built cheap state is repaired (see CheapState.repair) and notes
         the delete for its kept second layer (see CheapState.drop).
@@ -253,12 +246,13 @@ class Residual:
         one at most, and each that does has > k supports after the edge and
         is joined to an endpoint of zeta k through such vertices: a risen
         part with no endpoint was a (k+1)-core already.  So the search visits
-        those vertices from the endpoints, then evicts, until none is left,
-        every visited vertex with <= k neighbours that have zeta > k or are
-        still visited.  Each vertex that stays has > k such neighbours, so
-        with the (k+1)-core the rest spans minimum degree k + 1: all of it
-        rises.  Support is recounted for a risen vertex and raised by one for
-        each of its neighbours that already had zeta k + 1.
+        those vertices from the endpoints and raises all of them to k + 1.
+        Every value is then an upper bound on the coreness, and only a
+        visited vertex can be above it.  Support is recounted for a visited
+        vertex and raised by one for each of its neighbours outside that
+        already had zeta k + 1, so it is exact; the visited vertices with <= k
+        supports go to `_settle`, which evicts by lowering them, and those
+        they take support from, back to k.  The rest rose.
         """
         adj, zeta, support = self.adj, self.zeta, self.support
         k = min(zeta[a], zeta[b])
@@ -272,16 +266,6 @@ class Residual:
                 if zeta[y] == k and support[y] > k and y not in seen:
                     seen.add(y)
                     stack.append(y)
-        cd = {x: sum(zeta[y] > k or y in seen for y in adj[x]) for x in seen}
-        out = [x for x in seen if cd[x] <= k]
-        while out:
-            x = out.pop()
-            seen.discard(x)
-            for y in adj[x]:
-                if y in seen:
-                    cd[y] -= 1
-                    if cd[y] == k:
-                        out.append(y)
         for x in seen:
             zeta[x] = k + 1
         for x in seen:
@@ -289,7 +273,9 @@ class Residual:
             for y in adj[x]:
                 if zeta[y] == k + 1 and y not in seen:
                     support[y] += 1
-        return seen
+        fallen: set[int] = set()
+        _settle(adj, zeta, support, {x for x in seen if support[x] <= k}, fallen)
+        return seen - fallen
 
 
 def require_live(g: Graph | Residual, s: Iterable[int]) -> None:
@@ -301,60 +287,46 @@ def require_live(g: Graph | Residual, s: Iterable[int]) -> None:
 
 
 def _settle(adj, zeta, support, pending: set[int], changed: set[int]) -> None:
-    """Lower the pending vertices, and those they take support from, to the new coreness.
+    """Lower the pending vertices, and those they take support from, to the coreness.
 
-    On entry support is exact: support[v] = #{w in adj[v] : zeta[w] >=
-    zeta[v]} for every vertex v that can still fall, and pending holds those
-    with support[v] < zeta[v].  A pending v of value old falls to new, and
-    each neighbour w with new < zeta[w] <= old loses the support v gave it,
-    going pending when that takes it below its zeta; so support stays exact.
+    On entry every value is an upper bound on its vertex's coreness, support
+    is exact, support[v] = #{w in adj[v] : zeta[w] >= zeta[v]}, for every
+    vertex whose value can move, and pending holds those with support[v] <
+    zeta[v].  One rule repairs it, the fixed-point iteration for coreness
+    (Lu et al., Nat. Commun. 2016): a pending v of value old falls one level,
+    to old - 1.  Each neighbour of zeta old loses the support v gave it and
+    goes pending when that takes it below its zeta; v's support at old - 1
+    is its count at old plus its neighbours of zeta old - 1, and v stays
+    pending while that is still below old - 1.  So support stays exact.
 
-    With sv = support[v] = old - 1, v falls one level: sv neighbours hold
-    >= old, hence >= old - 1, so the h-index capped at old - 1 is old - 1.
-    Then one pass over the neighbours does all of it: those of zeta old lose
-    a support, and those of zeta old - 1 join the sv that hold more, which
-    makes the new support.  Only with sv < old - 1 is the sorted h-index of
-    `_fall` taken.  In a strip a stripped neighbour has zeta 0 (see
-    _strip): it never loses a support, and it counts toward v's new support
-    only when old = 1, as it does in `_fall`.  changed gains every vertex
+    A vertex with fewer than z neighbours of value >= z lies in no z-core,
+    since every member of the z-core has z neighbours there, each with
+    coreness, hence value, >= z; so its coreness is below z, and the values
+    stay upper bounds.  The loop stops because every step lowers a value.
+    At the end support[v] >= zeta[v] for every v, so every set {v : zeta[v]
+    >= j} has minimum degree >= j and lies in the j-core: each value is also
+    a lower bound, and the values are the coreness.  In a strip a stripped
+    neighbour has zeta 0 (see _strip): it never loses a support, and it
+    counts toward a support only at level 0.  changed gains every vertex
     that falls.
     """
     while pending:
         v = pending.pop()
         old, sv = zeta[v], support[v]
         new = old - 1
-        recount = sv < new
-        if recount:
-            new, count = _fall(zeta, adj[v], old)
         for w in adj[v]:
             zw = zeta[w]
-            if new < zw <= old:
+            if zw == old:
                 support[w] -= 1
                 if support[w] < zw:
                     pending.add(w)
             elif zw == new:
                 sv += 1
         zeta[v] = new
-        support[v] = count if recount else sv
+        support[v] = sv
+        if sv < new:
+            pending.add(v)
         changed.add(v)
-
-
-def _fall(zeta: list[int], nbrs: Iterable[int], old: int) -> tuple[int, int]:
-    """The value a vertex of zeta `old` with neighbours `nbrs` falls to, and its support there.
-
-    The value is the h-index of the neighbours' zeta capped at old - 1: the
-    largest h < old with h neighbours of zeta >= h.  The support is the
-    number of neighbours of zeta >= that value.  A neighbour of zeta 0 (a
-    stripped one, in _strip) counts only toward a support at value 0.
-    """
-    values = sorted([zeta[w] for w in nbrs], reverse=True)
-    new = min(old - 1, len(values))
-    while new and values[new - 1] < new:
-        new -= 1
-    count = new
-    while count < len(values) and values[count] >= new:
-        count += 1
-    return new, count
 
 
 class CheapState:
@@ -718,11 +690,12 @@ def _strip(adj, deg, alive, zeta, support, first: frozenset[int]) -> Iterator[fr
     """The cheap layers from `first` down, on live degree, alive, zeta and support.
 
     zeta and support are exact for the live vertices on entry.  Each layer's
-    deletion repairs them by the rule of Residual.delete, with the same
-    `_settle`: the live neighbours of a deleted vertex lose one degree, and
-    one support where their zeta is at most its zeta.  A deleted vertex's
-    zeta is set to 0, so it counts toward a neighbour's support only at
-    level 0 and never loses a support.  adj is only read.
+    deletion repairs them as Residual.delete does: the live neighbours of a
+    deleted vertex lose one degree, and one support where their zeta is at
+    most its zeta, and `_settle` lowers those left short of support one
+    level at a time.  A deleted vertex's zeta is set to 0, so it counts
+    toward a neighbour's support only at level 0 and never loses a support.
+    adj is only read.
     """
     cheap = first
     while cheap:

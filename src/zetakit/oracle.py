@@ -78,7 +78,8 @@ def _alpha0(g: Graph) -> tuple[int, frozenset[int]]:
             if size > best:
                 best, best_set = size, picked
             return
-        if size + clique_cover_bound(mask) <= best:
+        # a nonempty mask needs a clique, so only size < best can prune
+        if size < best and size + clique_cover_bound(mask) <= best:
             return
         # branch on the highest-degree remaining vertex
         v = max(_bits(mask), key=lambda x: (adjm[x] & mask).bit_count())

@@ -401,6 +401,19 @@ def test_conjecture_scan_runs_from_any_directory(tmp_path):
     assert "worst_slack" in json.loads(got.stdout.splitlines()[-1])
 
 
+def test_conjecture_scan_refuses_nmax_above_the_oracle_guard(tmp_path):
+    """An --nmax the exact oracle would refuse is refused before the first
+    cell, with one line on stderr, not after scanning every smaller n."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "conjecture_scan.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    for kmin, nmax in ((3, 21), (0, 41)):
+        got = subprocess.run([sys.executable, str(script), "--kmin", str(kmin),
+                              "--kmax", str(kmin), "--nmax", str(nmax), "--trials", "1"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert got.returncode != 0 and got.stdout == "", got.stdout
+        assert len(got.stderr.splitlines()) == 1 and "Traceback" not in got.stderr, got.stderr
+
+
 # ── bench ───────────────────────────────────────────────────────────────────
 
 

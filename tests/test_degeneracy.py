@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 import scan_finders
 from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
-                      graphs, path_graph, random_forest, star_graph)
+                      graphs, path_graph, star_graph)
 from zetakit import degeneracy
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
                                 is_zeta_regular, layer_decomposition, zeta_oracle,
                                 zeta_profile, zeta_weight)
 from zetakit.graph import GraphInputError, build_graph, remove_vertices, smallest_last_order
-from zetakit.greedy import (cheap_greedy, forest_k_greedy, min_greedy, one_cheap_greedy,
-                            two_cheap_greedy)
 from zetakit.oracle import layered_example_graph
 
 
@@ -212,47 +210,11 @@ def test_graph_layers_build_no_residual(monkeypatch):
     assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
 
 
-def counted_falls(monkeypatch):
-    """Wrap _fall; each call appends whether the h-index capped at the old zeta
-    is below that zeta, whether _fall returned it with its support, and whether
-    the vertex had fewer than old - 1 neighbours of zeta >= old, so that the
-    one-level rule of _settle could not place it."""
-    fall, calls = degeneracy._fall, []
-
-    def counted(zeta, nbrs, old):
-        values = [zeta[w] for w in nbrs]
-        h = max(h for h in range(old + 1) if sum(z >= h for z in values) >= h)
-        new, support = fall(zeta, nbrs, old)
-        calls.append((h < old, new == h, support == sum(z >= new for z in values),
-                      sum(z >= old for z in values) < old - 1))
-        return new, support
-
-    monkeypatch.setattr(degeneracy, "_fall", counted)
-    return calls
-
-
-def test_every_h_index_lowers_a_zeta(monkeypatch):
-    """A vertex's h-index is computed only when its zeta must fall by more than
-    the one level that its support settles: on the layer decomposition of
-    G(2000, 8/n), each call finds the h-index capped at the old zeta below that
-    zeta, and returns it with its support."""
-    calls = counted_falls(monkeypatch)
+def test_layers_match_rebuild_far_past_the_small_graphs():
+    """The strip of G(2000, 8/n), far past the n <= 16 draws above, equals
+    the layer-by-layer rebuild."""
     g = gnp(2000, 8 / 2000, 7)
     assert layer_decomposition(g).layers == rebuilt_layers(g)
-    assert calls and set(calls) == {(True, True, True, True)}
-
-
-def test_greedies_sort_only_for_multi_level_falls(monkeypatch):
-    """Every greedy on G(n, p), forest and layered inputs calls _fall only for
-    a vertex with fewer than old - 1 supports, and its answer is the h-index."""
-    calls = counted_falls(monkeypatch)
-    forest = random_forest(300, 5)
-    for g in (gnp(300, 0.05, 3), gnp(400, 8 / 400, 5), forest, layered_example_graph(3)):
-        for run in (min_greedy, cheap_greedy, one_cheap_greedy, two_cheap_greedy):
-            run(g)
-    for k in (0, 1, 2):
-        forest_k_greedy(forest, k)
-    assert calls and set(calls) == {(True, True, True, True)}
 
 
 @given(graphs(max_n=18), st.data())
@@ -457,6 +419,23 @@ def live_zeta_oracle(r):
     """zeta_oracle of r's live graph on r's vertex ids; a deleted vertex is isolated."""
     return list(zeta_oracle(build_graph(len(r.adj), [(u, v) for u in r.vertices()
                                                      for v in r.adj[u] if u < v])))
+
+
+def test_min_degree_deletes_repair_multi_level_falls():
+    """Repeated min-degree N[v] deletes on the layered example graph, whose
+    falls are mostly of several levels: after each delete zeta equals the
+    live oracle and every support is exact, and some delete lowers a vertex
+    by two levels or more, one level per step of _settle."""
+    r = Residual(layered_example_graph(8))
+    deepest = 0
+    while r.n:
+        v = min(r.vertices(), key=lambda u: (len(r.adj[u]), u))
+        before = r.zeta[:]
+        r.delete({v, *r.adj[v]})
+        assert r.zeta == live_zeta_oracle(r)
+        assert all(r.support[u] == recomputed_support(r, u) for u in r.vertices())
+        deepest = max(deepest, *(before[u] - r.zeta[u] for u in r.vertices()), 0)
+    assert deepest >= 2
 
 
 @given(graphs(max_n=18), st.data())
