@@ -22,7 +22,7 @@ from pathlib import Path
 from .bounds import Inapplicable, full_bound_report, z_bound
 from .cheap_sets import CheapSetSearchError
 from .degeneracy import layer_decomposition, zeta_profile
-from .graph import Graph, GraphInputError, build_graph, is_forest
+from .graph import Graph, GraphInputError, _frozen_graph, is_forest
 from .greedy import (GreedyRun, cheap_greedy, forest_k_greedy, min_greedy,
                      one_cheap_greedy, two_cheap_greedy)
 from .oracle import GeneratorSpec, exact_alpha_k, generate, is_in_family_F
@@ -60,7 +60,7 @@ def parse_edge_list(text: str) -> GraphDocument:
     Labels get dense ids in first-appearance order; duplicate edges merge.
     """
     ids: dict[str, int] = {}
-    edges: list[tuple[int, int]] = []
+    nbrs: list[set[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,12 +71,17 @@ def parse_edge_list(text: str) -> GraphDocument:
         a, b = tokens
         if a == b:
             raise ParseError(f"line {lineno}: self-loop on {a!r}")
-        for tok in (a, b):
-            if tok not in ids:
-                ids[tok] = len(ids)
-        edges.append((ids[a], ids[b]))
-    labels = tuple(sorted(ids, key=ids.get))
-    return GraphDocument(build_graph(len(ids), edges), labels, "edges")
+        u = ids.get(a)
+        if u is None:
+            u = ids[a] = len(nbrs)
+            nbrs.append(set())
+        v = ids.get(b)
+        if v is None:
+            v = ids[b] = len(nbrs)
+            nbrs.append(set())
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return GraphDocument(_frozen_graph(nbrs), tuple(ids), "edges")
 
 
 def serialize_edge_list(doc: GraphDocument) -> str:
@@ -96,11 +101,16 @@ def parse_dimacs(text: str) -> GraphDocument:
 
     Header edge-count mismatches (after dedup) are warnings, not errors.  A
     header N above MAX_DIMACS_VERTICES is an error: every declared vertex
-    costs a neighbour set and a label, whether or not an edge names it.
+    costs a neighbour set, a label and a label-map entry, whether or not an
+    edge names it.  The label map takes each canonical token "1".."N" to the
+    one int object of its id; any other token goes through int() and the
+    range check.
     """
     n = None
     m_declared = 0
-    edges: list[tuple[int, int]] = []
+    labels: tuple[str, ...] = ()
+    ids: dict[str, int] = {}
+    nbrs: list[set[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
@@ -119,31 +129,38 @@ def parse_dimacs(text: str) -> GraphDocument:
             if n > MAX_DIMACS_VERTICES:
                 raise ParseError(f"line {lineno}: header declares {n} vertices, "
                                  f"more than the limit of {MAX_DIMACS_VERTICES}")
+            labels = tuple(str(i + 1) for i in range(n))
+            ids = dict(zip(labels, range(n)))
+            nbrs = [set() for _ in labels]
             continue
         if tokens[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge line before 'p' header")
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: edge line needs 'e u v'")
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer vertex id") from None
-            for x in (u, v):
-                if not 1 <= x <= n:
-                    raise ParseError(f"line {lineno}: vertex id {x} outside 1..{n}")
+            u, v = ids.get(tokens[1]), ids.get(tokens[2])
+            if u is None or v is None:   # spelt other than "1".."N", or not an id
+                try:
+                    u, v = int(tokens[1]), int(tokens[2])
+                except ValueError:
+                    raise ParseError(f"line {lineno}: non-integer vertex id") from None
+                for x in (u, v):
+                    if not 1 <= x <= n:
+                        raise ParseError(f"line {lineno}: vertex id {x} outside 1..{n}")
+                u, v = ids[str(u)], ids[str(v)]
             if u == v:
-                raise ParseError(f"line {lineno}: self-loop on {u}")
-            edges.append((u - 1, v - 1))
+                raise ParseError(f"line {lineno}: self-loop on {u + 1}")
+            nbrs[u].add(v)
+            nbrs[v].add(u)
             continue
         raise ParseError(f"line {lineno}: unrecognized line type {tokens[0]!r}")
     if n is None:
         raise ParseError("missing 'p edge N M' header")
-    g = build_graph(n, edges)
+    g = _frozen_graph(nbrs)
     warnings = ()
     if g.m != m_declared:
         warnings = (f"header declares {m_declared} edges, parsed {g.m} distinct",)
-    return GraphDocument(g, tuple(str(i + 1) for i in range(n)), "dimacs", warnings)
+    return GraphDocument(g, labels, "dimacs", warnings)
 
 
 def serialize_dimacs(doc: GraphDocument) -> str:

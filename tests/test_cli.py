@@ -11,7 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_parsers
 import zetakit
 from conftest import count_calls, fail_first_verification, gnp, random_forest
 from zetakit import cli, degeneracy
@@ -88,6 +91,105 @@ def test_parse_dimacs_rejects_bad_ids():
         parse_dimacs("p edge 3 0\np edge 3 0\n")
     with pytest.raises(ParseError, match="header"):
         parse_dimacs("c nothing else\n")
+
+
+def test_parse_dimacs_accepts_int_spellings():
+    doc = parse_dimacs("p edge 12 3\ne +1 02\ne\t1_0 12\r\ne 010 +12\n")
+    assert doc.graph == parse_dimacs("p edge 12 2\ne 1 2\ne 10 12\n").graph
+    assert doc.warnings == ("header declares 3 edges, parsed 2 distinct",)
+    with pytest.raises(ParseError, match="line 2: self-loop on 3"):
+        parse_dimacs("p edge 3 1\ne +3 03\n")
+
+
+def _dimacs_id(x):
+    """A token that int() reads as x: plain, signed, zero-padded or with an underscore."""
+    digits = str(x)
+    return st.sampled_from([digits, "+" + digits, "0" + digits, "00" + digits,
+                            digits[0] + "_" + digits[1:] if x >= 10 else digits])
+
+
+@st.composite
+def dimacs_documents(draw):
+    """Valid DIMACS text, or with one broken line spliced in (or its header dropped)."""
+    n = draw(st.integers(0, 12))
+    seps = st.sampled_from([" ", "\t", "  ", " \t"])
+    filler = st.sampled_from(["c", "c a comment", "\tc 1 2 3", "", "   ", "\t"])
+    lines = draw(st.lists(filler, max_size=2))
+    header = draw(seps).join(["p", "edge", draw(_dimacs_id(n)), str(draw(st.integers(0, 12)))])
+    lines.append(header)
+    for _ in range(draw(st.integers(0, 12))):
+        if n >= 2 and draw(st.integers(0, 3)):
+            u, v = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+            lines.append(draw(seps).join(["e", draw(_dimacs_id(u)), draw(_dimacs_id(v))]))
+        else:
+            lines.append(draw(filler))
+    if draw(st.booleans()):
+        broken = draw(st.sampled_from([
+            "e {big} x", "e 1 x", "e {big} 1", "e 1 {big}", "e 0 1", "e -1 1", "e 2 2",
+            "e 2 +2", "e 1", "e 1 2 3", "e", "p edge 3 3", "p edge 3", "p node 3 3",
+            "p edge x 3", "p edge -1 0", "x 1 2", "drop header", "edge before header"]))
+        if broken == "drop header":
+            lines.remove(header)
+        elif broken == "edge before header":
+            lines.insert(lines.index(header), "e 1 2")
+        else:
+            at = draw(st.integers(lines.index(header) + 1, len(lines)))
+            lines.insert(at, broken.format(big=n + 1))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@st.composite
+def edge_list_documents(draw):
+    """Edge-list text with comments, blanks and tabs; some documents carry a broken line."""
+    label = st.sampled_from(["a", "b", "c", "1", "01", "+1", "1_0", "x_y", "é"])
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank"]))
+        if kind == "edge":
+            a, b = draw(st.lists(label, min_size=2, max_size=2, unique=True))
+            sep = draw(st.sampled_from([" ", "\t", "  "]))
+            tail = draw(st.sampled_from(["", " # trailing", "\t#x", "#"]))
+            lines.append(f"{a}{sep}{b}{tail}")
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# a b", "  # c"])))
+        else:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+    if draw(st.booleans()):
+        broken = draw(st.sampled_from(["a a", "1 1 # loop", "a", "a b c", "a b # c d\tx"]))
+        lines.insert(draw(st.integers(0, len(lines))), broken)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _parsed(parse, text):
+    """The document with each neighbour set in iteration order, or the ParseError text."""
+    try:
+        doc = parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+    return doc, [list(a) for a in doc.graph.adj]
+
+
+@given(dimacs_documents())
+@settings(max_examples=300, deadline=None)
+def test_parse_dimacs_matches_line_by_line_twin(text):
+    assert _parsed(parse_dimacs, text) == _parsed(reference_parsers.parse_dimacs, text)
+
+
+@given(edge_list_documents())
+@settings(max_examples=300, deadline=None)
+def test_parse_edge_list_matches_line_by_line_twin(text):
+    assert _parsed(parse_edge_list, text) == _parsed(reference_parsers.parse_edge_list, text)
+
+
+def test_parser_twins_agree_past_the_small_int_cache():
+    g = gnp(400, 0.02, 5)
+    doc = GraphDocument(g, tuple(map(str, range(g.n))), "edges")
+    for parse, twin, text in (
+            (parse_dimacs, reference_parsers.parse_dimacs, serialize_dimacs(doc)),
+            (parse_edge_list, reference_parsers.parse_edge_list, serialize_edge_list(doc))):
+        assert _parsed(parse, text) == _parsed(twin, text)
 
 
 def test_serialize_edge_list_refuses_isolated():

@@ -9,7 +9,9 @@ from conftest import (complete_graph, cycle_graph, gnp, graphs, path_graph,
 from zetakit.graph import (GraphInputError, build_graph, closed_neighborhood,
                            connected_components, is_forest, remove_vertices,
                            smallest_last_order)
-from zetakit.oracle import layered_example_graph
+from zetakit.cli import (GraphDocument, parse_dimacs, parse_edge_list, serialize_dimacs,
+                         serialize_edge_list)
+from zetakit.oracle import GeneratorSpec, generate, layered_example_graph
 
 
 def test_build_rejects_self_loop():
@@ -157,6 +159,33 @@ def test_smallest_last_is_greedy_minimum(g):
     for v, d in zip(res.order, res.residual_degrees):
         assert d == min(len(g.adj[u] & alive) for u in alive)
         alive.discard(v)
+
+
+def _invariant_graphs():
+    # every id past 256 is outside CPython's small-int cache, so a fresh int
+    # per adjacency entry shows as more objects than ids
+    yield pytest.param(gnp(400, 0.02, 3), id="build_graph")
+    for spec in (GeneratorSpec("path", n=300), GeneratorSpec("cycle", n=300),
+                 GeneratorSpec("star", n=300), GeneratorSpec("random-gnp", n=400, p=0.02, seed=1),
+                 GeneratorSpec("random-forest", n=400, seed=2), GeneratorSpec("example1", k=12),
+                 GeneratorSpec("family-F", sizes=(40,) * 8, extra_edges=30, seed=1),
+                 GeneratorSpec("disjoint-cliques", sizes=(30,) * 10)):
+        yield pytest.param(generate(spec), id=f"generate-{spec.family}")
+    g = gnp(400, 0.02, 4)
+    doc = GraphDocument(g, tuple(map(str, range(g.n))), "edges")
+    text = serialize_dimacs(doc)
+    yield pytest.param(parse_dimacs(text).graph, id="parse_dimacs")
+    # ids that start with 3 spelt "+03...", which the label map does not hold
+    yield pytest.param(parse_dimacs(text.replace(" 3", " +03")).graph, id="parse_dimacs-spellings")
+    yield pytest.param(parse_edge_list(serialize_edge_list(doc)).graph, id="parse_edge_list")
+    yield pytest.param(remove_vertices(g, range(0, g.n, 3)).graph, id="remove_vertices")
+
+
+@pytest.mark.parametrize("g", _invariant_graphs())
+def test_one_int_object_per_vertex_id(g):
+    assert g.n > 257
+    entries = [u for a in g.adj for u in a]
+    assert len({id(u) for u in entries}) == len(set(entries))
 
 
 def test_smallest_last_specific():
