@@ -3,7 +3,7 @@
 Every value below is an exact fractions.Fraction; nothing here ever rounds.
 The sums and comparisons under those values run on integers: each weight sum
 builds one Fraction, each distinct lambda is one Fraction of integer counts,
-and the candidate prefixes of a dense subset are compared by
+and the candidate suffixes of a dense subset are compared by
 cross-multiplication.  The headline quantity is
 
     Z_k(G) = sum_v min{1, 1/(zeta(v) + 1/k)}        (k >= 1)
@@ -215,12 +215,14 @@ def _component_bound(g: Graph | Residual, zeta, s: frozenset[int], hist: Counter
 
 
 def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int]:
-    """Peel lowest-degree members off S and keep the prefix minimizing lambda.
+    """Peel lowest-degree members off S and keep the rest S' minimizing lambda.
 
     lambda(S') = 1 + (|N(S')| - e(S'))/|S'|; ties keep the largest subset.
     Because S is independent, a member's degree into N(S') is just its graph
-    degree, so the peeling order is static: ascending (degree, id).  S must
-    be a nonempty independent set of live vertices.
+    degree, so the peeling order is static: ascending (degree, id), and each
+    candidate S' is a suffix of it, what is left after a peeled prefix.  One
+    scan from the back weighs every suffix (see _dense_subset).  S must be a
+    nonempty independent set of live vertices.
     """
     require_live(g, s)
     _require_independent(g, s)
@@ -230,30 +232,28 @@ def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int
 def _dense_subset(g: Graph | Residual, s: frozenset[int]) -> tuple[frozenset[int], int, int]:
     """select_dense_subset's S' with |N(S')| - e(S') and |S'|, its lambda's integer parts.
 
-    The prefixes are compared by cross-multiplying those parts, so no
-    Fraction is built.
+    The suffixes S' = order[j:] of the ascending (degree, id) order are
+    scanned from the back, j falling, with one growing union of their
+    members' neighbourhoods: S is independent, so that union is N(S'), and
+    e(S') is the running sum of the members' degrees.  Suffixes are compared
+    by cross-multiplying those parts, so no Fraction is built; a tie takes
+    the later one, the smaller j, so the larger subset.  A single member has
+    |N| = e, so lambda 1, which the scan starts from.  The scan costs one sort
+    of S plus one union per member, O(|S| log |S| + e(S)).
     """
     if not s:
         raise GraphInputError("subset must be nonempty")
-    order = sorted(s, key=lambda v: (len(g.adj[v]), v))
-    cnt = {v: 0 for v in closed_neighborhood(g, s) - s}
-    for u in order:
-        for v in g.adj[u]:
-            cnt[v] += 1
-    nsize = len(cnt)
-    e = sum(len(g.adj[u]) for u in order)
-    best_j, best_num, best_size = 0, nsize - e, len(order)
-    for j in range(1, len(order)):
-        u = order[j - 1]      # peel u and move to the next suffix
-        e -= len(g.adj[u])
-        for v in g.adj[u]:
-            cnt[v] -= 1
-            if cnt[v] == 0:
-                nsize -= 1
-        size = len(order) - j
-        if (nsize - e) * best_size < best_num * size:
-            best_j, best_num, best_size = j, nsize - e, size
-    return frozenset(order[best_j:]), best_num, best_size
+    adj = g.adj
+    order = sorted(sorted(s), key=lambda v: len(adj[v]))     # a stable sort keeps ids in order
+    covered: set[int] = set()
+    e, best_num, best_size = 0, 0, 1
+    for size, u in enumerate(reversed(order), 1):
+        covered |= adj[u]
+        e += len(adj[u])
+        num = len(covered) - e
+        if num * best_size <= best_num * size:
+            best_num, best_size = num, size
+    return frozenset(order[-best_size:]), best_num, best_size
 
 
 def independent_cheap_set(g: Graph | Residual,
@@ -262,7 +262,9 @@ def independent_cheap_set(g: Graph | Residual,
 
     Min-degree-first (degree inside the induced cheap subgraph), smallest id
     on ties — the same construction the certified greedy uses each round.
-    O((n + m) log n): one pass for the cheap set, then the heap-ordered picks.
+    O((n + m) log n): one pass for the cheap set, one disjointness test per
+    cheap vertex, which takes those with no cheap neighbour at once, and
+    heap-ordered picks among the rest only.
     """
     return _greedy_mis(g, cheap_vertices(g, profile or profile_of(g)))
 
@@ -270,18 +272,24 @@ def independent_cheap_set(g: Graph | Residual,
 def _greedy_mis(g: Graph | Residual, pool: frozenset[int]) -> frozenset[int]:
     """Greedy maximal independent set inside G[pool]: take the least (degree in G[pool], id).
 
-    Each pick drops its closed neighbourhood from the pool.  A heap of
-    (degree, id) entries holds the order: a pool vertex whose degree falls
-    gets a fresh entry, and degrees only fall, so a pool vertex's least entry
-    is its current one.  Popping skips the vertices no longer in the pool;
-    the first other entry is the minimum over the pool.  The whole set costs
-    O((|pool| + m) log |pool|).
+    Each pick drops its closed neighbourhood from the pool.  A pool vertex
+    with no pool neighbour goes straight into the answer, and only the
+    others, the linked vertices, enter the greedy.  The set comes out the
+    same: such a vertex is in the closed neighbourhood of no other pick, so
+    nothing deletes it; it never loses degree; and its own pick deletes
+    nothing else.  So the linked vertices are picked in the same order with
+    it or without it.  A heap of (degree, id) entries holds their order: a
+    vertex whose degree falls gets a fresh entry, and degrees only fall, so a
+    vertex's least entry is its current one.  Popping skips the vertices no
+    longer in the pool; the first other entry is the minimum.  The split
+    costs one disjointness test per pool vertex, the greedy
+    O((l + m_l) log l) for l linked vertices with m_l edges at them.
     """
     adj = g.adj
-    deg = {u: len(adj[u] & pool) for u in pool}   # pool vertex -> degree in G[pool]
+    out = [u for u in pool if pool.isdisjoint(adj[u])]
+    deg = {u: len(adj[u] & pool) for u in pool.difference(out)}   # linked vertex -> degree
     heap = [(d, u) for u, d in deg.items()]
     heapify(heap)
-    out = []
     while deg:
         u = heappop(heap)[1]
         if u not in deg:

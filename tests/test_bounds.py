@@ -13,8 +13,8 @@ import zetakit
 from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
                       graphs, graphs_with_edges, path_graph, random_forest,
                       star_graph)
-from zetakit.bounds import (GroupedBound, Inapplicable, _greedy_mis, baseline_bounds,
-                            caro_wei, component_lambdas, forest_z_closed_form,
+from zetakit.bounds import (GroupedBound, Inapplicable, _dense_subset, _greedy_mis,
+                            baseline_bounds, caro_wei, component_lambdas, forest_z_closed_form,
                             full_bound_report, independent_cheap_set,
                             select_dense_subset, strong_bound_component,
                             strong_bound_grouped, turan_zeta, z_bound)
@@ -238,6 +238,35 @@ def test_greedy_mis_matches_scan_twin_exhaustive(dedup_suite):
             assert _greedy_mis(g, pool) == rebuild_greedy.greedy_mis(g, pool)
 
 
+@pytest.fixture(scope="module")
+def sparse2000():
+    """G(2000, 8/n): its cheap set mixes vertices with and without a cheap neighbour."""
+    return gnp(2000, 8 / 2000, 5)
+
+
+def test_greedy_mis_matches_scan_twin_at_scale(sparse2000):
+    """Pools of thousands, where vertices without a pool neighbour skip the heap:
+    a star's leaves, all of them such; an independent pool, which comes back
+    whole; a cheap set where they mix with linked vertices; and the cheap set
+    of a Residual after deletes, as a cheap_greedy round passes it."""
+    leaves = frozenset(range(1, 2001))
+    assert _greedy_mis(star_graph(2000), leaves) == leaves
+    g = sparse2000
+    independent = rebuild_greedy.greedy_mis(g, frozenset(g.vertices()))
+    assert _greedy_mis(g, independent) == independent
+    cheap = cheap_vertices(g)
+    isolated = sum(cheap.isdisjoint(g.adj[u]) for u in cheap)
+    assert isolated > 200 and len(cheap) - isolated > 20
+    assert _greedy_mis(g, cheap) == rebuild_greedy.greedy_mis(g, cheap)
+    r = Residual(g)
+    for v in (0, 7, 300, 1999):
+        if r.alive[v]:
+            r.delete(r.adj[v] | {v})
+    cheap = cheap_vertices(r)
+    assert cheap - cheap_vertices(g)      # the deletes made new cheap vertices
+    assert _greedy_mis(r, cheap) == rebuild_greedy.greedy_mis(r, cheap)
+
+
 # ── the class lemma behind _min_lambda_group ────────────────────────────────
 
 def greedy_splits_by_class(g):
@@ -294,6 +323,27 @@ def test_select_dense_subset_matches_prefix_twin_exhaustive(dedup_suite):
             for pool in (cheap_vertices(g), frozenset(range(n))):
                 ties += dense_subset_agrees(g, _greedy_mis(g, pool))
     assert ties > 100          # the larger-subset tie rule is exercised
+
+
+def test_select_dense_subset_matches_prefix_twin_at_scale(sparse2000):
+    """The tie rule on a long scan: on the centres of 300 disjoint K_{1,3} every
+    suffix has lambda 1, so all of S wins.  Then each zeta class of the greedy
+    independent cheap set of G(2000, 8/n), as strong_bound_grouped splits it."""
+    g = build_graph(1200, [(4 * i, 4 * i + j) for i in range(300) for j in (1, 2, 3)])
+    centres = frozenset(range(0, 1200, 4))
+    assert {lam for lam, _ in rebuild_greedy.prefix_lambdas(g, centres)} == {1}
+    assert select_dense_subset(g, centres) == centres
+    g = sparse2000
+    zeta = zeta_profile(g).zeta
+    classes = {}
+    for u in independent_cheap_set(g):
+        classes.setdefault(zeta[u], set()).add(u)
+    assert len(classes) == 5 and max(map(len, classes.values())) > 100
+    for members in classes.values():
+        s = frozenset(members)
+        lam, want = rebuild_greedy.dense_subset(g, s)
+        subset, num, size = _dense_subset(g, s)
+        assert (subset, Fraction(size + num, size)) == (want, lam)
 
 
 def test_zeta_weight_builds_one_fraction_and_dense_subset_none(monkeypatch):
@@ -403,7 +453,8 @@ def test_full_report_keys_and_empty_graph():
 def test_report_builds_one_independent_cheap_set(monkeypatch):
     """Both strengthened bounds of a report come from one greedy independent
     cheap set, one cheap_vertices pass and one _greedy_mis, and equal what the
-    public functions give."""
+    public functions give.  The set comes from one call of the public
+    independent_cheap_set, which the benchmark's tracer counts."""
     suite = [gnp(40, 0.1, seed) for seed in range(4)] + [path_graph(6), star_graph(5)]
     want = []
     for g in suite:
@@ -412,13 +463,15 @@ def test_report_builds_one_independent_cheap_set(monkeypatch):
                      strong_bound_grouped(g, prof).value))
     cheap = count_calls(monkeypatch, zetakit.degeneracy, "cheap_vertices")
     mis = count_calls(monkeypatch, zetakit.bounds, "_greedy_mis")
+    public = count_calls(monkeypatch, zetakit.bounds, "independent_cheap_set")
     for g, expected in zip(suite, want):
         prof = zeta_profile(g)
         cheap.clear()
         mis.clear()
+        public.clear()
         report = full_bound_report(g, prof)
         assert (report["strong_component"], report["strong_grouped"]) == expected
-        assert (len(cheap), len(mis)) == (1, 1)
+        assert (len(cheap), len(mis), len(public)) == (1, 1, 1)
 
 
 def report_matches_public_functions(g):
