@@ -22,7 +22,7 @@ from pathlib import Path
 from .bounds import Inapplicable, full_bound_report, z_bound
 from .cheap_sets import CheapSetSearchError
 from .degeneracy import layer_decomposition, zeta_profile
-from .graph import Graph, GraphInputError, _frozen_graph, is_forest
+from .graph import Graph, GraphInputError, _frozen_graph, _nogc, is_forest
 from .greedy import (GreedyRun, cheap_greedy, forest_k_greedy, min_greedy,
                      one_cheap_greedy, two_cheap_greedy)
 from .oracle import GeneratorSpec, exact_alpha_k, generate, is_in_family_F
@@ -54,6 +54,7 @@ class GraphDocument:
 
 # ── parsing / serialization ──────────────────────────────────────────────────
 
+@_nogc
 def parse_edge_list(text: str) -> GraphDocument:
     """Lines of "u v" label pairs; '#' starts a comment; blanks ignored.
 
@@ -62,10 +63,9 @@ def parse_edge_list(text: str) -> GraphDocument:
     ids: dict[str, int] = {}
     nbrs: list[set[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 2 tokens, found {len(tokens)}")
         a, b = tokens
@@ -96,6 +96,7 @@ def serialize_edge_list(doc: GraphDocument) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+@_nogc
 def parse_dimacs(text: str) -> GraphDocument:
     """DIMACS: "c" comments, one "p edge N M" header, "e u v" 1-based edges.
 
@@ -104,15 +105,23 @@ def parse_dimacs(text: str) -> GraphDocument:
     costs a neighbour set, a label and a label-map entry, whether or not an
     edge names it.  The label map takes each canonical token "1".."N" to the
     one int object of its id; any other token goes through int() and the
-    range check.
+    range check.  The common line, "e u v" with two such tokens that differ,
+    is taken first; every other line goes through the full checks.
     """
     n = None
     m_declared = 0
     labels: tuple[str, ...] = ()
     ids: dict[str, int] = {}
+    get = ids.get                   # the label map's lookup; empty until the header
     nbrs: list[set[int]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split()
+        if len(tokens) == 3 and tokens[0] == "e":
+            u, v = get(tokens[1]), get(tokens[2])
+            if u is not None and v is not None and u != v:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+                continue
         if not tokens or tokens[0] == "c":
             continue
         if tokens[0] == "p":
@@ -129,8 +138,9 @@ def parse_dimacs(text: str) -> GraphDocument:
             if n > MAX_DIMACS_VERTICES:
                 raise ParseError(f"line {lineno}: header declares {n} vertices, "
                                  f"more than the limit of {MAX_DIMACS_VERTICES}")
-            labels = tuple(str(i + 1) for i in range(n))
+            labels = tuple(map(str, range(1, n + 1)))
             ids = dict(zip(labels, range(n)))
+            get = ids.get
             nbrs = [set() for _ in labels]
             continue
         if tokens[0] == "e":
@@ -138,7 +148,7 @@ def parse_dimacs(text: str) -> GraphDocument:
                 raise ParseError(f"line {lineno}: edge line before 'p' header")
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: edge line needs 'e u v'")
-            u, v = ids.get(tokens[1]), ids.get(tokens[2])
+            # u and v hold the label map's reads from the common-line test
             if u is None or v is None:   # spelt other than "1".."N", or not an id
                 try:
                     u, v = int(tokens[1]), int(tokens[2])

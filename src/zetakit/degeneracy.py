@@ -14,15 +14,16 @@ keeps the original vertex ids and carries its own coreness: zeta and the
 per-vertex support counts come from one peel, and after each deletion they
 are repaired locally instead of being recomputed, by one loop (`_settle`)
 that lowers a vertex short of support one level per pass over its
-neighbours.  Once asked, it keeps its cheap set the same way.  The second
-cheap layer, the cheap set of the live graph minus the first, is kept on a
-second Residual that also takes vertices back (`Residual.insert`), brought
-up to date when it is next read; an insert raises the vertices its search
-visits and the same loop lowers back those that cannot stay.  The cheap
-layers of a Graph or a Residual come from one strip (`_strip`) that makes
-the same repair, with the same loop, on per-vertex maps over the frozen
-adjacency: fresh lists for a Graph, and for a Residual copies of its lists
-with an overlay for the degrees, so a strip never changes what it strips.
+neighbours, or to 0 at once when it has no live neighbour left.  Once
+asked, it keeps its cheap set the same way.  The second cheap layer, the
+cheap set of the live graph minus the first, is kept on a second Residual
+that also takes vertices back (`Residual.insert`), brought up to date when
+it is next read; an insert raises the vertices its search visits and the
+same loop lowers back those that cannot stay.  The cheap layers of a Graph
+or a Residual come from one strip (`_strip`) that makes the same repair,
+with the same loop, on per-vertex maps over the frozen adjacency: fresh
+lists for a Graph, and for a Residual copies of its lists with an overlay
+for the degrees, so a strip never changes what it strips.
 """
 from __future__ import annotations
 
@@ -309,9 +310,20 @@ def _settle(adj, zeta, support, pending: set[int], changed: set[int]) -> None:
     neighbour has zeta 0 (see _strip): it never loses a support, and it
     counts toward a support only at level 0.  changed gains every vertex
     that falls.
+
+    A pending vertex with no live neighbour drops to zeta 0 in one step,
+    where the rule would spend one empty pass per level: it lies in no
+    1-core, and no neighbour loses a support from it.  Only a Residual's
+    adjacency empties as vertices go; a strip reads the frozen adjacency,
+    where a vertex that can be pending has neighbours, so there the step
+    never fires.
     """
     while pending:
         v = pending.pop()
+        if not adj[v]:
+            zeta[v] = support[v] = 0
+            changed.add(v)
+            continue
         old, sv = zeta[v], support[v]
         new = old - 1
         for w in adj[v]:

@@ -1,6 +1,7 @@
 """CLI surface: formats, commands, exit codes, bench reports."""
 
 import csv
+import gc
 import io
 import json
 import os
@@ -190,6 +191,62 @@ def test_parser_twins_agree_past_the_small_int_cache():
             (parse_dimacs, reference_parsers.parse_dimacs, serialize_dimacs(doc)),
             (parse_edge_list, reference_parsers.parse_edge_list, serialize_edge_list(doc))):
         assert _parsed(parse, text) == _parsed(twin, text)
+
+
+def _thousand_vertex_documents():
+    """A DIMACS and an edge-list text of a graph on 1,000 vertices, as line lists."""
+    g = gnp(1000, 0.004, 7)
+    doc = GraphDocument(g, tuple(map(str, range(1, g.n + 1))), "dimacs")
+    return serialize_dimacs(doc).splitlines(), [f"{u} {v}" for u, v in g.edges()]
+
+
+@pytest.mark.parametrize("odd", [
+    "e +1 02", "dup", "e 1001 1", "e 1", "p edge 1000 0", "e 5 5", "e 5 +5", "x 1 2",
+    "between"])
+def test_parse_dimacs_falls_through_past_the_common_line(odd):
+    """Each odd last line of a 1,000-vertex document (or c and blank lines
+    between its edges) gives the twin's document or ParseError."""
+    lines, _ = _thousand_vertex_documents()
+    if odd == "between":
+        lines[1:1] = ["c a comment", "", "  \t"]
+        lines.insert(len(lines) // 2, "c 1 2")
+        lines.insert(len(lines) // 2, "")
+    else:
+        lines.append(lines[-1] if odd == "dup" else odd)
+    text = "\n".join(lines) + "\n"
+    assert _parsed(parse_dimacs, text) == _parsed(reference_parsers.parse_dimacs, text)
+
+
+@pytest.mark.parametrize("odd", [
+    "998 999 # comment", "# only a comment", "", " \t ", "1 2 3", "5 5", "5 5 # loop"])
+def test_parse_edge_list_falls_through_past_the_common_line(odd):
+    """Each odd last line of a 1,000-vertex edge list gives the twin's
+    document or ParseError."""
+    _, lines = _thousand_vertex_documents()
+    text = "\n".join([*lines, odd]) + "\n"
+    assert _parsed(parse_edge_list, text) == _parsed(reference_parsers.parse_edge_list, text)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("build, good, bad, error", [
+    (parse_dimacs, "p edge 3 2\ne 1 2\ne 2 3\n", "p edge 3 2\ne 1 2\ne 3 3\n", ParseError),
+    (parse_edge_list, "a b\nb c\n", "a b\nb c\nc c\n", ParseError),
+    (lambda edges: build_graph(3, edges), [(0, 1), (1, 2)], [(0, 1), (2, 2)], GraphInputError)])
+def test_builders_leave_the_collector_as_they_found_it(build, good, bad, error, enabled):
+    """Every builder pauses the cyclic collector and restores its state on
+    return and on raise, whether it was on or off."""
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        build(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(error):
+            build(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_serialize_edge_list_refuses_isolated():

@@ -438,6 +438,27 @@ def test_min_degree_deletes_repair_multi_level_falls():
     assert deepest >= 2
 
 
+def test_vertex_left_without_neighbours_drops_to_zero_in_one_step():
+    """Deleting 7 vertices of K_8 leaves the last one with no live neighbour
+    and zeta 7 short of support: _settle drops it to zeta 0 and support 0 in
+    one pop, and the result equals a recompute."""
+    r = Residual(complete_graph(8))
+    changed = r.delete(range(7))
+    assert (r.zeta[7], r.support[7]) == (0, 0) and 7 in changed
+    assert r.zeta == live_zeta_oracle(r) and r.support[7] == recomputed_support(r, 7)
+
+    class CountingSet(set):
+        pops = 0
+
+        def pop(self):
+            CountingSet.pops += 1
+            return super().pop()
+
+    zeta, support, changed = [7], [0], set()
+    degeneracy._settle([set()], zeta, support, CountingSet({0}), changed)
+    assert (zeta, support, changed, CountingSet.pops) == ([0], [0], {0}, 1)
+
+
 @given(graphs(max_n=18), st.data())
 @settings(max_examples=120, deadline=None)
 def test_support_stays_exact_under_every_operation(g, data):
