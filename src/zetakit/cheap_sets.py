@@ -8,14 +8,15 @@ exactly; every finder raises CheapSetSearchError when the verification fails.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .degeneracy import (Residual, ZetaProfile, cheap_layers, profile_of,
-                         require_live, zeta_weight)
+from .degeneracy import (Residual, ZetaProfile, _weigh, cheap_layers, profile_of,
+                         require_live)
 from .graph import (Graph, GraphInputError, closed_neighborhood,
                     connected_components)
 
@@ -52,21 +53,23 @@ class VerifyResult:
 
 def cheap_weight(g: Graph | Residual, zeta, s, level: int) -> Fraction:
     """Contribution of N[S] to Z_{level+1} (isolated vertices clamp at 1)."""
-    return _weighed_neighborhood(g, zeta, s, level)[1]
+    return Fraction(*_weighed_neighborhood(g, zeta, s, level)[1:])
 
 
 def _weighed_neighborhood(g: Graph | Residual, zeta, s,
-                          level: int) -> tuple[frozenset[int], Fraction]:
-    """N[S] and its contribution to Z_{level+1}, from one build of N[S]."""
+                          level: int) -> tuple[frozenset[int], int, int]:
+    """N[S] and its contribution to Z_{level+1} as a lowest-terms pair (num, den),
+    den > 0, from one build of N[S]."""
     closed = closed_neighborhood(g, s)
-    return closed, zeta_weight((zeta[v] for v in closed), Fraction(1, level + 1))
+    return (closed, *_weigh(Counter(map(zeta.__getitem__, closed)), 1, level + 1))
 
 
 def verify_k_cheap(g: Graph | Residual, s, level: int,
                    profile: ZetaProfile | Residual | None = None) -> VerifyResult:
     """Exact-arithmetic check of both cheapness conditions, with diagnostics.
 
-    Every member of s must be a live vertex of g.
+    Every member of s must be a live vertex of g.  The weight test compares
+    integers, num <= |S| * den, and builds one Fraction, the weight.
     """
     if level < 0:
         raise GraphInputError(f"cheapness level must be >= 0, got {level}")
@@ -76,11 +79,12 @@ def verify_k_cheap(g: Graph | Residual, s, level: int,
         return VerifyResult(False, "empty set", Fraction(0), 0, 0)
     zeta = (profile or profile_of(g)).zeta
     inner = max(len(g.adj[v] & sset) for v in sset)
-    closed, weight = _weighed_neighborhood(g, zeta, sset, level)
+    closed, num, den = _weighed_neighborhood(g, zeta, sset, level)
+    weight = Fraction(num, den)
     if inner > level:
         return VerifyResult(False, f"max degree inside set is {inner} > {level}",
                             weight, len(sset), inner, closed)
-    if weight > len(sset):
+    if num > len(sset) * den:
         return VerifyResult(False, f"neighborhood weight {weight} exceeds {len(sset)}",
                             weight, len(sset), inner, closed)
     return VerifyResult(True, None, weight, len(sset), inner, closed)

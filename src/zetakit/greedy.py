@@ -21,16 +21,18 @@ recount N[S] over the tree processed so far.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import lcm
 from typing import Callable
 
 from .bounds import _greedy_mis, _lambda_parts, _min_lambda_group
 from .cheap_sets import (CheapSet, _weighed_neighborhood, find_1_cheap, find_2_cheap,
                          find_k_cheap_forest)
-from .degeneracy import Residual, cheap_vertices, zeta_weight
+from .degeneracy import Residual, _weigh, cheap_vertices
 from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
 
 
@@ -61,6 +63,8 @@ def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep]) -> Greed
     A round with isolated vertices banks them as one block; otherwise `pick`
     returns the round's step, which is banked and its removed set deleted.  New
     isolated vertices can only be among the vertices whose degree changed.
+    The certificate is summed in integers over the lcm of the steps'
+    denominators, one Fraction at the end.
     """
     r = Residual(g)
     chosen: set[int] = set()
@@ -75,8 +79,9 @@ def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep]) -> Greed
         chosen.update(step.picked)
         trace.append(step)
         isolated = sorted(v for v in r.delete(step.removed) if not r.adj[v])
-    certificate = sum((step.contribution for step in trace), Fraction(0))
-    return GreedyRun(frozenset(chosen), certificate, level, tuple(trace))
+    den = lcm(*(step.contribution.denominator for step in trace))
+    num = sum(t.contribution.numerator * (den // t.contribution.denominator) for t in trace)
+    return GreedyRun(frozenset(chosen), Fraction(num, den), level, tuple(trace))
 
 
 def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet]) -> GreedyRun:
@@ -130,8 +135,8 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
             fell.update(adj[w])
         fell.difference_update(adj[v])
         fell.discard(v)
-        closed, weight = _weighed_neighborhood(r, r.zeta, (v,), 0)
-        return TraceStep("single-cheap", (v,), tuple(sorted(closed)), weight)
+        closed, num, den = _weighed_neighborhood(r, r.zeta, (v,), 0)
+        return TraceStep("single-cheap", (v,), tuple(sorted(closed)), Fraction(num, den))
 
     return _drive(g, 0, pick)
 
@@ -144,24 +149,27 @@ def cheap_greedy(g: Graph) -> GreedyRun:
     the grouped minimum-lambda subset of S1's zeta classes, which always
     applies.  S1 wins when its component lambdas are all >= 0 and its
     smallest is <= S2's lambda.  The round banks the weight of N[S] at the
-    winner's lambdas, one weight sum per distinct lambda, and only the
-    winner is weighed.  The certificate is >= Z_1 of the input.
+    winner's lambdas, one weight sum per distinct lambda into one integer
+    pair, and only the winner is weighed.  The lambdas are integer pairs
+    (p, q), q > 0, compared by cross-multiplying.  The certificate is >= Z_1
+    of the input.
     """
     def pick(r: Residual) -> TraceStep:
         zeta = r.zeta                      # a Residual is its own zeta profile
         s1 = _greedy_mis(r, cheap_vertices(r))
-        parts, lam1, _ = _lambda_parts(r, s1)
-        lam2, _, s2 = _min_lambda_group(r, zeta, s1)
-        if 0 <= lam1 <= lam2:
-            s, lam, kind = s1, lam1, "component-lambda"
+        parts, (p1, q1), _ = _lambda_parts(r, s1)
+        (p2, q2), _, s2 = _min_lambda_group(r, zeta, s1)
+        num, den = 0, 1
+        if 0 <= p1 and p1 * q2 <= p2 * q1:
+            s, lam, kind = s1, Fraction(p1, q1), "component-lambda"
             closed = chain.from_iterable(parts.values())    # the components cover N[S1]
-            contribution = sum((zeta_weight(map(zeta.__getitem__, vs), part_lam)
-                                for part_lam, vs in parts.items()), Fraction(0))
+            for (p, q), vs in parts.items():
+                num, den = _weigh(Counter(map(zeta.__getitem__, vs)), p, q, num, den)
         else:
-            s, lam, kind = s2, lam2, "grouped-lambda"
+            s, lam, kind = s2, Fraction(p2, q2), "grouped-lambda"
             closed = closed_neighborhood(r, s)
-            contribution = zeta_weight(map(zeta.__getitem__, closed), lam)
-        return TraceStep(kind, tuple(sorted(s)), tuple(sorted(closed)), contribution, lam)
+            num, den = _weigh(Counter(map(zeta.__getitem__, closed)), p2, q2)
+        return TraceStep(kind, tuple(sorted(s)), tuple(sorted(closed)), Fraction(num, den), lam)
 
     return _drive(g, 0, pick)
 

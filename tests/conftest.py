@@ -7,6 +7,7 @@ edge lists; that is coarse but reproducible.
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -119,6 +120,36 @@ def count_calls(monkeypatch, module, name: str) -> list:
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def count_fractions(monkeypatch) -> tuple[list, list]:
+    """Count Fraction constructions at the Fraction bindings of the modules
+    that sum weights, and Fraction arithmetic and order operators on the
+    class itself.
+
+    Returns (built, ops): one entry per construction, and the name of each
+    operator run."""
+    built, ops = [], []
+
+    def construct(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for mod in (zetakit.degeneracy, zetakit.bounds, zetakit.cheap_sets, zetakit.greedy):
+        monkeypatch.setattr(mod, "Fraction", construct)
+
+    def counted(name):
+        real = getattr(Fraction, name)
+
+        def op(self, other):
+            ops.append(name)
+            return real(self, other)
+        return op
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__truediv__",
+                 "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counted(name))
+    return built, ops
 
 
 def count_strips(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 """Exact-rational lower bounds and the lambda strengthening."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
@@ -10,17 +11,20 @@ from hypothesis import strategies as st
 
 import rebuild_greedy
 import zetakit
-from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
-                      graphs, graphs_with_edges, path_graph, random_forest,
-                      star_graph)
+from conftest import (complete_bipartite, complete_graph, count_calls, count_fractions,
+                      cycle_graph, gnp, graphs, graphs_with_edges, path_graph,
+                      random_forest, star_graph)
 from zetakit.bounds import (GroupedBound, Inapplicable, _dense_subset, _greedy_mis,
                             baseline_bounds, caro_wei, component_lambdas, forest_z_closed_form,
                             full_bound_report, independent_cheap_set,
                             select_dense_subset, strong_bound_component,
                             strong_bound_grouped, turan_zeta, z_bound)
+from zetakit.cheap_sets import find_1_cheap, find_k_cheap_forest, verify_k_cheap
 from zetakit.degeneracy import Residual, cheap_vertices, zeta_profile, zeta_weight
 from zetakit.graph import (GraphInputError, build_graph, closed_neighborhood,
                            connected_components, is_forest)
+from zetakit.greedy import (cheap_greedy, forest_k_greedy, min_greedy, one_cheap_greedy,
+                            two_cheap_greedy)
 from zetakit.oracle import exact_alpha_k
 
 
@@ -54,15 +58,51 @@ def test_known_values():
     assert turan_zeta(cycle_graph(5)) == Fraction(5, 3)
 
 
-@given(graphs(max_n=16))
-def test_results_are_exact_fractions(g):
-    if g.n == 0:
-        return
+def results_are_exact_fractions(g):
+    """Every value the library reports on g is a Fraction, never an int: each
+    bound, each applicable report entry, each verified weight, each finder's
+    weight and each greedy step's contribution and lambda.  The benchmark
+    pipeline renders any value that is not a Fraction as inapplicable."""
+    def exact(x):
+        return type(x) is Fraction
+
     prof = zeta_profile(g)
-    for k in (1, 2, 3):
-        assert isinstance(z_bound(g, k, prof), Fraction)
-    assert isinstance(caro_wei(g), Fraction)
-    assert isinstance(turan_zeta(g, prof), Fraction)
+    assert all(exact(z_bound(g, k, prof)) for k in (1, 2, 3)) and exact(caro_wei(g))
+    report = full_bound_report(g, prof)
+    assert all(exact(v) or isinstance(v, Inapplicable) for v in report.values()), report
+    assert sum(map(exact, report.values())) >= (4 if g.n == 0 else 8)
+    s = independent_cheap_set(g, prof)
+    assert all(exact(verify_k_cheap(g, s, level, prof).weight) for level in (0, 1, 2))
+    forest, isolated = is_forest(g), any(not a for a in g.adj)
+    if g.n:
+        grouped = strong_bound_grouped(g, prof)
+        assert exact(turan_zeta(g, prof)) and exact(grouped.value) and exact(grouped.lam)
+        assert all(exact(v) for v in baseline_bounds(g).values() if not isinstance(v, Inapplicable))
+    if g.n and not isolated:
+        assert exact(find_1_cheap(g).weight)
+        if forest:
+            assert all(exact(find_k_cheap_forest(g, k).weight) for k in (0, 1, 2))
+    runs = [min_greedy(g), cheap_greedy(g), one_cheap_greedy(g), two_cheap_greedy(g)]
+    if forest:
+        runs += [forest_k_greedy(g, k) for k in (0, 1, 2)]
+    for run in runs:
+        assert exact(run.certificate)
+        assert all(exact(step.contribution) and (step.lam is None or exact(step.lam))
+                   for step in run.trace)
+
+
+@given(graphs(min_n=0, max_n=16, ps=(0.0, 0.1, 0.25, 0.5, 0.8, 1.0)))
+@settings(deadline=None)
+def test_results_are_exact_fractions(g):
+    results_are_exact_fractions(g)
+
+
+def test_results_are_exact_fractions_on_named_families():
+    """The empty graph, edgeless graphs, forests and cliques."""
+    for g in (build_graph(0, []), build_graph(1, []), build_graph(6, []), path_graph(7),
+              star_graph(5), random_forest(60, 3), random_forest(40, 8), complete_graph(1),
+              complete_graph(2), complete_graph(6)):
+        results_are_exact_fractions(g)
 
 
 @given(graphs(max_n=16))
@@ -193,7 +233,18 @@ def weight_sums_match_twin(g):
     prof = zeta_profile(g)
     for k in (1, 2, 3):
         assert z_bound(g, k, prof) == twin_z_bound(prof.zeta, k)
-    assert caro_wei(g) == sum((Fraction(1, len(a) + 1) for a in g.adj), Fraction(0))
+    caro = sum((Fraction(1, len(a) + 1) for a in g.adj), Fraction(0))
+    assert caro_wei(g) == caro
+    # the baselines in the paper's Fraction forms
+    n, dbar = g.n, Fraction(2 * g.m, g.n)
+    assert turan_zeta(g, prof) == Fraction(n) / (Fraction(sum(prof.zeta), n) + 1)
+    base = baseline_bounds(g)
+    assert base["ch_a1"] == Fraction(2 * n) / (math.ceil(dbar) + 2)
+    assert base["ch_a2"] == Fraction(3 * n) / (dbar + 3)
+    if min(map(len, g.adj)) >= 2:
+        assert base["caro_tuza_a1"] == Fraction(3, 2) * caro
+    else:
+        assert base["caro_tuza_a1"] == Inapplicable("requires minimum degree >= 2")
     s = independent_cheap_set(g, prof)
     comps = sorted(rebuild_greedy.lambda_components(g, s), key=lambda c: min(c[0] & s))
     got = strong_bound_component(g, prof, s)
@@ -344,6 +395,33 @@ def test_select_dense_subset_matches_prefix_twin_at_scale(sparse2000):
         lam, want = rebuild_greedy.dense_subset(g, s)
         subset, num, size = _dense_subset(g, s)
         assert (subset, Fraction(size + num, size)) == (want, lam)
+
+
+def test_report_and_verification_build_one_fraction_per_value(monkeypatch, dedup_suite):
+    """A report builds one Fraction per applicable entry, plus the one that
+    names a negative component lambda in strong_component's reason, and runs
+    no Fraction operator; a verify_k_cheap call builds one, its weight, and
+    runs none.  Constructions are counted at the modules' Fraction bindings,
+    operators on the class."""
+    suite = [build_graph(0, [])] + [g for n in range(1, 7) for g in dedup_suite[n]]
+    suite.append(random_forest(800, 2))
+    built, ops = count_fractions(monkeypatch)
+    named = 0
+    for g in suite:
+        prof = zeta_profile(g)
+        built.clear()
+        report = full_bound_report(g, prof)
+        reasoned = isinstance(report["strong_component"], Inapplicable) and g.n > 0
+        named += reasoned
+        applicable = sum(type(v) is Fraction for v in report.values())
+        assert (len(built), ops) == (applicable + reasoned, []), (g.adj, report)
+        s = independent_cheap_set(g, prof)
+        for level in (0, 1, 2):
+            built.clear()
+            verify_k_cheap(g, s, level, prof)
+            verify_k_cheap(g, g.vertices(), level, prof)
+            assert (len(built), ops) == (2, [])
+    assert named > 10
 
 
 def test_zeta_weight_builds_one_fraction_and_dense_subset_none(monkeypatch):
@@ -502,16 +580,16 @@ def test_report_entries_equal_public_functions_exhaustive(dedup_suite):
 
 def test_report_weighs_each_lambda_once_on_one_histogram(monkeypatch):
     """On a forest whose independent cheap set has hundreds of (S, N(S))
-    components but few distinct lambdas, a report makes one weight sum per
-    distinct lambda plus seven: z1, z2, z3, caro_wei, strong_component's rest
-    and strong_grouped's N[S] and rest.  It counts one zeta histogram, shared
-    by z1, z2, z3 and both strong bounds."""
+    components but few distinct lambdas, a report makes one call of the weight
+    kernel `_weigh` per distinct lambda plus seven: z1, z2, z3, caro_wei,
+    strong_component's rest and strong_grouped's N[S] and rest.  It counts
+    one zeta histogram, shared by z1, z2, z3 and both strong bounds."""
     g = random_forest(800, 2)
     prof = zeta_profile(g)
     comps = component_lambdas(g, prof, independent_cheap_set(g, prof))
     lams = {c.lam for c in comps}
     assert len(comps) > 300 and len(lams) < 10
-    sums = count_calls(monkeypatch, zetakit.degeneracy, "histogram_weight")
+    sums = count_calls(monkeypatch, zetakit.degeneracy, "_weigh")
     hists = []
 
     def counted(*args):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import rebuild_greedy
 import zetakit
-from conftest import (complete_graph, count_calls, count_strips, cycle_graph, gnp, graphs,
-                      path_graph, random_forest, random_tree, star_graph)
+from conftest import (complete_graph, count_calls, count_fractions, count_strips, cycle_graph,
+                      gnp, graphs, path_graph, random_forest, random_tree, star_graph)
 from zetakit import cheap_sets
 from zetakit.bounds import z_bound
 from zetakit.degeneracy import Residual, zeta_profile
@@ -334,9 +334,9 @@ def test_cheap_greedies_delete_few_vertices_per_run(monkeypatch):
 
 def test_finder_rounds_weigh_their_set_once(monkeypatch):
     """A 1-cheap, 2-cheap or forest round banks the weight its finder verified:
-    one zeta_weight call per round that is not an isolated block, counted at
-    every module binding."""
-    calls = count_calls(monkeypatch, zetakit.degeneracy, "zeta_weight")
+    one call of the weight kernel `_weigh` per round that is not an isolated
+    block, counted at every module binding."""
+    calls = count_calls(monkeypatch, zetakit.degeneracy, "_weigh")
     g, forest = gnp(300, 8 / 300, 1), random_forest(300, 2)
     for graph, run in ((g, one_cheap_greedy), (g, two_cheap_greedy),
                        (layered_example_graph(3), two_cheap_greedy),
@@ -345,6 +345,27 @@ def test_finder_rounds_weigh_their_set_once(monkeypatch):
         trace = run(graph).trace
         rounds = sum(step.kind != "isolated-block" for step in trace)
         assert rounds > 0 and len(calls) == rounds
+
+
+def test_greedy_rounds_and_certificates_run_no_fraction_operator(monkeypatch, dedup_suite):
+    """A greedy run builds one Fraction per banked step (in the driver for an
+    isolated block or a min_greedy pick, else in the finder's verification or
+    the cheap_greedy round, with its lambda) and one for the certificate, an
+    integer sum over the lcm of the steps' denominators; no Fraction operator
+    runs.  Constructions are counted at the modules' Fraction bindings,
+    operators on the class."""
+    suite = [g for n in range(1, 7) for g in dedup_suite[n]]
+    suite += [random_forest(800, 2), gnp(300, 8 / 300, 1), layered_example_graph(3)]
+    built, ops = count_fractions(monkeypatch)
+    for g in suite:
+        runs = [min_greedy, cheap_greedy, one_cheap_greedy, two_cheap_greedy]
+        if is_forest(g):
+            runs.append(lambda f: forest_k_greedy(f, 2))
+        for run in runs:
+            built.clear()
+            trace = run(g).trace
+            lams = sum(step.lam is not None for step in trace)
+            assert (len(built), ops) == (len(trace) + lams + 1, []), g.adj
 
 
 def test_finder_rounds_build_their_closed_neighborhood_once(monkeypatch):
@@ -365,10 +386,11 @@ def test_finder_rounds_build_their_closed_neighborhood_once(monkeypatch):
 
 
 def test_cheap_greedy_weighs_only_its_winner(monkeypatch):
-    """A cheap_greedy round makes one weight sum per distinct lambda of S1's
-    components when they win, and one for the grouped N[S] otherwise, counted
-    at every module binding.  On a random forest the rounds walk hundreds of
-    components, against a handful of distinct lambdas."""
+    """A cheap_greedy round makes one call of the weight kernel `_weigh` per
+    distinct lambda of S1's components when they win, and one for the grouped
+    N[S] otherwise, counted at every module binding.  On a random forest the
+    rounds walk hundreds of components, against a handful of distinct
+    lambdas."""
     distinct, comps = [], []
     real_parts, real_components = zetakit.bounds._lambda_parts, zetakit.bounds._components
 
@@ -384,7 +406,7 @@ def test_cheap_greedy_weighs_only_its_winner(monkeypatch):
 
     monkeypatch.setattr(zetakit.greedy, "_lambda_parts", parts)
     monkeypatch.setattr(zetakit.bounds, "_components", components)
-    sums = count_calls(monkeypatch, zetakit.degeneracy, "histogram_weight")
+    sums = count_calls(monkeypatch, zetakit.degeneracy, "_weigh")
     kinds, walked = set(), []
     for g in (random_forest(800, 2), gnp(300, 8 / 300, 1)):
         distinct.clear()
