@@ -3,14 +3,15 @@
 Formats: whitespace edge lists ('#' comments, arbitrary string labels) and
 DIMACS ("p edge N M" + "e u v").  All machine-readable numbers are exact —
 rationals serialize as "p/q" strings with a decimal approximation column
-alongside for humans.  Exit codes: 0 ok, 1 usage, 2 parse error, 3 internal
-invariant violation.
+alongside for humans.  Exit codes: 0 ok, 1 usage or I/O (an output pipe its
+reader closed included), 2 parse error, 3 internal invariant violation.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 import time
@@ -397,7 +398,7 @@ def _bench_row(path: Path, oracle_n: int) -> dict:
         if algo == "forest-k1" and not (is_forest(g) and g.n > 0):
             continue
         run = _run_greedy(g, "forest-k" if algo == "forest-k1" else algo,
-                          1, seed=0)
+                          1, seed=None)
         greedy[algo] = {"size": len(run.chosen),
                         "certificate": run.certificate,
                         "level": run.level}
@@ -621,7 +622,15 @@ def run_command(argv: list[str]) -> int:
     except (CheapSetSearchError, InvariantViolation) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(payload, indent=2))
+    try:
+        print(json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: the rest goes to devnull, so the
+        # interpreter's flush at exit does not raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -121,11 +121,12 @@ class Residual:
     """A graph under deletion, keyed by the vertex ids of the Graph it was built from.
 
     adj[v] is the set of v's live neighbours (empty once v is deleted),
-    zeta[v] the coreness of v in the live graph (0 once deleted), n and m
-    count the live vertices and edges.  It answers the read-only calls the
-    finders and bound helpers make of a Graph (vertices(), adj, n, m), and
-    it serves as its own zeta profile wherever one is taken.  Built from a
-    Graph with one peel that also counts the supports (`_peel`).
+    zeta[v] the coreness of v in the live graph (0 once deleted), n counts
+    the live vertices and m, counted on adj when asked, the live edges.  It
+    answers the read-only calls the finders and bound helpers make of a
+    Graph (vertices(), adj, n, m), and it serves as its own zeta profile
+    wherever one is taken.  Built from a Graph with one peel that also
+    counts the supports (`_peel`).
 
     support[v] counts v's live neighbours w with zeta[w] >= zeta[v] (the
     max-core degree of Sariyuce et al., VLDB 2013); it is exact after every
@@ -136,7 +137,8 @@ class Residual:
     The live cheap set with its counts (`CheapState`) is built the first
     time `cheap_state()` is asked for, and every later delete repairs it; a
     Residual that is never asked pays nothing for it.  `insert` makes a
-    deleted vertex live again; only the kept second layer uses it.  Reading
+    deleted vertex live again; only the kept second layer uses it, and a
+    second layer kept on this Residual is built again after it.  Reading
     its cheap layers leaves it as it is (see cheap_layers).
     """
 
@@ -145,8 +147,12 @@ class Residual:
         self.alive = [True] * g.n
         self.zeta, self.support = _peel(g.adj)
         self.n = g.n
-        self.m = g.m
         self._cheap: CheapState | None = None
+
+    @property
+    def m(self) -> int:
+        """The number of live edges, counted on the adjacency."""
+        return sum(map(len, self.adj)) // 2
 
     def vertices(self) -> Iterator[int]:
         """The live vertex ids in ascending order."""
@@ -155,7 +161,7 @@ class Residual:
     def cheap_state(self) -> CheapState:
         """The live cheap set with its counts, built on the first call."""
         if self._cheap is None:
-            self._cheap = CheapState(self)
+            self._cheap = CheapState(self, self.adj)
         return self._cheap
 
     def delete(self, s: Iterable[int]) -> set[int]:
@@ -181,7 +187,6 @@ class Residual:
             alive[v] = False
         changed: set[int] = set()
         pending: set[int] = set()
-        lost = 0                            # edges leaving S, plus twice those inside S
         for v in drop:
             zv = zeta[v]
             for u in adj[v]:
@@ -193,13 +198,9 @@ class Residual:
                         support[u] -= 1
                         if support[u] < zu:
                             pending.add(u)
-                    lost += 2
-                else:
-                    lost += 1
             adj[v] = set()
             zeta[v] = 0
         self.n -= len(drop)
-        self.m -= lost // 2
         _settle(adj, zeta, support, pending, changed)
         if state is not None:
             state.repair(changed)
@@ -210,7 +211,7 @@ class Residual:
         r = object.__new__(Residual)
         r.adj = [set(a) for a in self.adj]
         r.alive, r.zeta, r.support = self.alive[:], self.zeta[:], self.support[:]
-        r.n, r.m, r._cheap = self.n, self.m, None
+        r.n, r._cheap = self.n, None
         return r
 
     def insert(self, v: int, nbrs: Iterable[int]) -> None:
@@ -221,7 +222,8 @@ class Residual:
         few vertices of its level.  A built cheap state is repaired on v, its
         neighbours and the risen vertices: the neighbours in C leave it
         before their degree changes and rejoin in the repair if still cheap,
-        so every count is taken on one adjacency.
+        so every count is taken on one adjacency; its kept second layer is
+        given up (see CheapState.arrive).
         """
         adj, alive, zeta = self.adj, self.alive, self.zeta
         if not (0 <= v < len(alive)) or alive[v]:
@@ -236,7 +238,6 @@ class Residual:
         alive[v] = True
         zeta[v] = self.support[v] = 0
         self.n += 1
-        self.m += len(nbrs)
         changed = {v, *nbrs}
         for u in nbrs:
             adj[v].add(u)
@@ -347,17 +348,33 @@ def _settle(adj, zeta, support, pending: set[int], changed: set[int]) -> None:
         changed.add(v)
 
 
+def _least(heap: list[int], ok) -> int | None:
+    """The least entry of the lazy min-heap `heap` that passes ok, or None.
+
+    The entries above it that fail are popped for good, so a heap serves one
+    predicate, and its owner pushes a vertex again each time it starts to pass.
+    """
+    while heap and not ok(heap[0]):
+        heappop(heap)
+    return heap[0] if heap else None
+
+
 class CheapState:
     """The live cheap set C of the Residual r and what the finders read of it.
 
-    cheap is C, count[v] = |N(v) & C| for every live v, and isolated the
-    number of live vertices without a neighbour, all of which are in C
-    (deg 0 = zeta 0), and which stay in it until deleted.  Three min-heaps
-    of vertex ids answer the finders' first questions without a scan: the
-    members of C with a neighbour in C (`least_edge`), and the vertices with
-    at least two or three neighbours in C (`least_hub`).  A vertex is pushed
-    when it starts to qualify; an entry that no longer qualifies is popped
-    when it reaches the top, so the top is the least qualifying id.
+    cheap is C, and count keeps one invariant: count[x] = |adj[x] & C| for
+    every live x of the residual whose adjacency `adj` is.  For the first
+    layer that residual is r; for the second layer it is the residual the
+    greedy deletes from (see SecondLayer).  A vertex that joins or leaves C
+    moves the counts of its neighbours in adj at once.  isolated is the
+    number of vertices of C without a neighbour in r: for the first layer,
+    every live vertex without a neighbour (deg 0 = zeta 0), each of which
+    stays in C until deleted.  Three min-heaps of vertex ids answer the
+    finders' first questions without a scan: the members of C with a
+    neighbour in C (`least_edge`), and the vertices with at least two or
+    three neighbours in C (`least_hub`).  A vertex is pushed when it starts
+    to qualify; an entry that no longer qualifies is popped when it reaches
+    the top (`_least`), so the top is the least qualifying id.
 
     C is found by a scan of the live vertices, or only of `among` when the
     caller knows that no other live vertex is cheap.  The second layer D,
@@ -367,12 +384,12 @@ class CheapState:
     brings D up to date from those in one batch.
     """
 
-    def __init__(self, r: Residual, among: Iterable[int] | None = None):
-        self.r = r
+    def __init__(self, r: Residual, adj: list[set[int]], among: Iterable[int] | None = None):
+        self.r, self.adj = r, adj
         self.cheap = set(cheap_vertices(r) if among is None else _cheap_among(r, r.zeta, among))
-        count = self.count = [0] * len(r.adj)
+        count = self.count = [0] * len(adj)
         for u in self.cheap:
-            for v in r.adj[u]:
+            for v in adj[u]:
                 count[v] += 1
         self.isolated = sum(not r.adj[u] for u in self.cheap)
         self._paired = sorted(u for u in self.cheap if count[u])
@@ -387,17 +404,14 @@ class CheapState:
         neighbours in C has one too and is larger: uw is the first edge of
         G[C] by ascending u, then w.
         """
-        heap, cheap, count = self._paired, self.cheap, self.count
-        while heap and not (heap[0] in cheap and count[heap[0]]):
-            heappop(heap)
-        return (heap[0], min(self.r.adj[heap[0]] & cheap)) if heap else None
+        cheap, count = self.cheap, self.count
+        u = _least(self._paired, lambda u: u in cheap and count[u])
+        return None if u is None else (u, min(self.adj[u] & cheap))
 
     def least_hub(self, k: int) -> int | None:
         """The least live vertex with at least k (2 or 3) neighbours in C, or None."""
-        heap, count, alive = self._hubs[k], self.count, self.r.alive
-        while heap and not (alive[heap[0]] and count[heap[0]] >= k):
-            heappop(heap)
-        return heap[0] if heap else None
+        alive, count = self.r.alive, self.count
+        return _least(self._hubs[k], lambda v: alive[v] and count[v] >= k)
 
     def second(self) -> SecondLayer:
         """The kept second layer, built on the first call and brought up to date on each."""
@@ -409,31 +423,33 @@ class CheapState:
         return self._second
 
     def drop(self, s: set[int]) -> None:
-        """Take the live vertices S, about to be deleted, out of C and out of D's counts."""
+        """Take the live vertices S, about to be deleted, out of C and out of a kept D."""
         for v in s & self.cheap:
             self.leave(v)
         second = self._second
         if second is not None:
             self._stale |= s
-            up, adj = second.up, self.r.adj
             for v in s & second.cheap:
-                for x in adj[v]:
-                    up[x] -= 1
+                second.leave(v)
 
     def arrive(self, v: int, nbrs: list[int]) -> None:
         """Make ready for the deleted vertex v to come back next to nbrs: they leave C,
-        and the repair rejoins those still cheap.  Only a SecondLayer's residual takes
-        vertices back, and it keeps no second layer that would have to learn of v."""
+        and the repair rejoins those still cheap.  v's count restarts at 0: on r's own
+        adjacency, which lost v at its delete, it kept what it was then.  A kept second
+        layer follows a residual that only deletes, so it is given up here and built
+        again on the next read; the greedy rounds never take a vertex back, and a
+        SecondLayer's own residual keeps no second layer."""
         for u in self.cheap.intersection(nbrs):
             self.leave(u)
         self.count[v] = 0
+        self._second, self._stale = None, set()
 
     def leave(self, u: int) -> None:
         self.cheap.discard(u)
-        count, nbrs = self.count, self.r.adj[u]
-        if not nbrs:
+        if not self.r.adj[u]:
             self.isolated -= 1
-        for v in nbrs:
+        count = self.count
+        for v in self.adj[u]:
             count[v] -= 1
         if self._second is not None:
             self._stale.add(u)
@@ -443,7 +459,7 @@ class CheapState:
         cheap.add(u)
         if count[u]:
             heappush(self._paired, u)
-        for v in self.r.adj[u]:
+        for v in self.adj[u]:
             count[v] += 1
             c = count[v]
             if c == 1:
@@ -455,8 +471,8 @@ class CheapState:
                     heappush(second._pairs, v)
         if second is not None:
             self._stale.add(u)
-            if second.up[u] >= 2:
-                heappush(second._ups, u)
+            if second.count[u] >= 2:
+                heappush(second._hubs[2], u)
 
     def repair(self, changed: set[int]) -> None:
         """Recheck C after a delete that changed the degree or zeta of `changed`.
@@ -477,76 +493,56 @@ class CheapState:
 
 class SecondLayer(CheapState):
     """The second cheap layer D of a Residual R: the cheap state of a Residual R2
-    of R's live graph minus its cheap set C, on R's vertex ids.
+    of R's live graph minus its cheap set C, on R's vertex ids and counted on R's adjacency.
 
     R2 is built from a copy of R by one delete of C, whose changed vertices
     are the only ones that can be cheap there (see cheap_layers), and R's
-    CheapState brings it up to date when it is read (`sync`).  Besides D
-    with its own counts and heaps, it keeps what the 2-cheap finder reads
-    across the two layers: up[x] = |N(x) & D| in R for every live x of R,
-    and lazy min-heaps for the least member of D (`least`), the least member
-    of D with two neighbours in C (`least_pair`), and the least member of C
-    with two neighbours in D (`least_up`).  up is counted on D as of the
-    last sync and on R's adjacency as it is now: a delete in R takes its
-    members of that D out of their neighbours' counts (CheapState.drop), and
-    a vertex joining or leaving D at a sync counts on R's adjacency of that
-    moment, which is empty for a vertex R has deleted.  R only deletes, so
-    no vertex of R comes back next to D.  Its r is R2, whose cheap layers
-    below D the 2-cheap finder reads (see cheap_layers); `second()` is never
-    asked of this state.
+    CheapState brings it up to date when it is read (`sync`).  Its r is R2,
+    whose cheap layers below D the 2-cheap finder reads (see cheap_layers);
+    `second()` is never asked of this state.
+
+    count[x] = |N(x) & D| is taken on R's adjacency, the one the greedy
+    deletes from, and holds for every live x of R at every moment, before
+    and after a sync: a delete in R takes its members out of D first
+    (CheapState.drop), and a sync moves D's members on R's adjacency as it
+    is then.  After a sync, N(x) in R2 is N(x) in R less C for every vertex
+    x of R2, so there count is also x's count in R2, which `least_edge`
+    reads; on a member of C it is the number of neighbours in D.  Besides
+    D's own heaps, lazy min-heaps answer the 2-cheap finder across the two
+    layers: the least member of D (`least`), the least member of D with two
+    neighbours in C (`least_pair`), and the least member of C with two
+    neighbours in D (`least_up`), which reads the hub heap _hubs[2].  A
+    lazy heap serves one predicate, so `least_hub` is never asked of this
+    state.
     """
 
     def __init__(self, outer: CheapState):
-        r, cheap = outer.r, outer.cheap
-        r2 = r._copy()
-        super().__init__(r2, r2.delete(cheap))
+        r2 = outer.r._copy()
+        super().__init__(r2, outer.r.adj, r2.delete(outer.cheap))
         r2._cheap = self
         self.outer = outer
-        up = self.up = [0] * len(r.adj)
-        for v in self.cheap:
-            for x in r.adj[v]:
-                up[x] += 1
         self._members = sorted(self.cheap)
         self._pairs = sorted(v for v in self.cheap if outer.count[v] >= 2)
-        self._ups = sorted(u for u in cheap if up[u] >= 2)
 
     def least(self) -> int | None:
         """The least member of D, or None when D is empty."""
-        heap, cheap = self._members, self.cheap
-        while heap and heap[0] not in cheap:
-            heappop(heap)
-        return heap[0] if heap else None
+        return _least(self._members, self.cheap.__contains__)
 
     def least_pair(self) -> int | None:
         """The least member of D with at least two neighbours in C, or None."""
-        heap, cheap, count = self._pairs, self.cheap, self.outer.count
-        while heap and not (heap[0] in cheap and count[heap[0]] >= 2):
-            heappop(heap)
-        return heap[0] if heap else None
+        cheap, count = self.cheap, self.outer.count
+        return _least(self._pairs, lambda v: v in cheap and count[v] >= 2)
 
     def least_up(self) -> int | None:
         """The least member of C with at least two neighbours in D, or None."""
-        heap, cheap, up = self._ups, self.outer.cheap, self.up
-        while heap and not (heap[0] in cheap and up[heap[0]] >= 2):
-            heappop(heap)
-        return heap[0] if heap else None
+        cheap, count = self.outer.cheap, self.count
+        return _least(self._hubs[2], lambda u: u in cheap and count[u] >= 2)
 
     def join(self, u: int) -> None:
         super().join(u)
-        outer, up = self.outer, self.up
         heappush(self._members, u)
-        if outer.count[u] >= 2:
+        if self.outer.count[u] >= 2:
             heappush(self._pairs, u)
-        for x in outer.r.adj[u]:
-            up[x] += 1
-            if up[x] == 2 and x in outer.cheap:
-                heappush(self._ups, x)
-
-    def leave(self, u: int) -> None:
-        super().leave(u)
-        up = self.up
-        for x in self.outer.r.adj[u]:
-            up[x] -= 1
 
     def sync(self, stale: set[int]) -> None:
         """Bring R2 up to date with R after changes to the vertices `stale`.

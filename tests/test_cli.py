@@ -550,6 +550,25 @@ def test_console_script_wiring(tmp_path):
     assert json.loads(got.stdout)["zeta"] == [1, 1, 1]
 
 
+def test_closed_output_pipe_exits_1_without_a_traceback(tmp_path):
+    """A reader that takes 50 bytes and closes the pipe, as `| head -c 50` does,
+    gets exit code 1 and no traceback.  The path's zeta report, about 400 kB, is
+    larger than a pipe holds, so the write after the close always fails."""
+    f = tmp_path / "path.edges"
+    assert run_command(["gen", "--family", "path", "--n", "60000", "--out", str(f)]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen([sys.executable, "-m", "zetakit.cli", "zeta", str(f)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 def test_conjecture_scan_runs_from_any_directory(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "conjecture_scan.py"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -658,6 +677,33 @@ def test_bench_oracle_n_lifts_the_oracle_cap(tmp_path, capsys):
         assert rc == 0, err
         [row] = json.loads(out_path.read_text())["rows"]
         assert (row["n"], row["alpha0"], row["family_f"]) == (45, alpha0, family_f)
+
+
+def test_bench_greedy_sizes_match_the_greedy_command(tmp_path, capsys):
+    """Each row's greedy sizes are those of the `greedy` command on the same file,
+    for all five algorithms: `bench` breaks `min`'s ties by the smallest id, as
+    `greedy --algo min` does without --seed.  On the G(n, p) graph a seeded
+    tie-break picks 12 vertices where the smallest id picks 11."""
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for name, argv in (("gnp.edges", ["--family", "random-gnp", "--n", "30", "--p", "0.2",
+                                      "--seed", "1"]),
+                       ("forest.dimacs", ["--family", "random-forest", "--n", "20",
+                                          "--seed", "3"])):
+        assert run_command(["gen", *argv, "--out", str(d / name)]) == 0
+    capsys.readouterr()
+    out_path = tmp_path / "report.json"
+    rc, _, err = run(capsys, "bench", "--dir", str(d), "--out", str(out_path))
+    assert rc == 0, err
+    rows = json.loads(out_path.read_text())["rows"]
+    assert {name for row in rows for name in row["greedy"]} == {
+        "min", "cheap", "1cheap", "2cheap", "forest-k1"}
+    for row in rows:
+        for algo, res in row["greedy"].items():
+            argv = ["--algo", "forest-k", "--k", "1"] if algo == "forest-k1" else ["--algo", algo]
+            rc, out, err = run(capsys, "greedy", *argv, str(d / row["name"]))
+            assert rc == 0, err
+            assert res["size"] == out["size"], (row["name"], algo)
 
 
 def test_bench_usage_errors(tmp_path, capsys):

@@ -292,12 +292,12 @@ def test_kept_cheap_state_matches_recompute(g, data):
 def kept_layer_answers(r):
     """What the kept second layer of r says once brought up to date, in plain
     values: its cheap set, its residual's live vertices, adjacency, zeta and
-    support, the layer counts `up` over r, and the four heap answers."""
+    support, the layer counts `count` over r, and the four heap answers."""
     layer = r.cheap_state().second()
     res, live = layer.r, list(r.vertices())
     return (set(layer.cheap), set(res.vertices()), [res.adj[v] for v in live],
             [res.zeta[v] for v in res.vertices()], [res.support[v] for v in res.vertices()],
-            [layer.up[v] for v in live],
+            [layer.count[v] for v in live],
             layer.least(), layer.least_pair(), layer.least_up(), layer.least_edge())
 
 
@@ -367,6 +367,45 @@ def test_kept_layers_take_back_vertices_that_leave_a_layer():
     assert kept_layer_answers(r) == recomputed_layer(g, r)
     assert state.second().cheap == {2, 7}
     r.delete({1, 8})
+    assert kept_layer_answers(r) == recomputed_layer(g, r)
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=150, deadline=None)
+def test_second_layer_counts_on_the_deleting_residual(g, data):
+    """The kept second layer's one count: for every live x of r, count[x] is the
+    number of x's neighbours in r that lie in the second layer, after every
+    delete, whether or not the layer has been read since, and after every read."""
+    r = Residual(g)
+    second = r.cheap_state().second()
+
+    def holds():
+        return all(second.count[x] == len(r.adj[x] & second.cheap) for x in r.vertices())
+
+    assert holds()
+    while r.n:
+        r.delete(draw_deletion(data, r))
+        assert holds()
+        if data.draw(st.booleans()):
+            assert r.cheap_state().second() is second
+            assert holds()
+
+
+@given(graphs(max_n=14), st.data())
+@settings(max_examples=80, deadline=None)
+def test_kept_layers_follow_an_insert_into_the_residual(g, data):
+    """Deleted vertices put back into r, each next to its live neighbours, while
+    a second layer is kept: every read of the layer afterwards equals a
+    recompute, as the layer is built again after an insert."""
+    r = Residual(g)
+    kept_layer_answers(r)
+    gone = data.draw(st.lists(st.sampled_from(range(g.n)), unique=True, min_size=1)) if g.n else []
+    r.delete(gone)
+    assert kept_layer_answers(r) == recomputed_layer(g, r)
+    for v in data.draw(st.permutations(gone)):
+        r.insert(v, [u for u in g.adj[v] if r.alive[u]])
+        if data.draw(st.booleans()):
+            assert kept_layer_answers(r) == recomputed_layer(g, r)
     assert kept_layer_answers(r) == recomputed_layer(g, r)
 
 
