@@ -234,8 +234,9 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
       CheapSetSearchError is raised.
 
     A Graph is wrapped in one Residual.  Its kept cheap state answers the
-    first two stages and its kept second layer (`CheapState.second`) the
-    next three, from counts and heaps.  A deeper stage reads the cheap
+    first two stages and its kept second layer (`CheapState.second`), a
+    CheapState too, the next three, from counts and from lazy heaps that
+    each read makes on its first call.  A deeper stage reads the cheap
     layers of the second layer's own Residual from D down, in one stream per
     call that writes to neither residual (see cheap_layers).
     """

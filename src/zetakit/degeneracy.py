@@ -4,10 +4,10 @@ Every sum of min{1, 1/(z + shift)} in the library runs in one integer
 kernel, `_weigh`: it adds a histogram's terms at the shift p/q to a running
 integer pair (num, den), so a caller that weighs several parts at several
 shifts builds one Fraction, for the value it reports, and no Fraction
-operator runs on the way.  `zeta_weight` and its histogram form
-`histogram_weight` are that kernel with the Fraction built at once.  With
-the bound report, the cheap-set verification and the greedy certificates on
-it, a small-graph report builds about 10 Fractions where it built 31.
+operator runs on the way.  `zeta_weight` is that kernel on a histogram of
+its values, with the Fraction built at once.  With the bound report, the
+cheap-set verification and the greedy certificates on it, a small-graph
+report builds about 10 Fractions where it built 31.
 
 zeta(v) is the largest minimum degree over all induced subgraphs containing v
 — equivalently v's coreness.  It is computed in linear time by one bucket
@@ -20,15 +20,18 @@ per-vertex support counts come from one peel, and after each deletion they
 are repaired locally instead of being recomputed, by one loop (`_settle`)
 that lowers a vertex short of support one level per pass over its
 neighbours, or to 0 at once when it has no live neighbour left.  Once
-asked, it keeps its cheap set the same way.  The second cheap layer, the
-cheap set of the live graph minus the first, is kept on a second Residual
+asked, it keeps its cheap set the same way.  One class, `CheapState`,
+keeps a cheap layer: the first on the Residual itself, and the second,
+the cheap set of the live graph minus the first, on a second Residual
 that also takes vertices back (`Residual.insert`), brought up to date when
 it is next read; an insert raises the vertices its search visits and the
-same loop lowers back those that cannot stay.  The cheap layers of a Graph
-or a Residual come from one strip (`_strip`) that makes the same repair,
-with the same loop, on per-vertex maps over the frozen adjacency: fresh
-lists for a Graph, and for a Residual copies of its lists with an overlay
-for the degrees, so a strip never changes what it strips.
+same loop lowers back those that cannot stay.  A layer answers the
+finders' reads from lazy heaps that each read makes on its first call, so
+a run keeps no heap that its finder never reads.  The cheap layers of a
+Graph or a Residual come from one strip (`_strip`) that makes the same
+repair, with the same loop, on per-vertex maps over the frozen adjacency:
+fresh lists for a Graph, and for a Residual copies of its lists with an
+overlay for the degrees, so a strip never changes what it strips.
 """
 from __future__ import annotations
 
@@ -134,12 +137,14 @@ class Residual:
     Coreness makes support[v] >= zeta[v] for every live v: v lies in the
     zeta[v]-core with at least zeta[v] neighbours there.
 
-    The live cheap set with its counts (`CheapState`) is built the first
+    The live cheap set with its counts, a `CheapState`, is built the first
     time `cheap_state()` is asked for, and every later delete repairs it; a
-    Residual that is never asked pays nothing for it.  `insert` makes a
-    deleted vertex live again; only the kept second layer uses it, and a
-    second layer kept on this Residual is built again after it.  Reading
-    its cheap layers leaves it as it is (see cheap_layers).
+    Residual that is never asked pays nothing for it.  Its kept second layer
+    is a `CheapState` too, of a copy of this Residual (see
+    CheapState.second).  `insert` makes a deleted vertex live again; only
+    the kept second layer uses it, and a second layer kept on this Residual
+    is built again after it.  Reading its cheap layers leaves it as it is
+    (see cheap_layers).
     """
 
     def __init__(self, g: Graph):
@@ -161,7 +166,7 @@ class Residual:
     def cheap_state(self) -> CheapState:
         """The live cheap set with its counts, built on the first call."""
         if self._cheap is None:
-            self._cheap = CheapState(self, self.adj)
+            self._cheap = CheapState(self)
         return self._cheap
 
     def delete(self, s: Iterable[int]) -> set[int]:
@@ -348,79 +353,132 @@ def _settle(adj, zeta, support, pending: set[int], changed: set[int]) -> None:
         changed.add(v)
 
 
-def _least(heap: list[int], ok) -> int | None:
-    """The least entry of the lazy min-heap `heap` that passes ok, or None.
-
-    The entries above it that fail are popped for good, so a heap serves one
-    predicate, and its owner pushes a vertex again each time it starts to pass.
-    """
-    while heap and not ok(heap[0]):
-        heappop(heap)
-    return heap[0] if heap else None
-
-
 class CheapState:
-    """The live cheap set C of the Residual r and what the finders read of it.
+    """One kept cheap layer L of the Residual r and what the finders read of it.
 
-    cheap is C, and count keeps one invariant: count[x] = |adj[x] & C| for
-    every live x of the residual whose adjacency `adj` is.  For the first
-    layer that residual is r; for the second layer it is the residual the
-    greedy deletes from (see SecondLayer).  A vertex that joins or leaves C
-    moves the counts of its neighbours in adj at once.  isolated is the
-    number of vertices of C without a neighbour in r: for the first layer,
-    every live vertex without a neighbour (deg 0 = zeta 0), each of which
-    stays in C until deleted.  Three min-heaps of vertex ids answer the
-    finders' first questions without a scan: the members of C with a
-    neighbour in C (`least_edge`), and the vertices with at least two or
-    three neighbours in C (`least_hub`).  A vertex is pushed when it starts
-    to qualify; an entry that no longer qualifies is popped when it reaches
-    the top (`_least`), so the top is the least qualifying id.
+    cheap is L, and count keeps one invariant: count[x] = |adj[x] & L| for
+    every live x of the residual the greedy deletes from, whose adjacency
+    `adj` and alive flags `alive` are.  For the first layer C that residual
+    is r.  The second layer D, the cheap set of the live graph minus C, is
+    the cheap state of a Residual R2 of that graph, on the same vertex ids,
+    and counts on the residual of its `outer` layer C (see second).  A
+    vertex that joins or leaves L moves the counts of its neighbours in adj
+    at once.  isolated is the number of vertices of L without a neighbour in
+    r: for the first layer, every live vertex without a neighbour (deg 0 =
+    zeta 0), each of which stays in C until deleted.
 
-    C is found by a scan of the live vertices, or only of `among` when the
-    caller knows that no other live vertex is cheap.  The second layer D,
-    the cheap set of the live graph minus C, is kept once `second()` has
-    been asked for (see SecondLayer).  Between reads the state only notes
-    the vertices that were deleted, joined C or left it; the next read
-    brings D up to date from those in one batch.
+    Every read asks for the least vertex of a member set, a layer or every
+    live vertex, whose count on a layer is at least some level (`_least`).
+    Its lazy min-heap of vertex ids is made on its first call, from the
+    state as it is then, and kept by the counting layer.  Two events feed
+    it: a vertex joins the member layer with its count already at the level
+    (the member layer's `_joins`), or a member's count reaches the level
+    (the counting layer's `_feeds`).  An entry that no longer qualifies is
+    popped when it reaches the top, so the top is the least qualifying id.
+    No heap exists that no reader has asked for.
+
+    L is found by a scan of the live vertices, or only of `among` when the
+    caller knows that no other live vertex is cheap.  Between reads of D, C
+    only notes the vertices that were deleted, joined C or left it; the
+    next `second()` brings D up to date from those in one batch.
     """
 
-    def __init__(self, r: Residual, adj: list[set[int]], among: Iterable[int] | None = None):
-        self.r, self.adj = r, adj
+    def __init__(self, r: Residual, outer: CheapState | None = None,
+                 among: Iterable[int] | None = None):
+        home = r if outer is None else outer.r
+        self.r, self.outer, self.adj, self.alive = r, outer, home.adj, home.alive
         self.cheap = set(cheap_vertices(r) if among is None else _cheap_among(r, r.zeta, among))
-        count = self.count = [0] * len(adj)
+        count = self.count = [0] * len(self.adj)
         for u in self.cheap:
-            for v in adj[u]:
+            for v in self.adj[u]:
                 count[v] += 1
         self.isolated = sum(not r.adj[u] for u in self.cheap)
-        self._paired = sorted(u for u in self.cheap if count[u])
-        self._hubs = {k: [v for v, c in enumerate(count) if c >= k] for k in (2, 3)}
-        self._second: SecondLayer | None = None
+        self._reads: dict[tuple[CheapState | None, int], list[int]] = {}
+        self._feeds: dict[int, list[tuple[set[int] | None, list[int]]]] = {}
+        self._joins: list[tuple[list[int], int, list[int]]] = []
+        self._second: CheapState | None = None
         self._stale: set[int] = set()
 
-    def least_edge(self) -> tuple[int, int] | None:
-        """The edge uw inside C with the least u, then the least w; None when C is independent.
+    def _least(self, members: CheapState | None, level: int) -> int | None:
+        """The least member of the layer `members`, or live vertex when None, whose
+        count on this layer is at least level; None when there is none.  A read of
+        the live vertices takes level >= 1, as a vertex that comes back counts from 0."""
+        count = self.count
+        heap = self._reads.get((members, level))
+        if heap is None:
+            pool = compress(range(len(self.alive)), self.alive) if members is None else members.cheap
+            heap = self._reads[members, level] = sorted(v for v in pool if count[v] >= level)
+            if level:
+                self._feeds.setdefault(level, []).append((members and members.cheap, heap))
+            if members is not None:
+                members._joins.append((count, level, heap))
+        ok = self.alive.__getitem__ if members is None else members.cheap.__contains__
+        while heap and not (ok(heap[0]) and count[heap[0]] >= level):
+            heappop(heap)
+        return heap[0] if heap else None
 
-        u is the least member of C with a neighbour in C, so each of its
-        neighbours in C has one too and is larger: uw is the first edge of
-        G[C] by ascending u, then w.
+    def least_edge(self) -> tuple[int, int] | None:
+        """The edge uw inside L with the least u, then the least w; None when L is independent.
+
+        u is the least member of L with a neighbour in L, so each of its
+        neighbours in L has one too and is larger: uw is the first edge of
+        G[L] by ascending u, then w.
         """
-        cheap, count = self.cheap, self.count
-        u = _least(self._paired, lambda u: u in cheap and count[u])
-        return None if u is None else (u, min(self.adj[u] & cheap))
+        u = self._least(self, 1)
+        return None if u is None else (u, min(self.adj[u] & self.cheap))
 
     def least_hub(self, k: int) -> int | None:
-        """The least live vertex with at least k (2 or 3) neighbours in C, or None."""
-        alive, count = self.r.alive, self.count
-        return _least(self._hubs[k], lambda v: alive[v] and count[v] >= k)
+        """The least live vertex with at least k >= 1 neighbours in L, or None."""
+        return self._least(None, k)
 
-    def second(self) -> SecondLayer:
-        """The kept second layer, built on the first call and brought up to date on each."""
-        if self._second is None:
-            self._second = SecondLayer(self)
+    def least(self) -> int | None:
+        """The least member of L, or None when L is empty."""
+        return self._least(self, 0)
+
+    def least_pair(self) -> int | None:
+        """The least member of the second layer D with at least two neighbours in C, or None."""
+        return self.outer._least(self, 2)
+
+    def least_up(self) -> int | None:
+        """The least member of C with at least two neighbours in the second layer D, or None."""
+        return self._least(self.outer, 2)
+
+    def second(self) -> CheapState:
+        """The kept second layer D, built on the first call and brought up to date on each.
+
+        R2 is built from a copy of r by one delete of C, whose changed
+        vertices are the only ones that can be cheap there (see
+        cheap_layers).  D's r is R2, whose cheap layers below D the 2-cheap
+        finder reads (see cheap_layers); `second()` is never asked of D.
+        D's count[x] = |N(x) & D| is taken on r's adjacency and holds for
+        every live x of r at every moment: a delete in r takes its members
+        out of D first (`drop`), and an update moves D's members on r's
+        adjacency as it is then.  After an update, N(x) in R2 is N(x) in r
+        less C for every vertex x of R2, so there count is also x's count in
+        R2, which D's `least_edge` reads; on a member of C it is the number
+        of neighbours in D, which `least_up` reads.
+
+        The update: a noted vertex belongs in R2 when it is live in r and
+        outside C.  The ones in R2 that no longer belong are deleted in one
+        batch; then each one that now belongs, a live vertex that left C, is
+        inserted, joined to its neighbours in R2 (those inserted before it
+        included).
+        """
+        second = self._second
+        if second is None:
+            r2 = self.r._copy()
+            second = self._second = r2._cheap = CheapState(r2, self, r2.delete(self.cheap))
         elif self._stale:
-            self._second.sync(self._stale)
+            r, r2, cheap = self.r, second.r, self.cheap
+            wanted = {v for v in self._stale if r.alive[v] and v not in cheap}
+            gone = {v for v in self._stale if r2.alive[v]} - wanted
+            if gone:
+                r2.delete(gone)
+            for v in wanted:
+                if not r2.alive[v]:
+                    r2.insert(v, [x for x in r.adj[v] if r2.alive[x]])
             self._stale = set()
-        return self._second
+        return second
 
     def drop(self, s: set[int]) -> None:
         """Take the live vertices S, about to be deleted, out of C and out of a kept D."""
@@ -436,12 +494,19 @@ class CheapState:
         """Make ready for the deleted vertex v to come back next to nbrs: they leave C,
         and the repair rejoins those still cheap.  v's count restarts at 0: on r's own
         adjacency, which lost v at its delete, it kept what it was then.  A kept second
-        layer follows a residual that only deletes, so it is given up here and built
-        again on the next read; the greedy rounds never take a vertex back, and a
-        SecondLayer's own residual keeps no second layer."""
+        layer follows a residual that only deletes, so it is given up here, with the
+        reads that C feeds for it, and built again on the next read; the greedy rounds
+        never take a vertex back, and a second layer's own residual keeps no second
+        layer."""
         for u in self.cheap.intersection(nbrs):
             self.leave(u)
         self.count[v] = 0
+        second = self._second
+        if second is not None:
+            self._reads = {key: heap for key, heap in self._reads.items() if key[0] is not second}
+            self._feeds = {k: [f for f in fs if f[0] is not second.cheap]
+                           for k, fs in self._feeds.items()}
+            self._joins = [j for j in self._joins if j[0] is not second.count]
         self._second, self._stale = None, set()
 
     def leave(self, u: int) -> None:
@@ -455,27 +520,22 @@ class CheapState:
             self._stale.add(u)
 
     def join(self, u: int) -> None:
-        cheap, count, hubs, second = self.cheap, self.count, self._hubs, self._second
-        cheap.add(u)
-        if count[u]:
-            heappush(self._paired, u)
+        count, feeds = self.count, self._feeds
+        self.cheap.add(u)
+        for counts, level, heap in self._joins:
+            if counts[u] >= level:
+                heappush(heap, u)
         for v in self.adj[u]:
-            count[v] += 1
-            c = count[v]
-            if c == 1:
-                if v in cheap:
-                    heappush(self._paired, v)
-            elif c <= 3:
-                heappush(hubs[c], v)
-                if c == 2 and second is not None:
-                    heappush(second._pairs, v)
-        if second is not None:
+            count[v] = c = count[v] + 1
+            if c in feeds:
+                for members, heap in feeds[c]:
+                    if members is None or v in members:
+                        heappush(heap, v)
+        if self._second is not None:
             self._stale.add(u)
-            if second.count[u] >= 2:
-                heappush(second._hubs[2], u)
 
     def repair(self, changed: set[int]) -> None:
-        """Recheck C after a delete that changed the degree or zeta of `changed`.
+        """Recheck L after a delete that changed the degree or zeta of `changed`.
 
         Only the changed vertices are rechecked: whether u is cheap depends
         only on deg(u) and zeta(u) (see cheap_vertices), so a vertex whose
@@ -489,77 +549,6 @@ class CheapState:
             self.leave(u)
         for u in now - cheap:
             self.join(u)
-
-
-class SecondLayer(CheapState):
-    """The second cheap layer D of a Residual R: the cheap state of a Residual R2
-    of R's live graph minus its cheap set C, on R's vertex ids and counted on R's adjacency.
-
-    R2 is built from a copy of R by one delete of C, whose changed vertices
-    are the only ones that can be cheap there (see cheap_layers), and R's
-    CheapState brings it up to date when it is read (`sync`).  Its r is R2,
-    whose cheap layers below D the 2-cheap finder reads (see cheap_layers);
-    `second()` is never asked of this state.
-
-    count[x] = |N(x) & D| is taken on R's adjacency, the one the greedy
-    deletes from, and holds for every live x of R at every moment, before
-    and after a sync: a delete in R takes its members out of D first
-    (CheapState.drop), and a sync moves D's members on R's adjacency as it
-    is then.  After a sync, N(x) in R2 is N(x) in R less C for every vertex
-    x of R2, so there count is also x's count in R2, which `least_edge`
-    reads; on a member of C it is the number of neighbours in D.  Besides
-    D's own heaps, lazy min-heaps answer the 2-cheap finder across the two
-    layers: the least member of D (`least`), the least member of D with two
-    neighbours in C (`least_pair`), and the least member of C with two
-    neighbours in D (`least_up`), which reads the hub heap _hubs[2].  A
-    lazy heap serves one predicate, so `least_hub` is never asked of this
-    state.
-    """
-
-    def __init__(self, outer: CheapState):
-        r2 = outer.r._copy()
-        super().__init__(r2, outer.r.adj, r2.delete(outer.cheap))
-        r2._cheap = self
-        self.outer = outer
-        self._members = sorted(self.cheap)
-        self._pairs = sorted(v for v in self.cheap if outer.count[v] >= 2)
-
-    def least(self) -> int | None:
-        """The least member of D, or None when D is empty."""
-        return _least(self._members, self.cheap.__contains__)
-
-    def least_pair(self) -> int | None:
-        """The least member of D with at least two neighbours in C, or None."""
-        cheap, count = self.cheap, self.outer.count
-        return _least(self._pairs, lambda v: v in cheap and count[v] >= 2)
-
-    def least_up(self) -> int | None:
-        """The least member of C with at least two neighbours in D, or None."""
-        cheap, count = self.outer.cheap, self.count
-        return _least(self._hubs[2], lambda u: u in cheap and count[u] >= 2)
-
-    def join(self, u: int) -> None:
-        super().join(u)
-        heappush(self._members, u)
-        if self.outer.count[u] >= 2:
-            heappush(self._pairs, u)
-
-    def sync(self, stale: set[int]) -> None:
-        """Bring R2 up to date with R after changes to the vertices `stale`.
-
-        A stale vertex belongs in R2 when it is live in R and outside C.  The
-        ones in R2 that no longer belong are deleted in one batch; then each
-        one that now belongs, a live vertex that left C, is inserted, joined
-        to its neighbours in R2 (those inserted before it included).
-        """
-        r, r2, cheap = self.outer.r, self.r, self.outer.cheap
-        wanted = {v for v in stale if r.alive[v] and v not in cheap}
-        gone = {v for v in stale if r2.alive[v]} - wanted
-        if gone:
-            r2.delete(gone)
-        for v in wanted:
-            if not r2.alive[v]:
-                r2.insert(v, [x for x in r.adj[v] if r2.alive[x]])
 
 
 def profile_of(g: Graph | Residual) -> ZetaProfile | Residual:
@@ -601,12 +590,7 @@ def zeta_oracle(g: Graph) -> tuple[int, ...]:
 
 def zeta_weight(values: Iterable[int], shift: Fraction | int) -> Fraction:
     """Sum of min{1, 1/(z + shift)} over the multiset of integers `values`."""
-    return histogram_weight(Counter(values), shift)
-
-
-def histogram_weight(counts: Mapping[int, int], shift: Fraction | int) -> Fraction:
-    """zeta_weight of the multiset that holds each z counts[z] times."""
-    return Fraction(*_weigh(counts, shift.numerator, shift.denominator))
+    return Fraction(*_weigh(Counter(values), shift.numerator, shift.denominator))
 
 
 def _weigh(counts: Mapping[int, int], p: int, q: int, num=0, den=1) -> tuple[int, int]:
@@ -678,8 +662,8 @@ def cheap_layers(g: Graph | Residual,
       list copies at memory speed plus what its layers touch: overlays on
       all four maps measured 20-25% slower on trees, as a dict subclass
       reads a missing key about ten times slower than a list.  The 2-cheap
-      finder reads it on the second layer's Residual (see SecondLayer), so
-      that its first layer is the kept D.
+      finder reads it on the second layer's Residual (see
+      CheapState.second), so that its first layer is the kept D.
     """
     adj = g.adj
     if isinstance(g, Residual):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import scan_finders
 from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
-                      graphs, path_graph, star_graph)
-from zetakit import degeneracy
+                      graphs, path_graph, random_tree, star_graph)
+from zetakit import degeneracy, greedy
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
                                 is_zeta_regular, layer_decomposition, zeta_oracle,
                                 zeta_profile, zeta_weight)
@@ -354,6 +354,69 @@ def test_kept_layers_match_recompute(g, data):
     assert kept_layer_answers(r) == recomputed_layer(g, r)
 
 
+LAYER_READS = ("least", "least_pair", "least_up", "least_edge")
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reads_first_asked_at_any_step_match_a_scan(g, data):
+    """Each read is first asked at a drawn step of a random delete sequence: the
+    first layer's least_hub(k) for k = 1..5 and the second layer's four reads.
+    From that step on, every answer equals a scan of the live graph, and each
+    layer holds the heaps of the reads asked so far and no other."""
+    r = Residual(g)
+    state = r.cheap_state()
+    names = [*range(1, 6), *LAYER_READS]
+    first = {name: data.draw(st.integers(0, 6), label=f"first {name}") for name in names}
+    step = 0
+    while True:
+        asked = {name for name in names if first[name] <= step}
+        cheap = cheap_vertices(r)
+        scan = dict(zip(LAYER_READS, recomputed_layer(g, r)[-4:]))
+        for name in asked:
+            if name in LAYER_READS:
+                assert getattr(state.second(), name)() == scan[name], (name, step)
+            else:
+                assert state.least_hub(name) == min(
+                    (v for v in r.vertices() if len(r.adj[v] & cheap) >= name), default=None)
+        second = state._second
+        pair = {(second, 2)} if "least_pair" in asked else set()
+        assert set(state._reads) == {(None, k) for k in range(1, 6) if k in asked} | pair
+        if second is not None:
+            assert set(second._reads) == {key for name, key in (
+                ("least", (second, 0)), ("least_up", (state, 2)),
+                ("least_edge", (second, 1))) if name in asked}
+        if not r.n:
+            break
+        r.delete(draw_deletion(data, r))
+        step += 1
+
+
+def test_greedy_runs_make_only_the_reads_their_finders_ask(monkeypatch):
+    """A one_cheap_greedy run leaves the first layer without a level-3 hub read;
+    a two_cheap_greedy run leaves it without a level-2 hub read and the second
+    layer without a level-3 read.  Each layer keeps only the reads its finder
+    asks for."""
+    made = []
+    monkeypatch.setattr(greedy, "Residual", lambda g: made.append(Residual(g)) or made[-1])
+    seconds = 0
+    for g in (path_graph(9), cycle_graph(10), star_graph(4), complete_bipartite(2, 5),
+              random_tree(60, 1), gnp(40, 0.1, 2)):
+        made.clear()
+        greedy.one_cheap_greedy(g)
+        greedy.two_cheap_greedy(g)
+        one, two = (r._cheap for r in made)
+        assert set(one._reads) <= {(one, 1), (None, 2)}
+        if one._second is not None:
+            assert set(one._second._reads) <= {(one._second, 0)}
+        second = two._second
+        assert set(two._reads) <= {(two, 1), (None, 3), (second, 2)}
+        if second is not None:
+            assert set(second._reads) <= {(two, 2), (second, 1)}
+            seconds += bool(second._reads)
+    assert seconds >= 2
+
+
 def test_kept_layers_take_back_vertices_that_leave_a_layer():
     """Deleting one vertex of a cycle makes the others a path, whose inner
     vertices leave C alive and go back into the second layer's residual."""
@@ -396,14 +459,19 @@ def test_second_layer_counts_on_the_deleting_residual(g, data):
 def test_kept_layers_follow_an_insert_into_the_residual(g, data):
     """Deleted vertices put back into r, each next to its live neighbours, while
     a second layer is kept: every read of the layer afterwards equals a
-    recompute, as the layer is built again after an insert."""
+    recompute, as the layer is built again after an insert.  The first layer
+    stops feeding the reads of a layer it gave up."""
     r = Residual(g)
     kept_layer_answers(r)
     gone = data.draw(st.lists(st.sampled_from(range(g.n)), unique=True, min_size=1)) if g.n else []
     r.delete(gone)
     assert kept_layer_answers(r) == recomputed_layer(g, r)
+    state = r.cheap_state()
     for v in data.draw(st.permutations(gone)):
         r.insert(v, [u for u in g.adj[v] if r.alive[u]])
+        assert all(key[0] in (None, state) for key in state._reads)
+        assert all(m is None or m is state.cheap for fs in state._feeds.values() for m, _ in fs)
+        assert all(counts is state.count for counts, _, _ in state._joins)
         if data.draw(st.booleans()):
             assert kept_layer_answers(r) == recomputed_layer(g, r)
     assert kept_layer_answers(r) == recomputed_layer(g, r)
