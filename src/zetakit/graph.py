@@ -81,15 +81,20 @@ class InducedSubgraph:
 
 
 def _nogc(fn):
-    """Run fn with the cyclic garbage collector paused; used by the graph builders.
+    """Run fn with the cyclic garbage collector paused; used by the graph
+    builders and the five greedies.
 
-    The pause pays because a builder allocates a container per vertex, and
-    the collections those allocations trigger traverse every young set
-    without freeing any.  It is safe because the builders create no
-    reference cycles: reference counting frees each line's garbage at once,
-    and nothing waits for the collector.  The pause is process-wide, and on
-    every exit, a raise included, the collector is left in the state it was
-    found in (enabled again only if it was enabled on entry).  Mercurial's
+    The pause pays because a builder allocates a container per vertex, and a
+    greedy run keeps O(n) live ones, and the collections that these
+    allocations start traverse the containers without freeing any.  It is
+    safe because no collection during the call could free anything.  The
+    builders create no reference cycles: reference counting frees each
+    line's garbage at once.  A greedy run's only cycles are its kept cheap
+    layers, live until it returns; a 1- or 2-cheap run leaves them behind as
+    one garbage island, which the first collection after the call frees (see
+    the greedy module docstring).  The pause is process-wide, and on every
+    exit, a raise included, the collector is left in the state it was found
+    in (enabled again only if it was enabled on entry).  Mercurial's
     `util.nogc` does the same around its large containers.
     """
     @functools.wraps(fn)

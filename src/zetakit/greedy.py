@@ -17,6 +17,20 @@ it); a read-only strip of D's residual from D down for the 2-cheap rounds
 that need a layer below D; a scan of the live graph
 for cheap_greedy; and for forest_k_greedy a scan plus leaf repairs that
 recount N[S] over the tree processed so far.
+
+Each greedy runs its whole call with Python's cyclic garbage collector
+paused (`graph._nogc`), and leaves the collector as it found it.  A run
+keeps O(n) long-lived containers (the residual's live-neighbour sets, the
+second layer's copy, the trace), and unpaused, its allocations started 2-18
+collections per call at n = 2000, each of which traversed those containers
+without being able to free anything: the only reference cycles a run makes
+are its own kept cheap layers, live until it returns.  At return a 1- or
+2-cheap run's layers become one garbage island (about 4,000 objects at
+n = 2000), which the first collection after the call frees.  The pause
+took greedy-sparse's `graphs_per_s` from 9.45 to 9.85 (median of twelve
+alternating pairs, each won) and, on G(10^5, 4 * 10^5 edges) in a plain
+process, `min_greedy` from 2.1-2.4 s to 1.4-1.6 s and `two_cheap_greedy`
+from 5.0-5.3 s to 4.1-4.6 s (CPython 3.11, 2-vCPU Xeon).
 """
 from __future__ import annotations
 
@@ -33,7 +47,7 @@ from .bounds import _greedy_mis, _lambda_parts, _min_lambda_group
 from .cheap_sets import (CheapSet, _weighed_neighborhood, find_1_cheap, find_2_cheap,
                          find_k_cheap_forest)
 from .degeneracy import Residual, _weigh, cheap_vertices
-from .graph import Graph, GraphInputError, closed_neighborhood, is_forest
+from .graph import Graph, GraphInputError, _nogc, closed_neighborhood, is_forest
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,7 @@ def _with_finder(g: Graph, level: int, finder: Callable[[Residual], CheapSet]) -
     return _drive(g, level, pick)
 
 
+@_nogc
 def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
     """Independent set: repeatedly take a minimum-degree vertex, drop N[v].
 
@@ -141,6 +156,7 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
     return _drive(g, 0, pick)
 
 
+@_nogc
 def cheap_greedy(g: Graph) -> GreedyRun:
     """Independent set certified by lambda-strengthened accounting.
 
@@ -174,11 +190,13 @@ def cheap_greedy(g: Graph) -> GreedyRun:
     return _drive(g, 0, pick)
 
 
+@_nogc
 def one_cheap_greedy(g: Graph) -> GreedyRun:
     """1-independent set of size >= ceil(Z_2(G)) via 1-cheap sets."""
     return _with_finder(g, 1, find_1_cheap)
 
 
+@_nogc
 def two_cheap_greedy(g: Graph) -> GreedyRun:
     """2-independent set of size >= ceil(Z_3(G)) via 2-cheap sets.
 
@@ -188,6 +206,7 @@ def two_cheap_greedy(g: Graph) -> GreedyRun:
     return _with_finder(g, 2, find_2_cheap)
 
 
+@_nogc
 def forest_k_greedy(g: Graph, k: int) -> GreedyRun:
     """k-independent set in a forest, size >= ceil(Z_{k+1}(G))."""
     if k < 0:

@@ -1,5 +1,6 @@
 """Certified greedy family: size vs certificate, traces, determinism."""
 
+import gc
 import hashlib
 from fractions import Fraction
 from math import ceil
@@ -14,6 +15,7 @@ from conftest import (complete_graph, count_calls, count_fractions, count_strips
                       gnp, graphs, path_graph, random_forest, random_tree, star_graph)
 from zetakit import cheap_sets
 from zetakit.bounds import z_bound
+from zetakit.cheap_sets import CheapSetSearchError
 from zetakit.degeneracy import Residual, zeta_profile
 from zetakit.graph import GraphInputError, build_graph, is_forest
 from zetakit.greedy import (cheap_greedy, forest_k_greedy, min_greedy,
@@ -420,3 +422,80 @@ def test_cheap_greedy_weighs_only_its_winner(monkeypatch):
                                 for d, kind in zip(distinct, rounds))
     assert kinds == {"component-lambda", "grouped-lambda"}
     assert walked[0][0] > 250 and walked[0][1] < 10, walked
+
+
+# each greedy, and the function of `zetakit.greedy` that its rounds call
+ROUND_CALLS = [
+    (min_greedy, "_weighed_neighborhood"),
+    (cheap_greedy, "cheap_vertices"),
+    (one_cheap_greedy, "find_1_cheap"),
+    (two_cheap_greedy, "find_2_cheap"),
+    (lambda g: forest_k_greedy(g, 1), "find_k_cheap_forest"),
+]
+
+
+@pytest.mark.parametrize("run,name", ROUND_CALLS)
+def test_greedy_rounds_run_with_the_collector_paused(monkeypatch, run, name):
+    """A greedy's rounds run with the cyclic collector paused, and the call
+    leaves it as it found it, enabled or not, also when a round raises."""
+    real = getattr(zetakit.greedy, name)
+    seen, fail = [], []
+
+    def wrapped(*args):
+        seen.append(gc.isenabled())
+        if fail:
+            raise CheapSetSearchError("forced failure")
+        return real(*args)
+
+    monkeypatch.setattr(zetakit.greedy, name, wrapped)
+    tree = random_tree(40, 1)
+    enabled = gc.isenabled()
+    try:
+        for on in (True, False):
+            if on:
+                gc.enable()
+            else:
+                gc.disable()
+            fail.clear()
+            seen.clear()
+            assert run(tree).trace
+            assert seen and not any(seen)
+            assert gc.isenabled() == on
+            fail.append(1)
+            with pytest.raises(CheapSetSearchError):
+                run(tree)
+            assert gc.isenabled() == on
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_greedy_calls_start_no_collection():
+    """No collection starts during a greedy call: a run keeps O(n) live
+    containers that each collection would traverse without freeing any.  The
+    unpaused greedies started 18/3/8/8 collections on G(2000, 8/2000) and
+    11/2/10/9/17 on a 2000-vertex tree.  A collection that the run's
+    allocations make due starts at the first allocation after the call, so
+    the hook counts only while `running` is set, and clearing it allocates
+    nothing."""
+    starts, running = [], [False]
+
+    def hook(phase, info):
+        if phase == "start" and running[0]:
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        for g in (gnp(2000, 8 / 2000, 1), random_tree(2000, 1)):
+            for run, name in ROUND_CALLS:
+                if name == "find_k_cheap_forest" and not is_forest(g):
+                    continue
+                starts.clear()
+                running[0] = True
+                run(g)
+                running[0] = False
+                assert starts == [], name
+    finally:
+        running[0] = False
+        gc.callbacks.remove(hook)
