@@ -278,7 +278,7 @@ def independent_cheap_set(g: Graph | Residual,
     return _greedy_mis(g, cheap_vertices(g, profile or profile_of(g)))
 
 
-def _greedy_mis(g: Graph | Residual, pool: frozenset[int]) -> frozenset[int]:
+def _greedy_mis(g: Graph | Residual, pool: set[int] | frozenset[int]) -> frozenset[int]:
     """Greedy maximal independent set inside G[pool]: take the least (degree in G[pool], id).
 
     Each pick drops its closed neighbourhood from the pool.  A pool vertex
@@ -395,7 +395,7 @@ def full_bound_report(g: Graph, profile: ZetaProfile | None = None) -> dict[str,
     report["caro_wei"] = caro_wei(g)
     if g.n == 0:
         report.update(dict.fromkeys(("turan_zeta", "strong_component", "strong_grouped",
-                                     "caro_tuza_a1", "ch_a1", "ch_a2", "forest_zk"),
+                                     "ch_a1", "ch_a2", "caro_tuza_a1", "forest_zk"),
                                     Inapplicable("empty graph")))
         return report
     report["turan_zeta"] = turan_zeta(g, prof)

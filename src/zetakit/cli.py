@@ -375,8 +375,6 @@ def _cmd_conjecture(args) -> dict:
 
 # ── bench ────────────────────────────────────────────────────────────────────
 
-_BOUND_KEYS = ("z1", "z2", "z3", "caro_wei", "turan_zeta", "strong_component",
-               "strong_grouped", "ch_a1", "ch_a2", "caro_tuza_a1", "forest_zk")
 # ch_a1/ch_a2/caro_tuza_a1 bound the level-1/2 numbers, not alpha0
 _ALPHA0_BOUND_KEYS = ("z1", "caro_wei", "turan_zeta", "strong_component",
                       "strong_grouped")
@@ -478,8 +476,7 @@ def _row_csv(row: dict) -> dict:
         "zeta_mean_exact": str(row["zeta_mean"]),
         "zeta_mean_approx": round(float(row["zeta_mean"]), 6),
     }
-    for key in _BOUND_KEYS:
-        val = row["bounds"].get(key)
+    for key, val in row["bounds"].items():
         if isinstance(val, Fraction):
             flat[f"{key}_exact"] = str(val)
             flat[f"{key}_approx"] = round(float(val), 6)

@@ -90,12 +90,13 @@ def _nogc(fn):
     safe because no collection during the call could free anything.  The
     builders create no reference cycles: reference counting frees each
     line's garbage at once.  A greedy run's only cycles are its kept cheap
-    layers, live until it returns; a 1- or 2-cheap run leaves them behind as
-    one garbage island, which the first collection after the call frees (see
-    the greedy module docstring).  The pause is process-wide, and on every
-    exit, a raise included, the collector is left in the state it was found
-    in (enabled again only if it was enabled on entry).  Mercurial's
-    `util.nogc` does the same around its large containers.
+    layers, live until it returns; a cheap_greedy, 1-cheap or 2-cheap run
+    leaves them behind as one garbage island, which the first collection
+    after the call frees (see the greedy module docstring).  The pause is
+    process-wide, and on every exit, a raise included, the collector is left
+    in the state it was found in (enabled again only if it was enabled on
+    entry).  Mercurial's `util.nogc` does the same around its large
+    containers.
     """
     @functools.wraps(fn)
     def paused(*args, **kwargs):

@@ -14,9 +14,9 @@ operations for min_greedy and for the 1-cheap and 2-cheap rounds that the
 residual's kept cheap layers answer (C on the residual, the second layer D on
 a residual of its own, brought up to date in one batch when a round reads
 it); a read-only strip of D's residual from D down for the 2-cheap rounds
-that need a layer below D; a scan of the live graph
-for cheap_greedy; and for forest_k_greedy a scan plus leaf repairs that
-recount N[S] over the tree processed so far.
+that need a layer below D; a pass over the kept C for cheap_greedy (its
+docstring says which deletes pay for it); and for forest_k_greedy a scan
+plus leaf repairs that recount N[S] over the tree processed so far.
 
 Each greedy runs its whole call with Python's cyclic garbage collector
 paused (`graph._nogc`), and leaves the collector as it found it.  A run
@@ -24,9 +24,11 @@ keeps O(n) long-lived containers (the residual's live-neighbour sets, the
 second layer's copy, the trace), and unpaused, its allocations started 2-18
 collections per call at n = 2000, each of which traversed those containers
 without being able to free anything: the only reference cycles a run makes
-are its own kept cheap layers, live until it returns.  At return a 1- or
-2-cheap run's layers become one garbage island (about 4,000 objects at
-n = 2000), which the first collection after the call frees.  The pause
+are its own kept cheap layers, live until it returns.  At return the layers
+of a cheap_greedy, 1-cheap or 2-cheap run become one garbage island, which
+the first collection after the call frees: 2,010 objects for cheap_greedy's
+C and about 4,000 for a 1- or 2-cheap run at n = 2000 (G(n, 8/n) or a random
+tree); min_greedy and forest_k_greedy leave none.  The pause
 took greedy-sparse's `graphs_per_s` from 9.45 to 9.85 (median of twelve
 alternating pairs, each won) and, on G(10^5, 4 * 10^5 edges) in a plain
 process, `min_greedy` from 2.1-2.4 s to 1.4-1.6 s and `two_cheap_greedy`
@@ -46,7 +48,7 @@ from typing import Callable
 from .bounds import _greedy_mis, _lambda_parts, _min_lambda_group
 from .cheap_sets import (CheapSet, _weighed_neighborhood, find_1_cheap, find_2_cheap,
                          find_k_cheap_forest)
-from .degeneracy import Residual, _weigh, cheap_vertices
+from .degeneracy import Residual, _weigh
 from .graph import Graph, GraphInputError, _nogc, closed_neighborhood, is_forest
 
 
@@ -160,19 +162,31 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
 def cheap_greedy(g: Graph) -> GreedyRun:
     """Independent set certified by lambda-strengthened accounting.
 
-    Each round takes the cheap vertices once and builds two candidates: S1,
-    a maximal independent subset accounted per bipartite component, and S2,
-    the grouped minimum-lambda subset of S1's zeta classes, which always
-    applies.  S1 wins when its component lambdas are all >= 0 and its
-    smallest is <= S2's lambda.  The round banks the weight of N[S] at the
-    winner's lambdas, one weight sum per distinct lambda into one integer
-    pair, and only the winner is weighed.  The lambdas are integer pairs
-    (p, q), q > 0, compared by cross-multiplying.  The certificate is >= Z_1
-    of the input.
+    Each round reads the residual's kept cheap set C (`Residual.cheap_state`,
+    built once per run and repaired after each delete; no delete runs inside
+    a pick, so C holds still while the round reads it) and builds two
+    candidates: S1, the greedy maximal independent subset of C, accounted
+    per bipartite component, and S2, the grouped minimum-lambda subset of
+    S1's zeta classes, which always applies.  S1 wins when its component
+    lambdas are all >= 0 and its smallest is <= S2's lambda.  The round
+    banks the weight of N[S] at the winner's lambdas, one weight sum per
+    distinct lambda into one integer pair, and only the winner is weighed.
+    The lambdas are integer pairs (p, q), q > 0, compared by
+    cross-multiplying.  The certificate is >= Z_1 of the input.
+
+    A round makes one pass over C (`_greedy_mis`), walks N[S1] and its edges
+    for the component lambdas and S1's zeta classes for S2, then weighs and
+    deletes the winner's N[S].  When S1 wins, the delete pays for all of it:
+    S1 is maximal independent in G[C], so N[S1] contains C.  When S2 wins,
+    the members of C and of N[S1] outside N[S2] stay live and are walked
+    again in later rounds, so no linear bound is claimed.  On paths every
+    round takes S1 at the two ends: 0.05 / 0.10 / 0.19 / 0.39 / 0.65 s at
+    n = 8000 / 16000 / 32000 / 64000 / 10^5 (process time, best of 3,
+    CPython 3.11 on a 2-vCPU Xeon).
     """
     def pick(r: Residual) -> TraceStep:
         zeta = r.zeta                      # a Residual is its own zeta profile
-        s1 = _greedy_mis(r, cheap_vertices(r))
+        s1 = _greedy_mis(r, r.cheap_state().cheap)
         parts, (p1, q1), _ = _lambda_parts(r, s1)
         (p2, q2), _, s2 = _min_lambda_group(r, zeta, s1)
         num, den = 0, 1

@@ -523,6 +523,7 @@ def test_full_report_keys_and_empty_graph():
                             "strong_component", "strong_grouped", "ch_a1",
                             "ch_a2", "caro_tuza_a1", "forest_zk"]
     empty = full_bound_report(build_graph(0, []))
+    assert list(empty) == list(report)
     assert empty["z1"] == 0 and empty["caro_wei"] == 0
     assert isinstance(empty["turan_zeta"], Inapplicable)
     assert isinstance(empty["strong_grouped"], Inapplicable)

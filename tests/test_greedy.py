@@ -270,11 +270,14 @@ def test_min_greedy_scans_the_live_vertices_once_per_run(monkeypatch):
 
 
 def test_cheap_greedies_neither_scan_nor_copy_per_round(monkeypatch):
-    """The 1-cheap and 2-cheap rounds read the residual's kept cheap layers: a run
-    iterates Residual.vertices() a fixed number of times (`_drive`'s first look
-    for isolated vertices and the one build of the cheap set), however many
-    rounds it has, copies the residual once to keep the second cheap layer, and
-    verifies one candidate per round that is not an isolated block."""
+    """The 1-cheap, 2-cheap and cheap_greedy rounds read the residual's kept cheap
+    layers: a run iterates Residual.vertices() a fixed number of times (`_drive`'s
+    first look for isolated vertices and the one build of the cheap set), however
+    many rounds it has.  A 1- or 2-cheap run copies the residual once to keep the
+    second cheap layer and verifies one candidate per round that is not an
+    isolated block; a cheap_greedy run copies nothing and verifies nothing.  A
+    cheap_greedy run that scanned the live graph each round took 8 vertices()
+    calls on the G(n, p) and 1,001 on the path."""
     calls = {"vertices": 0, "copy": 0, "verify": 0}
     original, real_copy = Residual.vertices, Residual._copy
     real_verify = cheap_sets.verify_k_cheap
@@ -301,6 +304,10 @@ def test_cheap_greedies_neither_scan_nor_copy_per_round(monkeypatch):
         assert len(trace) > 200
         rounds = sum(step.kind != "isolated-block" for step in trace)
         assert calls == {"vertices": 2, "copy": 1, "verify": rounds}, run.__name__
+    for h in (g, path_graph(4000)):
+        calls.update(vertices=0, copy=0, verify=0)
+        assert len(cheap_greedy(h).trace) > 6
+        assert calls == {"vertices": 2, "copy": 0, "verify": 0}, h.n
 
 
 def test_cheap_greedies_delete_few_vertices_per_run(monkeypatch):
@@ -427,7 +434,7 @@ def test_cheap_greedy_weighs_only_its_winner(monkeypatch):
 # each greedy, and the function of `zetakit.greedy` that its rounds call
 ROUND_CALLS = [
     (min_greedy, "_weighed_neighborhood"),
-    (cheap_greedy, "cheap_vertices"),
+    (cheap_greedy, "_greedy_mis"),
     (one_cheap_greedy, "find_1_cheap"),
     (two_cheap_greedy, "find_2_cheap"),
     (lambda g: forest_k_greedy(g, 1), "find_k_cheap_forest"),
