@@ -187,16 +187,29 @@ def _lambda_parts(g: Graph | Residual, s: frozenset[int]
     return parts, least, first
 
 
-def _weigh_parts(zeta, hist: Counter, parts: dict[tuple[int, int], list[int]]) -> Fraction:
-    """Weigh each part's vertices at its lambda and the other vertices, whose
-    zeta values are hist less the parts', at shift 1, all into one pair."""
-    rest = hist.copy()
-    num, den = 0, 1
+def _weigh_parts(zeta, base: tuple[int, int], parts: dict[tuple[int, int], list[int]]
+                 ) -> Fraction:
+    """The weight of g with each part's vertices at its lambda and the rest at shift 1.
+
+    base is the weight of every vertex at shift 1, Z_1 as a lowest-terms
+    pair.  Each part adds its weight at lambda, and one last sum takes the
+    parts' vertices back out at shift 1, on negated counts, all into one
+    pair.  So the parts share the one zeta histogram that gave base, and
+    none copies it or subtracts from it.
+    """
+    num, den = base
+    less: dict[int, int] = {}
     for (p, q), vs in parts.items():
         counts = Counter(map(zeta.__getitem__, vs))
-        rest.subtract(counts)
         num, den = _weigh(counts, p, q, num, den)
-    return Fraction(*_weigh(rest, 1, 1, num, den))
+        for z, c in counts.items():
+            less[z] = less.get(z, 0) - c
+    return Fraction(*_weigh(less, 1, 1, num, den))
+
+
+def _z1(g: Graph | Residual, zeta) -> tuple[int, int]:
+    """Z_1 of g's live vertices as a lowest-terms pair."""
+    return _weigh(Counter(map(zeta.__getitem__, g.vertices())), 1, 1)
 
 
 def strong_bound_component(g: Graph | Residual, profile: ZetaProfile | Residual,
@@ -209,18 +222,18 @@ def strong_bound_component(g: Graph | Residual, profile: ZetaProfile | Residual,
     off the isolated members of S, whose components have lambda = 1.
     """
     _check_cheap_independent(g, profile, s)
-    zeta = profile.zeta
-    return _component_bound(g, zeta, s, Counter(map(zeta.__getitem__, g.vertices())))
+    return _component_bound(g, profile.zeta, s, _z1(g, profile.zeta))
 
 
-def _component_bound(g: Graph | Residual, zeta, s: frozenset[int], hist: Counter) -> BoundValue:
+def _component_bound(g: Graph | Residual, zeta, s: frozenset[int],
+                     base: tuple[int, int]) -> BoundValue:
     """strong_bound_component for an S known to be a nonempty independent set of
-    cheap vertices; hist counts the zeta values of g's vertices."""
+    cheap vertices; base is Z_1 of g as a pair (see _weigh_parts)."""
     parts, least, first = _lambda_parts(g, s)
     if least[0] < 0:
         return Inapplicable(f"component with lambda {Fraction(*least)} < 0 "
                             f"(vertices {sorted(first)[:6]}...)")
-    return _weigh_parts(zeta, hist, parts)
+    return _weigh_parts(zeta, base, parts)
 
 
 def select_dense_subset(g: Graph | Residual, s: frozenset[int]) -> frozenset[int]:
@@ -358,17 +371,17 @@ def strong_bound_grouped(g: Graph | Residual, profile: ZetaProfile | Residual | 
     prof = profile or profile_of(g)
     zeta = prof.zeta
     value, (p, q), zval, subset = _grouped_bound(g, zeta, independent_cheap_set(g, prof),
-                                                 Counter(map(zeta.__getitem__, g.vertices())))
+                                                 _z1(g, zeta))
     return GroupedBound(value=value, subset=subset, lam=Fraction(p, q), group_zeta=zval)
 
 
-def _grouped_bound(g: Graph | Residual, zeta, s: frozenset[int], hist: Counter
+def _grouped_bound(g: Graph | Residual, zeta, s: frozenset[int], base: tuple[int, int]
                    ) -> tuple[Fraction, tuple[int, int], int, frozenset[int]]:
     """strong_bound_grouped's value, lambda, class zeta and subset for s =
-    `_greedy_mis` of the cheap vertices, nonempty; hist counts the zeta
-    values of g's vertices."""
+    `_greedy_mis` of the cheap vertices, nonempty; base is Z_1 of g as a pair
+    (see _weigh_parts)."""
     lam, zval, subset = _min_lambda_group(g, zeta, s)
-    return _weigh_parts(zeta, hist, {lam: closed_neighborhood(g, subset)}), lam, zval, subset
+    return _weigh_parts(zeta, base, {lam: closed_neighborhood(g, subset)}), lam, zval, subset
 
 
 def forest_z_closed_form(n: int, isolated: int, k: int) -> Fraction:
@@ -383,15 +396,19 @@ def full_bound_report(g: Graph, profile: ZetaProfile | None = None) -> dict[str,
 
     strong_component and strong_grouped share one `independent_cheap_set`;
     built here, it needs none of the public functions' input checks.  One
-    zeta histogram serves z1, z2, z3 and both strong bounds, and one
-    caro_wei serves caro_tuza_a1.
+    zeta histogram serves z1, z2 and z3, z1's pair is the base of both
+    strong bounds (see _weigh_parts), and one caro_wei serves caro_tuza_a1.
+    A Graph's zeta comes from its kept peel (see degeneracy._core), so a
+    report peels only a Graph that nothing has profiled yet.
 
     forest_zk is the forest closed form at k=1 (it must equal z2 exactly on
     forests — kept as a cross-check witness, inapplicable elsewhere).
     """
     prof = profile or zeta_profile(g)
     hist = Counter(prof.zeta)
-    report: dict[str, BoundValue] = {f"z{k}": Fraction(*_weigh(hist, 1, k)) for k in (1, 2, 3)}
+    base = _weigh(hist, 1, 1)
+    report: dict[str, BoundValue] = {"z1": Fraction(*base), "z2": Fraction(*_weigh(hist, 1, 2)),
+                                     "z3": Fraction(*_weigh(hist, 1, 3))}
     report["caro_wei"] = caro_wei(g)
     if g.n == 0:
         report.update(dict.fromkeys(("turan_zeta", "strong_component", "strong_grouped",
@@ -400,8 +417,8 @@ def full_bound_report(g: Graph, profile: ZetaProfile | None = None) -> dict[str,
         return report
     report["turan_zeta"] = turan_zeta(g, prof)
     s = independent_cheap_set(g, prof)
-    report["strong_component"] = _component_bound(g, prof.zeta, s, hist)
-    report["strong_grouped"] = _grouped_bound(g, prof.zeta, s, hist)[0]
+    report["strong_component"] = _component_bound(g, prof.zeta, s, base)
+    report["strong_grouped"] = _grouped_bound(g, prof.zeta, s, base)[0]
     report.update(_baselines(g, report["caro_wei"]))
     if is_forest(g):
         isolated = sum(1 for a in g.adj if not a)

@@ -232,7 +232,7 @@ def _names(doc: GraphDocument, vertices) -> list[str]:
 def _cmd_zeta(args) -> dict:
     doc = _load(args.file, args.format)
     prof = zeta_profile(doc.graph)
-    layers = layer_decomposition(doc.graph, prof)
+    layers = layer_decomposition(doc.graph)
     return {
         "n": doc.graph.n,
         "m": doc.graph.m,
@@ -388,7 +388,7 @@ def _bench_row(path: Path, oracle_n: int) -> dict:
     g = doc.graph
     prof = zeta_profile(g)
     t2 = time.perf_counter()
-    report = full_bound_report(g, prof)
+    report = full_bound_report(g)
     t3 = time.perf_counter()
 
     greedy: dict[str, dict] = {}

@@ -12,14 +12,17 @@ report builds about 10 Fractions where it built 31.
 zeta(v) is the largest minimum degree over all induced subgraphs containing v
 — equivalently v's coreness.  It is computed in linear time by one bucket
 peel, level by level: at level k every vertex whose degree among the
-unpeeled vertices is at most k is peeled with zeta = k.
+unpeeled vertices is at most k is peeled with zeta = k.  The same peel
+counts each vertex's support (see Residual), and a Graph is peeled once:
+it keeps its zeta profile and supports (`_core`), and its strip, its bound
+report and every greedy run on it read them.
 
 A `Residual` is the mutable graph that the greedy rounds delete from.  It
 keeps the original vertex ids and carries its own coreness: zeta and the
-per-vertex support counts come from one peel, and after each deletion they
-are repaired locally instead of being recomputed, by one loop (`_settle`)
-that lowers a vertex short of support one level per pass over its
-neighbours, or to 0 at once when it has no live neighbour left.  Once
+per-vertex support counts start as copies of the Graph's peel, and after
+each deletion they are repaired locally instead of being recomputed, by one
+loop (`_settle`) that lowers a vertex short of support one level per pass
+over its neighbours, or to 0 at once when it has no live neighbour left.  Once
 asked, it keeps its cheap set the same way.  One class, `CheapState`,
 keeps a cheap layer: the first on the Residual itself, and the second,
 the cheap set of the live graph minus the first, on a second Residual
@@ -30,8 +33,9 @@ finders' reads from lazy heaps that each read makes on its first call, so
 a run keeps no heap that its finder never reads.  The cheap layers of a
 Graph or a Residual come from one strip (`_strip`) that makes the same
 repair, with the same loop, on per-vertex maps over the frozen adjacency:
-fresh lists for a Graph, and for a Residual copies of its lists with an
-overlay for the degrees, so a strip never changes what it strips.
+copies of the kept peel's lists for a Graph, and for a Residual copies of
+its lists with an overlay for the degrees, so a strip never changes what it
+strips.
 """
 from __future__ import annotations
 
@@ -59,7 +63,32 @@ class LayerDecomposition:
 
 
 def zeta_profile(g: Graph) -> ZetaProfile:
-    """zeta for every vertex by one level-by-level bucket peel, in O(n + m).
+    """zeta for every vertex, from g's one kept peel (see _core)."""
+    return _core(g)[0]
+
+
+def _core(g: Graph) -> tuple[ZetaProfile, list[int]]:
+    """g's zeta profile and the support counts of Residual, from one peel kept on g.
+
+    The first call peels g (`_peel`) and keeps the pair in the frozen
+    instance's __dict__ under "_core"; every later call returns it.  It is
+    no dataclass field, so ==, hash and repr do not see it, and a pickle
+    carries it.  Every reader of a Graph's zeta or support goes through
+    here: zeta_profile and profile_of, the bound report and helpers, the
+    strip of a Graph and Residual.__init__, which copies the two lists, so
+    nothing written to a Residual or a strip reaches the kept values.  The
+    support list is never handed out uncopied.
+    """
+    core = g.__dict__.get("_core")
+    if core is None:
+        zeta, support = _peel(g.adj)
+        core = g.__dict__["_core"] = ZetaProfile(tuple(zeta), max(zeta, default=0)), support
+    return core
+
+
+def _peel(adj) -> tuple[list[int], list[int]]:
+    """zeta and the support counts of Residual together, by one level-by-level
+    bucket peel in O(n + m).
 
     The vertices start in bins[d] by degree.  For k = 0, 1, ..., the level-k
     stack is popped until empty: a popped vertex whose degree is still k is
@@ -73,33 +102,12 @@ def zeta_profile(g: Graph) -> ZetaProfile:
     is peeled at level k with at most k unpeeled neighbours, so no member of
     the (k+1)-core is, giving zeta <= k.  This is the bucketed form of
     `zeta_oracle`'s threshold peeling.
-    """
-    adj = g.adj
-    deg = [len(a) for a in adj]
-    bins: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
-    for v, d in enumerate(deg):
-        bins[d].append(v)
-    for k, stack in enumerate(bins):
-        while stack:
-            v = stack.pop()
-            if deg[v] == k:
-                for u in adj[v]:
-                    if deg[u] > k:
-                        deg[u] = d = deg[u] - 1
-                        bins[d].append(u)
-    return ZetaProfile(tuple(deg), max(deg, default=0))
-
-
-def _peel(adj) -> tuple[list[int], list[int]]:
-    """zeta and the support counts of Residual together, from zeta_profile's peel.
 
     When v is peeled at level k, its neighbours of degree >= k are the
     unpeeled ones, whose zeta will be >= k, and those peeled at level k
     before it, whose zeta is k; a neighbour peeled at a lower level kept
     that level, below k, as its degree.  So v's degree less its neighbours
     of degree < k at that moment is #{w in adj[v] : zeta[w] >= zeta[v]}.
-    Counting slows a peel, and a zeta profile alone needs no count, so
-    zeta_profile keeps its own loop.
     """
     deg = [len(a) for a in adj]
     support = deg[:]
@@ -128,8 +136,8 @@ class Residual:
     the live vertices and m, counted on adj when asked, the live edges.  It
     answers the read-only calls the finders and bound helpers make of a
     Graph (vertices(), adj, n, m), and it serves as its own zeta profile
-    wherever one is taken.  Built from a Graph with one peel that also
-    counts the supports (`_peel`).
+    wherever one is taken.  Built from a Graph on copies of the zeta and
+    support counts of the Graph's kept peel (`_core`).
 
     support[v] counts v's live neighbours w with zeta[w] >= zeta[v] (the
     max-core degree of Sariyuce et al., VLDB 2013); it is exact after every
@@ -150,7 +158,8 @@ class Residual:
     def __init__(self, g: Graph):
         self.adj: list[set[int]] = [set(a) for a in g.adj]
         self.alive = [True] * g.n
-        self.zeta, self.support = _peel(g.adj)
+        prof, support = _core(g)
+        self.zeta, self.support = list(prof.zeta), support[:]
         self.n = g.n
         self._cheap: CheapState | None = None
 
@@ -552,7 +561,7 @@ class CheapState:
 
 
 def profile_of(g: Graph | Residual) -> ZetaProfile | Residual:
-    """The zeta profile of g: a Residual carries its own, a Graph gets one computed."""
+    """The zeta profile of g: a Residual carries its own, a Graph keeps one (see _core)."""
     return g if isinstance(g, Residual) else zeta_profile(g)
 
 
@@ -652,31 +661,28 @@ def cheap_layers(g: Graph | Residual,
     vertex, so the layers cover every live vertex.  One strip (`_strip`)
     does it on four per-vertex maps:
 
-    - for a Graph, fresh lists, with one peel, or none when a profile is
-      handed in;
+    - for a Graph, fresh lists, with copies of the zeta and support of its
+      kept peel (see _core); a profile handed in is not read;
     - for a Residual, copies of its alive flags, zeta and support, and for
       the degrees, which it keeps in no list, an overlay (`_Degrees`) that
       reads len(adj[v]) and keeps the strip's writes; its first layer is the
-      kept cheap set when it has built its `cheap_state`.  g is never
-      written to, so a reader may stop at any layer.  A strip costs three
-      list copies at memory speed plus what its layers touch: overlays on
-      all four maps measured 20-25% slower on trees, as a dict subclass
-      reads a missing key about ten times slower than a list.  The 2-cheap
-      finder reads it on the second layer's Residual (see
-      CheapState.second), so that its first layer is the kept D.
+      kept cheap set when it has built its `cheap_state`.
+
+    Neither g nor a Graph's kept peel is written to, so a reader may stop at
+    any layer.  A strip costs three list copies at memory speed plus what its
+    layers touch: overlays on all four maps measured 20-25% slower on trees,
+    as a dict subclass reads a missing key about ten times slower than a
+    list.  The 2-cheap finder reads it on the second layer's Residual (see
+    CheapState.second), so that its first layer is the kept D.
     """
     adj = g.adj
     if isinstance(g, Residual):
         first = frozenset(g._cheap.cheap) if g._cheap else cheap_vertices(g)
         return _strip(adj, _Degrees(adj), g.alive[:], g.zeta[:], g.support[:], first)
-    if profile is None:
-        zeta, support = _peel(adj)
-    else:
-        zeta = list(profile.zeta)
-        support = [len([w for w in a if zeta[w] >= z]) for a, z in zip(adj, zeta)]
+    prof, support = _core(g)
     deg = [len(a) for a in adj]
-    first = frozenset(u for u in range(g.n) if zeta[u] == deg[u])
-    return _strip(adj, deg, [True] * g.n, zeta, support, first)
+    first = _cheap_among(g, prof.zeta, range(g.n))
+    return _strip(adj, deg, [True] * g.n, list(prof.zeta), support[:], first)
 
 
 class _Degrees(dict):

@@ -5,6 +5,11 @@ frozen neighbor sets.  Vertices are always contiguous ints; labels (if any)
 live at the CLI layer, never here.  Code that deletes vertices round after
 round works on a degeneracy.Residual, which keeps these ids.
 
+A Graph's fields never change, and it keeps one value besides them: the
+result of its one peel, its zeta profile with the support counts, set on the
+first read by `degeneracy._core` in the instance's __dict__.  It is no field,
+so equality, hashing and repr do not see it.
+
 Each vertex id is one int object, shared by every neighbor set that holds
 it.  The kernels index per-vertex lists (degree, zeta, support) with ids
 read out of adjacency sets, and a fresh int object per adjacency entry

@@ -8,8 +8,9 @@ has at least ceil(certificate) vertices — that invariant is what makes these
 greedies "certified" rather than heuristic.
 
 One round loop runs every algorithm on a single `Residual`: zeta is computed once
-per run and repaired locally after each round's deletion, so a round costs its
-finder's search plus work near N[S], with no rebuild.  The search is heap
+per Graph, by the peel that the Graph keeps and each run's Residual copies, and
+repaired locally after each round's deletion, so a round costs its finder's
+search plus work near N[S], with no rebuild.  The search is heap
 operations for min_greedy and for the 1-cheap and 2-cheap rounds that the
 residual's kept cheap layers answer (C on the residual, the second layer D on
 a residual of its own, brought up to date in one batch when a round reads

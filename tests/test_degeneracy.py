@@ -1,5 +1,6 @@
 """Zeta profiles, cheap vertices, and the layer decomposition."""
 
+import pickle
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -11,10 +12,11 @@ import scan_finders
 from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
                       graphs, path_graph, random_tree, star_graph)
 from zetakit import degeneracy, greedy
+from zetakit.bounds import full_bound_report
 from zetakit.degeneracy import (Residual, cheap_layers, cheap_vertices,
                                 is_zeta_regular, layer_decomposition, zeta_oracle,
                                 zeta_profile, zeta_weight)
-from zetakit.graph import GraphInputError, build_graph, remove_vertices, smallest_last_order
+from zetakit.graph import Graph, GraphInputError, build_graph, remove_vertices, smallest_last_order
 from zetakit.oracle import layered_example_graph
 
 
@@ -191,10 +193,11 @@ def test_layers_match_rebuild_on_all_small_graphs(dedup_suite):
 
 
 def test_graph_layers_build_no_residual(monkeypatch):
-    """A Graph is stripped on plain lists: no Residual is built, and one peel
-    counts zeta and support, or none runs when the profile is handed in."""
+    """A Graph is stripped on plain lists: no Residual is built and no
+    zeta_profile called.  The strip reads the Graph's kept peel, so the first
+    strip of a Graph peels once, counting zeta and support, and no strip or
+    profile of it peels again, with or without the profile handed in."""
     g = gnp(300, 8 / 300, 3)
-    prof = zeta_profile(g)
     residuals, init = [], Residual.__init__
 
     def counted_init(self, *args):
@@ -206,8 +209,55 @@ def test_graph_layers_build_no_residual(monkeypatch):
     peels = count_calls(monkeypatch, degeneracy, "_peel")
     plain = layer_decomposition(g)
     assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
-    assert layer_decomposition(g, prof) == plain
+    assert layer_decomposition(g) == plain
     assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
+    assert layer_decomposition(g, zeta_profile(g)) == plain
+    assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
+
+
+def check_kept_peel(g, drop):
+    """g's kept peel against its twins, then against its readers.
+
+    The kept zeta equals zeta_oracle and the kept support a recount from it.
+    Greedy runs, a Residual that deletes `drop` and inserts it back, strips
+    of the Graph and of the Residual, and a bound report leave the kept
+    values as they were.  A profiled g is ==, hash- and repr-equal to an
+    unprofiled copy, and a pickle of it carries a kept peel that holds too.
+    """
+    plain = Graph(g.n, g.adj, g.m)
+    prof, support = degeneracy._core(g)
+    assert prof.zeta == zeta_oracle(g) and prof.degeneracy == max(prof.zeta, default=0)
+    assert support == [sum(prof.zeta[w] >= z for w in a) for a, z in zip(g.adj, prof.zeta)]
+    assert zeta_profile(g) is prof
+    before = list(support)
+    for run in (greedy.min_greedy, greedy.cheap_greedy, greedy.two_cheap_greedy):
+        run(g)
+    r = Residual(g)
+    r.cheap_state().second()
+    r.delete(drop)
+    layer_decomposition(r)
+    for v in sorted(drop):
+        r.insert(v, [u for u in g.adj[v] if r.alive[u]])
+    layer_decomposition(g)
+    full_bound_report(g)
+    assert degeneracy._core(g) == (prof, before) and prof.zeta == zeta_oracle(g)
+    assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+    assert "_core" not in vars(plain)
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) and degeneracy._core(back) == (prof, before)
+
+
+def test_kept_peel_on_all_small_graphs(dedup_suite):
+    for n, suite in dedup_suite.items():
+        for g in suite:
+            check_kept_peel(g, cheap_vertices(g))
+
+
+@given(graphs(max_n=18), st.data())
+@settings(max_examples=80, deadline=None)
+def test_kept_peel_matches_twins_and_survives_its_readers(g, data):
+    drop = data.draw(st.sets(st.sampled_from(range(g.n)), max_size=6)) if g.n else set()
+    check_kept_peel(g, drop)
 
 
 def test_layers_match_rebuild_far_past_the_small_graphs():

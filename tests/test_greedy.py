@@ -216,8 +216,11 @@ def test_greedies_match_rebuild_reference_on_layered_example(k):
 
 
 def test_greedy_runs_neither_rebuild_nor_reprofile(monkeypatch):
-    """One peel per run, in its Residual, and no zeta_profile, remove_vertices,
-    strong_bound_grouped or independent_cheap_set, counted at every module binding."""
+    """One peel per Graph, kept on it: every greedy run on one Graph reads it,
+    and none calls zeta_profile, remove_vertices, strong_bound_grouped or
+    independent_cheap_set, counted at every module binding.  With the
+    profile, the strip, the bound report and the family-F recognizer added,
+    one Graph still makes one peel in all."""
     expected = {"remove_vertices": 0, "zeta_profile": 0, "_peel": 1,
                 "strong_bound_grouped": 0, "independent_cheap_set": 0}
     calls = {}
@@ -237,17 +240,23 @@ def test_greedy_runs_neither_rebuild_nor_reprofile(monkeypatch):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counted)
 
-    forest = random_forest(60, 5)
     runs = [lambda g: min_greedy(g), lambda g: min_greedy(g, seed=1), cheap_greedy,
-            one_cheap_greedy, two_cheap_greedy]
-    for g in (gnp(60, 0.1, 3), layered_example_graph(3), forest):
-        for run in runs:
-            calls.update(dict.fromkeys(expected, 0))
+            one_cheap_greedy, two_cheap_greedy, lambda g: forest_k_greedy(g, 2)]
+    for g in (gnp(60, 0.1, 3), layered_example_graph(3), random_forest(60, 5)):
+        calls.update(dict.fromkeys(expected, 0))
+        for run in runs[:5] if not is_forest(g) else runs:
             assert run(g).trace
-            assert calls == expected
-    calls.update(dict.fromkeys(expected, 0))
-    assert forest_k_greedy(forest, 2).trace
-    assert calls == expected
+        assert calls == expected
+    # every reader of one Graph within the exact oracle's size guard, the greedies first
+    # on one and last on the other
+    readers = [zetakit.zeta_profile, zetakit.cheap_vertices, zetakit.layer_decomposition,
+               zetakit.full_bound_report, zetakit.is_in_family_F]
+    for g, order in ((gnp(36, 0.15, 3), runs[:5] + readers),
+                     (random_forest(36, 5), readers + runs)):
+        calls["_peel"] = 0
+        for read in order:
+            read(g)
+        assert calls["_peel"] == 1
 
 
 def test_min_greedy_scans_the_live_vertices_once_per_run(monkeypatch):
