@@ -147,8 +147,10 @@ def component_lambdas(g: Graph | Residual, profile: ZetaProfile | Residual,
 def _components(g: Graph | Residual, s: frozenset[int]
                 ) -> Iterator[tuple[list[int], int, int, int]]:
     """The components of (S, N(S)) for an independent S, in order of their least
-    member of S, each as (members, |S side|, |N side|, edges)."""
+    member of S, each as (members, |S side|, |N side|, edges).  On a Residual,
+    whose adjacency still names its deleted vertices, only live ones join."""
     adj = g.adj
+    live = None if isinstance(g, Graph) else g.alive.__getitem__
     seen: set[int] = set()
     for root in sorted(s):
         if root in seen:
@@ -157,9 +159,10 @@ def _components(g: Graph | Residual, s: frozenset[int]
         members, s_n, e = [root], 0, 0
         for v in members:                  # the walk appends what it reaches
             if v in s:
+                nbrs = adj[v] if live is None else set(filter(live, adj[v]))
                 s_n += 1
-                e += len(adj[v])           # S is independent: all edges leave S
-                new = adj[v] - seen
+                e += len(nbrs)             # S is independent: all edges leave S
+                new = nbrs - seen
             else:
                 new = (adj[v] & s) - seen
             seen |= new
@@ -265,13 +268,14 @@ def _dense_subset(g: Graph | Residual, s: frozenset[int]) -> tuple[frozenset[int
     """
     if not s:
         raise GraphInputError("subset must be nonempty")
-    adj = g.adj
-    order = sorted(sorted(s), key=lambda v: len(adj[v]))     # a stable sort keeps ids in order
+    adj, degree = g.adj, g.degree
+    live = None if isinstance(g, Graph) else g.alive.__getitem__
+    order = sorted(sorted(s), key=degree)      # a stable sort keeps ids in order
     covered: set[int] = set()
     e, best_num, best_size = 0, 0, 1
     for size, u in enumerate(reversed(order), 1):
-        covered |= adj[u]
-        e += len(adj[u])
+        covered.update(adj[u] if live is None else filter(live, adj[u]))
+        e += degree(u)
         num = len(covered) - e
         if num * best_size <= best_num * size:
             best_num, best_size = num, size

@@ -100,7 +100,7 @@ def _require_no_isolated(r: Residual, isolated: int) -> None:
     if r.n == 0:
         raise GraphInputError("graph is empty")
     if isolated:
-        v = next(v for v in r.vertices() if not r.adj[v])
+        v = next(v for v in r.vertices() if not r.deg[v])
         raise GraphInputError(f"vertex {v} is isolated; strip isolated vertices first")
 
 
@@ -238,7 +238,10 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
     CheapState too, the next three, from counts and from lazy heaps that
     each read makes on its first call.  A deeper stage reads the cheap
     layers of the second layer's own Residual from D down, in one stream per
-    call that writes to neither residual (see cheap_layers).
+    call that writes to neither residual (see cheap_layers).  The sweep
+    walks the live neighbours of each vertex of layer i once, sorted by
+    layer, which gives the down-multiplicities, the jumps (a prefix) and
+    each vertex of layer i - 1's neighbours in layer i.
     """
     r = _residual(g)
     state = r.cheap_state()
@@ -262,17 +265,19 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
     if edge is not None:
         return _checked(r, {*edge, *(min(adj[x] & cheap) for x in edge)}, 2, "induced-path-4")
     # the layers below D are stripped only as far as the candidates reach,
-    # and a vertex not stripped yet has a layer index above every real one
+    # and a vertex not stripped yet has a layer index above every real one;
+    # the walks skip the deleted vertices that adj still names, in no layer
     layers = [cheap, d]
     deep: dict[int, int] = {}
     top = len(adj)
+    live = r.alive.__getitem__
 
     def lof(v: int) -> int:
         return 0 if v in cheap else 1 if v in d else deep.get(v, top)
 
     def down(v: int) -> int:
         below = lof(v) - 1
-        return min(u for u in adj[v] if lof(u) == below)
+        return min(u for u in filter(live, adj[v]) if lof(u) == below)
 
     def chain(v: int) -> list[int]:
         """v followed by iterated down-neighbors, ending in the first layer."""
@@ -301,22 +306,28 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
 
         # upward sweep: each layer's down-multiplicities, jumping edges, and
         # chain merges, in that order — every union's side conditions were
-        # scanned at a lower layer, so the first structural hit verifies
+        # scanned at a lower layer, so the first structural hit verifies.
+        # One walk of each vertex's neighbours serves all three scans.
         i = 2
         while reach(i):
             li = sorted(layers[i])
+            below: dict[int, list[tuple[int, int]]] = {}    # u -> its (layer, v) below it
+            ups: dict[int, list[int]] = {}      # x of layer i - 1 -> its neighbours in layer i
             for u in li:
-                dn = sorted(v for v in adj[u] if lof(v) == i - 1)
+                below[u] = nb = sorted((j, v) for v in filter(live, adj[u]) if (j := lof(v)) < i)
+                dn = [v for j, v in nb if j == i - 1]
+                for v in dn:
+                    ups.setdefault(v, []).append(u)
                 if len(dn) >= 2:
                     s = pair_union(dn[0], dn[1])
                     if s is not None:
                         yield s, "two-layer-paths"
             for u in li:
-                jumps = sorted((lof(v), v) for v in adj[u] if lof(v) <= i - 2)
-                if not jumps:
+                nb = below[u]                   # a jump, if any, comes first
+                if not nb or nb[0][0] > i - 2:
                     continue
                 p = chain(down(u))
-                z = jumps[0][1]
+                z = nb[0][1]
                 if z in p:
                     yield set(p), "layer-path"
                 else:
@@ -325,10 +336,8 @@ def find_2_cheap(g: Graph | Residual) -> CheapSet:
                         yield s, "two-layer-paths"
             # two chains merging one layer down extend to a single layered
             # path: the shared vertex plus one of its upper neighbors
-            for x in sorted(layers[i - 1]):
-                ups = sorted(v for v in adj[x] if lof(v) == i)
-                if len(ups) >= 2:
-                    yield {ups[0], *chain(x)}, "layer-path"
+            for x in sorted(x for x, up in ups.items() if len(up) >= 2):
+                yield {ups[x][0], *chain(x)}, "layer-path"
             i += 1
         # the first same-layer edge above the second layer bridges two chains
         for i in range(2, len(layers)):
@@ -388,7 +397,7 @@ def _tree_k_cheap(g: Graph | Residual, comp: list[int], k: int) -> set[int]:
         return set(comp)
 
     # peel leaves (smallest id first) until k+1 vertices remain
-    deg = {v: len(g.adj[v]) for v in comp}
+    deg = {v: g.degree(v) for v in comp}
     alive = set(comp)
     heap = [v for v in comp if deg[v] <= 1]
     heapify(heap)

@@ -17,25 +17,26 @@ counts each vertex's support (see Residual), and a Graph is peeled once:
 it keeps its zeta profile and supports (`_core`), and its strip, its bound
 report and every greedy run on it read them.
 
-A `Residual` is the mutable graph that the greedy rounds delete from.  It
-keeps the original vertex ids and carries its own coreness: zeta and the
-per-vertex support counts start as copies of the Graph's peel, and after
-each deletion they are repaired locally instead of being recomputed, by one
-loop (`_settle`) that lowers a vertex short of support one level per pass
-over its neighbours, or to 0 at once when it has no live neighbour left.  Once
-asked, it keeps its cheap set the same way.  One class, `CheapState`,
-keeps a cheap layer: the first on the Residual itself, and the second,
-the cheap set of the live graph minus the first, on a second Residual
-that also takes vertices back (`Residual.insert`), brought up to date when
-it is next read; an insert raises the vertices its search visits and the
-same loop lowers back those that cannot stay.  A layer answers the
-finders' reads from lazy heaps that each read makes on its first call, so
-a run keeps no heap that its finder never reads.  The cheap layers of a
-Graph or a Residual come from one strip (`_strip`) that makes the same
-repair, with the same loop, on per-vertex maps over the frozen adjacency:
-copies of the kept peel's lists for a Graph, and for a Residual copies of
-its lists with an overlay for the degrees, so a strip never changes what it
-strips.
+A `Residual` is the graph that the greedy rounds delete from.  It reads
+the frozen adjacency of its Graph as it is and keeps four per-vertex lists:
+alive flags, live degrees, zeta and the support counts, the last two
+starting as copies of the Graph's peel.  One routine (`_remove`) deletes a
+set on the last three, where a deleted vertex has degree 0, and repairs
+zeta and support locally instead of recomputing them, with one loop
+(`_settle`) that lowers a vertex short of support one level per pass over
+its neighbours, or to 0 at once when it has no live neighbour left.
+`Residual.delete` runs it on the Residual's own lists; a strip (`_strip`)
+runs it layer by layer on fresh copies of the three, of a Graph's peel or
+of a Residual, so a strip never changes what it strips, and the cheap
+layers of both come from it.  Once asked, a Residual keeps its cheap set
+the same way.  One class, `CheapState`, keeps a cheap layer: the first
+on the Residual itself, and the second, the cheap set of the live graph
+minus the first, on a second Residual, four list copies of the first, that
+also takes vertices back (`Residual.insert`), brought up to date when it is
+next read; an insert raises the vertices that can rise and the same loop
+lowers back those that cannot stay.  A layer answers the finders' reads
+from lazy heaps that each read makes on its first call, so a run keeps no
+heap that its finder never reads.
 """
 from __future__ import annotations
 
@@ -131,19 +132,23 @@ def _peel(adj) -> tuple[list[int], list[int]]:
 class Residual:
     """A graph under deletion, keyed by the vertex ids of the Graph it was built from.
 
-    adj[v] is the set of v's live neighbours (empty once v is deleted),
-    zeta[v] the coreness of v in the live graph (0 once deleted), n counts
-    the live vertices and m, counted on adj when asked, the live edges.  It
-    answers the read-only calls the finders and bound helpers make of a
-    Graph (vertices(), adj, n, m), and it serves as its own zeta profile
-    wherever one is taken.  Built from a Graph on copies of the zeta and
-    support counts of the Graph's kept peel (`_core`).
+    adj is the Graph's frozen adjacency, shared and never written: adj[v]
+    still names the deleted neighbours of v, so a reader that means live
+    neighbours tests alive, and one that means the live degree reads
+    deg[v], or degree(v) as on a Graph, the list's own lookup.  Four
+    per-vertex lists change as vertices go and come: alive, deg, zeta[v]
+    the coreness of v in the live graph, and support[v] (below); a deleted
+    vertex has deg, zeta and support 0.  n counts the live vertices and m, summed from deg when
+    asked, the live edges.  It answers the read-only calls the finders and
+    bound helpers make of a Graph (vertices(), degree(v), adj, n, m), and it
+    serves as its own zeta profile wherever one is taken.  Built from a
+    Graph on copies of the zeta and support counts of the Graph's kept peel
+    (`_core`); the Graph's frozen sets cost it nothing.
 
     support[v] counts v's live neighbours w with zeta[w] >= zeta[v] (the
     max-core degree of Sariyuce et al., VLDB 2013); it is exact after every
-    delete and insert, and a deleted vertex's entry is left as it was.
-    Coreness makes support[v] >= zeta[v] for every live v: v lies in the
-    zeta[v]-core with at least zeta[v] neighbours there.
+    delete and insert.  Coreness makes support[v] >= zeta[v] for every live
+    v: v lies in the zeta[v]-core with at least zeta[v] neighbours there.
 
     The live cheap set with its counts, a `CheapState`, is built the first
     time `cheap_state()` is asked for, and every later delete repairs it; a
@@ -156,17 +161,15 @@ class Residual:
     """
 
     def __init__(self, g: Graph):
-        self.adj: list[set[int]] = [set(a) for a in g.adj]
+        self.adj, self.n, self._cheap = g.adj, g.n, None
         self.alive = [True] * g.n
-        prof, support = _core(g)
-        self.zeta, self.support = list(prof.zeta), support[:]
-        self.n = g.n
-        self._cheap: CheapState | None = None
+        self.deg, self.zeta, self.support = _counts(g)
+        self.degree = self.deg.__getitem__
 
     @property
     def m(self) -> int:
-        """The number of live edges, counted on the adjacency."""
-        return sum(map(len, self.adj)) // 2
+        """The number of live edges, summed from the live degrees."""
+        return sum(self.deg) // 2
 
     def vertices(self) -> Iterator[int]:
         """The live vertex ids in ascending order."""
@@ -181,123 +184,122 @@ class Residual:
     def delete(self, s: Iterable[int]) -> set[int]:
         """Delete the live vertices S; return the live vertices whose degree or zeta changed.
 
-        Coreness is repaired locally, on the support counts.  A deleted v
-        takes one support from each live neighbour u with zeta[u] <= zeta[v];
-        no other count moves.  A deletion never raises a coreness, so the old
-        values bound the new ones from above, and `_settle` lowers the
-        vertices whose support fell below their zeta one level at a time
-        until every support reaches its zeta, which is the new coreness.
-
-        A built cheap state is repaired (see CheapState.repair) and notes
-        the delete for its kept second layer (see CheapState.drop).
+        The repair is `_remove`'s.  A built cheap state notes the delete for
+        its kept second layer and takes S out of its layers first (see
+        CheapState.drop), and is repaired after (see CheapState.repair).
         """
-        adj, alive, zeta, support = self.adj, self.alive, self.zeta, self.support
         drop = set(s)
         require_live(self, drop)
         state = self._cheap
         if state is not None:
             state.drop(drop)
+        alive = self.alive
         for v in drop:
             alive[v] = False
-        changed: set[int] = set()
-        pending: set[int] = set()
-        for v in drop:
-            zv = zeta[v]
-            for u in adj[v]:
-                if alive[u]:
-                    adj[u].discard(v)
-                    changed.add(u)
-                    zu = zeta[u]
-                    if zu <= zv:
-                        support[u] -= 1
-                        if support[u] < zu:
-                            pending.add(u)
-            adj[v] = set()
-            zeta[v] = 0
         self.n -= len(drop)
-        _settle(adj, zeta, support, pending, changed)
+        changed = _remove(self.adj, self.deg, self.zeta, self.support, drop)
         if state is not None:
             state.repair(changed)
         return changed
 
     def _copy(self) -> Residual:
-        """A new Residual of the same live graph, with the same coreness and no cheap state."""
+        """A new Residual of the same live graph, with the same coreness and no cheap state:
+        four list copies over the same frozen adjacency."""
         r = object.__new__(Residual)
-        r.adj = [set(a) for a in self.adj]
-        r.alive, r.zeta, r.support = self.alive[:], self.zeta[:], self.support[:]
-        r.n, r._cheap = self.n, None
+        r.adj, r.n, r._cheap = self.adj, self.n, None
+        r.alive, r.deg, r.zeta, r.support = self.alive[:], self.deg[:], self.zeta[:], self.support[:]
+        r.degree = r.deg.__getitem__
         return r
 
-    def insert(self, v: int, nbrs: Iterable[int]) -> None:
-        """Make the deleted vertex v live again, joined to the live vertices nbrs, each named once.
+    def insert(self, v: int) -> None:
+        """Make the deleted vertex v live again, joined to its live neighbours in the Graph.
 
-        The edges go in one at a time, each raising coreness by `_rise`, the
-        ones to neighbours of higher zeta first, so that v's own rise meets
-        few vertices of its level.  A built cheap state is repaired on v, its
-        neighbours and the risen vertices: the neighbours in C leave it
-        before their degree changes and rejoin in the repair if still cheap,
-        so every count is taken on one adjacency; its kept second layer is
-        given up (see CheapState.arrive).
+        Coreness is repaired by `_rise`.  A built cheap state is repaired on
+        v, its neighbours and the vertices raised on the way: the neighbours
+        in C leave it before their degree changes and rejoin in the repair if
+        still cheap, so every count is taken on one live graph; its kept
+        second layer is given up (see CheapState.arrive).
         """
-        adj, alive, zeta = self.adj, self.alive, self.zeta
+        alive, deg = self.alive, self.deg
         if not (0 <= v < len(alive)) or alive[v]:
             raise GraphInputError(f"vertex {v} is not deleted")
-        nbrs = list(nbrs)
-        if len(set(nbrs)) < len(nbrs) or not all(0 <= u < len(alive) and alive[u] for u in nbrs):
-            raise GraphInputError(f"the neighbours of {v} must be distinct live vertices")
-        nbrs.sort(key=zeta.__getitem__, reverse=True)
+        nbrs = [u for u in self.adj[v] if alive[u]]
         state = self._cheap
         if state is not None:
             state.arrive(v, nbrs)
         alive[v] = True
-        zeta[v] = self.support[v] = 0
         self.n += 1
-        changed = {v, *nbrs}
+        deg[v] = len(nbrs)
         for u in nbrs:
-            adj[v].add(u)
-            adj[u].add(v)
-            changed |= self._rise(v, u)
+            deg[u] += 1
+        risen = self._rise(v, nbrs)
         if state is not None:
-            state.repair(changed)
+            state.repair({v, *nbrs, *risen})
 
-    def _rise(self, a: int, b: int) -> set[int]:
-        """Repair coreness after the edge ab went in; return the vertices that rose.
+    def _rise(self, v: int, nbrs: list[int]) -> set[int]:
+        """Repair coreness after v came back next to its live neighbours nbrs; return the
+        vertices raised on the way.
 
-        The traversal of Sariyuce et al. (VLDB 2013), on the support counts.
-        With k = min(zeta[a], zeta[b]), only vertices of zeta k can rise, by
-        one at most, and each that does has > k supports after the edge and
-        is joined to an endpoint of zeta k through such vertices: a risen
-        part with no endpoint was a (k+1)-core already.  So the search visits
-        those vertices from the endpoints and raises all of them to k + 1.
-        Every value is then an upper bound on the coreness, and only a
-        visited vertex can be above it.  Support is recounted for a visited
-        vertex and raised by one for each of its neighbours outside that
-        already had zeta k + 1, so it is exact; the visited vertices with <= k
-        supports go to `_settle`, which evicts by lowering them, and those
-        they take support from, back to k.  The rest rose.
+        On entry every other value is the coreness and every support exact for
+        the live graph without v.  Taking v back raises no coreness by more
+        than one: a k-core that holds v is a (k-1)-core without it.  So v's
+        coreness c is at most h, the most j such that j neighbours have zeta
+        >= j - 1, since v has c neighbours of coreness >= c; v starts at h.
+        A vertex x of zeta k that rises lies in the new (k+1)-core with k + 1
+        neighbours there, each v or of zeta >= k, so it has > k supports once
+        v counts, and k < h.  The risers of zeta k are also joined to a
+        neighbour of v through risers of zeta k: those that are not, with the
+        old (k+1)-core, would form a subgraph of minimum degree k + 1 without
+        v, so they had zeta k + 1 already.  This is the traversal of Sariyuce
+        et al. (VLDB 2013), from every neighbour of v at once: it visits the
+        vertices of each level k < h with > k supports, joined within that
+        level to a neighbour of v, and raises them all by one.  A deleted
+        vertex has zeta and support 0 and is never visited.
+
+        Every value is then an upper bound on the coreness, and only v and a
+        visited vertex can be above it.  Support is recounted for them and
+        raised by one for each outside neighbour whose zeta the raise
+        reached, so it is exact; those with fewer supports than their zeta go
+        to `_settle`, which lowers them, and those they take support from,
+        to the coreness.
         """
         adj, zeta, support = self.adj, self.zeta, self.support
-        k = min(zeta[a], zeta[b])
-        for x in (a, b):
-            if zeta[x] == k:
-                support[x] += 1
-        seen = {x for x in (a, b) if zeta[x] == k and support[x] > k}
+        # the test holds for a prefix of the values in falling order
+        h = sum(z + 1 >= j for j, z in enumerate(sorted((zeta[u] for u in nbrs), reverse=True), 1))
+        zeta[v] = h
+        for u in nbrs:
+            if zeta[u] <= h:
+                support[u] += 1
+        seen = {u for u in nbrs if zeta[u] < h and support[u] > zeta[u]}
         stack = list(seen)
         while stack:
-            for y in adj[stack.pop()]:
+            x = stack.pop()
+            k = zeta[x]
+            for y in adj[x]:
                 if zeta[y] == k and support[y] > k and y not in seen:
                     seen.add(y)
                     stack.append(y)
         for x in seen:
-            zeta[x] = k + 1
+            zeta[x] += 1
         for x in seen:
-            support[x] = sum(zeta[y] > k for y in adj[x])
+            z = zeta[x]
+            support[x] = sum(zeta[y] >= z for y in adj[x])
             for y in adj[x]:
-                if zeta[y] == k + 1 and y not in seen:
+                if zeta[y] == z and y not in seen:
                     support[y] += 1
-        fallen: set[int] = set()
-        _settle(adj, zeta, support, {x for x in seen if support[x] <= k}, fallen)
-        return seen - fallen
+        support[v] = sum(zeta[u] >= h for u in nbrs)
+        pending = {x for x in seen if support[x] < zeta[x]}
+        if support[v] < h:
+            pending.add(v)
+        _settle(adj, self.deg, zeta, support, pending, set())
+        return seen
+
+
+def _counts(g: Graph) -> list[list[int]]:
+    """deg, zeta and support of g with no vertex deleted, the last two copied from
+    g's kept peel (see _core), so nothing written to them reaches it."""
+    prof, support = _core(g)
+    return [g.degrees(), list(prof.zeta), support[:]]
 
 
 def require_live(g: Graph | Residual, s: Iterable[int]) -> None:
@@ -308,18 +310,55 @@ def require_live(g: Graph | Residual, s: Iterable[int]) -> None:
             raise GraphInputError(f"vertex {v} is not live")
 
 
-def _settle(adj, zeta, support, pending: set[int], changed: set[int]) -> None:
+def _remove(adj, deg, zeta, support, drop: set[int]) -> set[int]:
+    """Delete the live vertices drop on the lists deg, zeta and support over the
+    frozen adjacency adj; return the live vertices whose degree or zeta changed.
+
+    A deleted vertex has deg, zeta and support 0, so it counts toward no
+    support above level 0 and never loses one.  The members of drop get deg 0
+    first, and then a neighbour u of a member v is live iff deg[u] > 0: a
+    live u still counts v, whose turn it is, among its live neighbours.  So
+    the routine needs no alive flags, and a strip copies none.
+
+    Coreness is repaired locally, on the support counts.  A deleted v
+    takes one degree from each live neighbour u, and one support where
+    zeta[u] <= zeta[v]; no other count moves.  A deletion never raises a
+    coreness, so the old values bound the new ones from above, and `_settle`
+    lowers the vertices whose support fell below their zeta one level at a
+    time until every support reaches its zeta, which is the new coreness.
+    """
+    for v in drop:
+        deg[v] = 0
+    changed: set[int] = set()
+    pending: set[int] = set()
+    for v in drop:
+        zv = zeta[v]
+        for u in adj[v]:
+            if deg[u]:
+                deg[u] -= 1
+                changed.add(u)
+                zu = zeta[u]
+                if zu <= zv:
+                    support[u] -= 1
+                    if support[u] < zu:
+                        pending.add(u)
+        zeta[v] = support[v] = 0
+    _settle(adj, deg, zeta, support, pending, changed)
+    return changed
+
+
+def _settle(adj, deg, zeta, support, pending: set[int], changed: set[int]) -> None:
     """Lower the pending vertices, and those they take support from, to the coreness.
 
     On entry every value is an upper bound on its vertex's coreness, support
-    is exact, support[v] = #{w in adj[v] : zeta[w] >= zeta[v]}, for every
-    vertex whose value can move, and pending holds those with support[v] <
-    zeta[v].  One rule repairs it, the fixed-point iteration for coreness
-    (Lu et al., Nat. Commun. 2016): a pending v of value old falls one level,
-    to old - 1.  Each neighbour of zeta old loses the support v gave it and
-    goes pending when that takes it below its zeta; v's support at old - 1
-    is its count at old plus its neighbours of zeta old - 1, and v stays
-    pending while that is still below old - 1.  So support stays exact.
+    is exact, support[v] = #{live w in adj[v] : zeta[w] >= zeta[v]}, for
+    every vertex whose value can move, and pending holds those with
+    support[v] < zeta[v].  One rule repairs it, the fixed-point iteration for
+    coreness (Lu et al., Nat. Commun. 2016): a pending v of value old falls
+    one level, to old - 1.  Each neighbour of zeta old loses the support v
+    gave it and goes pending when that takes it below its zeta; v's support
+    at old - 1 is its count at old plus its neighbours of zeta old - 1, and v
+    stays pending while that is still below old - 1.  So support stays exact.
 
     A vertex with fewer than z neighbours of value >= z lies in no z-core,
     since every member of the z-core has z neighbours there, each with
@@ -327,21 +366,20 @@ def _settle(adj, zeta, support, pending: set[int], changed: set[int]) -> None:
     stay upper bounds.  The loop stops because every step lowers a value.
     At the end support[v] >= zeta[v] for every v, so every set {v : zeta[v]
     >= j} has minimum degree >= j and lies in the j-core: each value is also
-    a lower bound, and the values are the coreness.  In a strip a stripped
-    neighbour has zeta 0 (see _strip): it never loses a support, and it
-    counts toward a support only at level 0.  changed gains every vertex
-    that falls.
+    a lower bound, and the values are the coreness.  changed gains every
+    vertex that falls.
 
-    A pending vertex with no live neighbour drops to zeta 0 in one step,
-    where the rule would spend one empty pass per level: it lies in no
-    1-core, and no neighbour loses a support from it.  Only a Residual's
-    adjacency empties as vertices go; a strip reads the frozen adjacency,
-    where a vertex that can be pending has neighbours, so there the step
-    never fires.
+    A pending vertex with no live neighbour (deg 0) drops to zeta 0 in one
+    step, where the rule would spend one pass per level: it lies in no
+    1-core, and no neighbour loses a support from it.  So the rule never
+    takes a vertex to level 0, the level of the deleted vertices, which
+    adj still names: a live vertex with a live neighbour has a coreness, so
+    a value, and so a support of at least 1.  Above level 0 a deleted
+    neighbour, at zeta 0, neither gives nor loses a support.
     """
     while pending:
         v = pending.pop()
-        if not adj[v]:
+        if not deg[v]:
             zeta[v] = support[v] = 0
             changed.add(v)
             continue
@@ -366,15 +404,18 @@ class CheapState:
     """One kept cheap layer L of the Residual r and what the finders read of it.
 
     cheap is L, and count keeps one invariant: count[x] = |adj[x] & L| for
-    every live x of the residual the greedy deletes from, whose adjacency
-    `adj` and alive flags `alive` are.  For the first layer C that residual
-    is r.  The second layer D, the cheap set of the live graph minus C, is
-    the cheap state of a Residual R2 of that graph, on the same vertex ids,
-    and counts on the residual of its `outer` layer C (see second).  A
-    vertex that joins or leaves L moves the counts of its neighbours in adj
-    at once.  isolated is the number of vertices of L without a neighbour in
-    r: for the first layer, every live vertex without a neighbour (deg 0 =
-    zeta 0), each of which stays in C until deleted.
+    every live x of the residual the greedy deletes from, whose alive flags
+    `alive` are; adj is the Graph's frozen adjacency, which every residual
+    of a run shares, and as L is live, count[x] is the number of live
+    neighbours of x in L.  For the first layer C that residual is r.  The
+    second layer D, the cheap set of the live graph minus C, is the cheap
+    state of a Residual R2 of that graph, on the same vertex ids, and counts
+    on the residual of its `outer` layer C (see second).  A vertex that joins
+    or leaves L moves the counts of its live neighbours at once; a deleted
+    vertex's count is left as it was, as most of adj may be deleted late in
+    a run.  isolated is the number of vertices of L without a live neighbour
+    in r: for the first layer, every live vertex without a neighbour (deg 0
+    = zeta 0), each of which stays in C until deleted.
 
     Every read asks for the least vertex of a member set, a layer or every
     live vertex, whose count on a layer is at least some level (`_least`).
@@ -394,14 +435,15 @@ class CheapState:
 
     def __init__(self, r: Residual, outer: CheapState | None = None,
                  among: Iterable[int] | None = None):
-        home = r if outer is None else outer.r
-        self.r, self.outer, self.adj, self.alive = r, outer, home.adj, home.alive
+        self.r, self.outer, self.adj = r, outer, r.adj
+        self.alive = (r if outer is None else outer.r).alive
         self.cheap = set(cheap_vertices(r) if among is None else _cheap_among(r, r.zeta, among))
         count = self.count = [0] * len(self.adj)
         for u in self.cheap:
             for v in self.adj[u]:
                 count[v] += 1
-        self.isolated = sum(not r.adj[u] for u in self.cheap)
+        deg = r.deg
+        self.isolated = sum(not deg[u] for u in self.cheap)
         self._reads: dict[tuple[CheapState | None, int], list[int]] = {}
         self._feeds: dict[int, list[tuple[set[int] | None, list[int]]]] = {}
         self._joins: list[tuple[list[int], int, list[int]]] = []
@@ -412,16 +454,16 @@ class CheapState:
         """The least member of the layer `members`, or live vertex when None, whose
         count on this layer is at least level; None when there is none.  A read of
         the live vertices takes level >= 1, as a vertex that comes back counts from 0."""
-        count = self.count
+        count, alive = self.count, self.alive
         heap = self._reads.get((members, level))
         if heap is None:
-            pool = compress(range(len(self.alive)), self.alive) if members is None else members.cheap
+            pool = compress(range(len(alive)), alive) if members is None else members.cheap
             heap = self._reads[members, level] = sorted(v for v in pool if count[v] >= level)
             if level:
                 self._feeds.setdefault(level, []).append((members and members.cheap, heap))
             if members is not None:
                 members._joins.append((count, level, heap))
-        ok = self.alive.__getitem__ if members is None else members.cheap.__contains__
+        ok = alive.__getitem__ if members is None else members.cheap.__contains__
         while heap and not (ok(heap[0]) and count[heap[0]] >= level):
             heappop(heap)
         return heap[0] if heap else None
@@ -459,19 +501,18 @@ class CheapState:
         vertices are the only ones that can be cheap there (see
         cheap_layers).  D's r is R2, whose cheap layers below D the 2-cheap
         finder reads (see cheap_layers); `second()` is never asked of D.
-        D's count[x] = |N(x) & D| is taken on r's adjacency and holds for
-        every live x of r at every moment: a delete in r takes its members
-        out of D first (`drop`), and an update moves D's members on r's
-        adjacency as it is then.  After an update, N(x) in R2 is N(x) in r
-        less C for every vertex x of R2, so there count is also x's count in
-        R2, which D's `least_edge` reads; on a member of C it is the number
-        of neighbours in D, which `least_up` reads.
+        D's count[x] = |adj[x] & D| holds for every live x of r at every
+        moment, as a delete in r takes its members out of D first (`drop`).
+        D is live in R2, whose live vertices are those of r less C after an
+        update, so on a vertex of R2 count is its count in R2, which D's
+        `least_edge` reads, and on a member of C it is the number of
+        neighbours in D, which `least_up` reads.
 
         The update: a noted vertex belongs in R2 when it is live in r and
         outside C.  The ones in R2 that no longer belong are deleted in one
         batch; then each one that now belongs, a live vertex that left C, is
-        inserted, joined to its neighbours in R2 (those inserted before it
-        included).
+        inserted, and comes back next to its live neighbours in R2 (those
+        inserted before it included).
         """
         second = self._second
         if second is None:
@@ -485,7 +526,7 @@ class CheapState:
                 r2.delete(gone)
             for v in wanted:
                 if not r2.alive[v]:
-                    r2.insert(v, [x for x in r.adj[v] if r2.alive[x]])
+                    r2.insert(v)
             self._stale = set()
         return second
 
@@ -501,12 +542,11 @@ class CheapState:
 
     def arrive(self, v: int, nbrs: list[int]) -> None:
         """Make ready for the deleted vertex v to come back next to nbrs: they leave C,
-        and the repair rejoins those still cheap.  v's count restarts at 0: on r's own
-        adjacency, which lost v at its delete, it kept what it was then.  A kept second
-        layer follows a residual that only deletes, so it is given up here, with the
-        reads that C feeds for it, and built again on the next read; the greedy rounds
-        never take a vertex back, and a second layer's own residual keeps no second
-        layer."""
+        and the repair rejoins those still cheap.  v's count restarts at 0: the counts
+        of a deleted vertex are not kept.  A kept second layer follows a residual that only
+        deletes, so it is given up here, with the reads that C feeds for it, and built
+        again on the next read; the greedy rounds never take a vertex back, and a
+        second layer's own residual keeps no second layer."""
         for u in self.cheap.intersection(nbrs):
             self.leave(u)
         self.count[v] = 0
@@ -520,21 +560,24 @@ class CheapState:
 
     def leave(self, u: int) -> None:
         self.cheap.discard(u)
-        if not self.r.adj[u]:
+        if not self.r.deg[u]:
             self.isolated -= 1
-        count = self.count
+        count, alive = self.count, self.alive
         for v in self.adj[u]:
-            count[v] -= 1
+            if alive[v]:
+                count[v] -= 1
         if self._second is not None:
             self._stale.add(u)
 
     def join(self, u: int) -> None:
-        count, feeds = self.count, self._feeds
+        count, feeds, alive = self.count, self._feeds, self.alive
         self.cheap.add(u)
         for counts, level, heap in self._joins:
             if counts[u] >= level:
                 heappush(heap, u)
         for v in self.adj[u]:
+            if not alive[v]:
+                continue
             count[v] = c = count[v] + 1
             if c in feeds:
                 for members, heap in feeds[c]:
@@ -544,16 +587,16 @@ class CheapState:
             self._stale.add(u)
 
     def repair(self, changed: set[int]) -> None:
-        """Recheck L after a delete that changed the degree or zeta of `changed`.
+        """Recheck L after a delete or insert that changed the degree or zeta of `changed`.
 
         Only the changed vertices are rechecked: whether u is cheap depends
         only on deg(u) and zeta(u) (see cheap_vertices), so a vertex whose
         degree and zeta did not change keeps its answer.
         """
-        cheap, adj = self.cheap, self.r.adj
+        cheap, deg = self.cheap, self.r.deg
         now = _cheap_among(self.r, self.r.zeta, changed)
         # a changed vertex had a neighbour or a positive zeta, so it was not isolated
-        self.isolated += sum(not adj[v] for v in changed)
+        self.isolated += sum(not deg[v] for v in changed)
         for u in (changed & cheap) - now:
             self.leave(u)
         for u in now - cheap:
@@ -646,98 +689,54 @@ def cheap_vertices(g: Graph | Residual,
 
 
 def _cheap_among(g: Graph | Residual, zeta, candidates: Iterable[int]) -> frozenset[int]:
-    adj = g.adj
-    return frozenset(u for u in candidates if zeta[u] == len(adj[u]))
+    # a Graph's candidates are all its vertices, so its degree list costs no more
+    deg = g.deg if isinstance(g, Residual) else g.degrees()
+    return frozenset(u for u in candidates if zeta[u] == deg[u])
 
 
-def cheap_layers(g: Graph | Residual,
-                 profile: ZetaProfile | None = None) -> Iterator[frozenset[int]]:
+def cheap_layers(g: Graph | Residual) -> Iterator[frozenset[int]]:
     """The cheap layers of g in stripping order, each stripped when it is asked for.
 
     Each layer is the cheap set of what the layers before it leave.  After a
     layer goes, only the vertices whose degree or zeta changed are
     rechecked: the others were not cheap, and cheapness depends only on deg
     and zeta (see cheap_vertices).  Each nonempty residual has a cheap
-    vertex, so the layers cover every live vertex.  One strip (`_strip`)
-    does it on four per-vertex maps:
-
-    - for a Graph, fresh lists, with copies of the zeta and support of its
-      kept peel (see _core); a profile handed in is not read;
-    - for a Residual, copies of its alive flags, zeta and support, and for
-      the degrees, which it keeps in no list, an overlay (`_Degrees`) that
-      reads len(adj[v]) and keeps the strip's writes; its first layer is the
-      kept cheap set when it has built its `cheap_state`.
+    vertex, so the layers cover every live vertex.  The strip (`_strip`)
+    runs the Residual's delete routine on fresh copies of the lists deg,
+    zeta and support, which it reads alive from (see _remove): for a Graph,
+    those of nothing deleted with the zeta and support of its kept peel (see
+    _core), and for a Residual its own, whose first layer is the kept cheap
+    set when it has built its `cheap_state`.
 
     Neither g nor a Graph's kept peel is written to, so a reader may stop at
-    any layer.  A strip costs three list copies at memory speed plus what its
-    layers touch: overlays on all four maps measured 20-25% slower on trees,
-    as a dict subclass reads a missing key about ten times slower than a
-    list.  The 2-cheap finder reads it on the second layer's Residual (see
-    CheapState.second), so that its first layer is the kept D.
+    any layer.  A strip costs three list copies at memory speed plus what
+    its layers touch.  The 2-cheap finder reads it on the second layer's
+    Residual (see CheapState.second), so that its first layer is the kept D.
     """
-    adj = g.adj
-    if isinstance(g, Residual):
-        first = frozenset(g._cheap.cheap) if g._cheap else cheap_vertices(g)
-        return _strip(adj, _Degrees(adj), g.alive[:], g.zeta[:], g.support[:], first)
-    prof, support = _core(g)
-    deg = [len(a) for a in adj]
-    first = _cheap_among(g, prof.zeta, range(g.n))
-    return _strip(adj, deg, [True] * g.n, list(prof.zeta), support[:], first)
+    r = g if isinstance(g, Residual) else None
+    lists = [r.deg[:], r.zeta[:], r.support[:]] if r else _counts(g)
+    deg, zeta, _ = lists
+    first = r._cheap.cheap if r and r._cheap else (
+        u for u in g.vertices() if zeta[u] == deg[u])
+    return _strip(g.adj, *lists, frozenset(first))
 
 
-class _Degrees(dict):
-    """A strip's live degrees over an adjacency it only reads: unwritten, v has len(adj[v])."""
-
-    def __init__(self, adj):
-        super().__init__()
-        self.adj = adj
-
-    def __missing__(self, v):
-        return len(self.adj[v])
-
-
-def _strip(adj, deg, alive, zeta, support, first: frozenset[int]) -> Iterator[frozenset[int]]:
-    """The cheap layers from `first` down, on live degree, alive, zeta and support.
-
-    zeta and support are exact for the live vertices on entry.  Each layer's
-    deletion repairs them as Residual.delete does: the live neighbours of a
-    deleted vertex lose one degree, and one support where their zeta is at
-    most its zeta, and `_settle` lowers those left short of support one
-    level at a time.  A deleted vertex's zeta is set to 0, so it counts
-    toward a neighbour's support only at level 0 and never loses a support.
-    adj is only read.
-    """
-    cheap = first
+def _strip(adj, deg, zeta, support, cheap: frozenset[int]) -> Iterator[frozenset[int]]:
+    """The cheap layers from `cheap` down, each deleted by `_remove` on the lists deg,
+    zeta and support, exact on entry, which it writes to; adj is only read."""
     while cheap:
         yield cheap
-        for v in cheap:
-            alive[v] = False
-        changed: set[int] = set()
-        pending: set[int] = set()
-        for v in cheap:
-            zv = zeta[v]
-            for u in adj[v]:
-                if alive[u]:
-                    deg[u] -= 1
-                    changed.add(u)
-                    zu = zeta[u]
-                    if zu <= zv:
-                        support[u] -= 1
-                        if support[u] < zu:
-                            pending.add(u)
-            zeta[v] = 0
-        _settle(adj, zeta, support, pending, changed)
-        cheap = frozenset(u for u in changed if zeta[u] == deg[u])
+        cheap = frozenset(u for u in _remove(adj, deg, zeta, support, cheap)
+                          if zeta[u] == deg[u])
 
 
-def layer_decomposition(g: Graph | Residual,
-                        profile: ZetaProfile | None = None) -> LayerDecomposition:
+def layer_decomposition(g: Graph | Residual) -> LayerDecomposition:
     """Iteratively strip the cheap vertices of what is left (see cheap_layers).
 
     layers[i] holds the vertex ids removed at step i+1; every live vertex is
     assigned a layer.  A Residual is read, never written to.
     """
-    layers = tuple(cheap_layers(g, profile))
+    layers = tuple(cheap_layers(g))
     layer_of = [-1] * len(g.adj)
     for i, layer in enumerate(layers):
         for v in layer:

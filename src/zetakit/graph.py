@@ -3,7 +3,8 @@
 Every input reaches the library in this one representation: a tuple of
 frozen neighbor sets.  Vertices are always contiguous ints; labels (if any)
 live at the CLI layer, never here.  Code that deletes vertices round after
-round works on a degeneracy.Residual, which keeps these ids.
+round works on a degeneracy.Residual, which keeps these ids and reads these
+neighbor sets as they are.
 
 A Graph's fields never change, and it keeps one value besides them: the
 result of its one peel, its zeta profile with the support counts, set on the
@@ -96,8 +97,9 @@ def _nogc(fn):
     builders create no reference cycles: reference counting frees each
     line's garbage at once.  A greedy run's only cycles are its kept cheap
     layers, live until it returns; a cheap_greedy, 1-cheap or 2-cheap run
-    leaves them behind as one garbage island, which the first collection
-    after the call frees (see the greedy module docstring).  The pause is
+    leaves them behind as one garbage island of a few dozen containers,
+    which the first collection after the call frees (see the greedy module
+    docstring).  The pause is
     process-wide, and on every exit, a raise included, the collector is left
     in the state it was found in (enabled again only if it was enabled on
     entry).  Mercurial's `util.nogc` does the same around its large
@@ -148,11 +150,15 @@ def _frozen_graph(nbrs: list[set[int]]) -> Graph:
 
 
 def closed_neighborhood(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """N[S]: the vertices of S together with every neighbor of S."""
+    """N[S]: the vertices of S together with every neighbor of S.
+
+    Also takes a degeneracy.Residual, whose adjacency is its Graph's: only
+    its live neighbors count.
+    """
     out = set(s)
     for v in tuple(out):
         out.update(g.adj[v])
-    return frozenset(out)
+    return frozenset(out if isinstance(g, Graph) else filter(g.alive.__getitem__, out))
 
 
 def remove_vertices(g: Graph, s: Iterable[int]) -> InducedSubgraph:
@@ -169,9 +175,10 @@ def remove_vertices(g: Graph, s: Iterable[int]) -> InducedSubgraph:
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of connected components, each sorted, in smallest-id order.
 
-    Also takes a degeneracy.Residual: only its live vertices are visited.
+    Also takes a degeneracy.Residual: only its live vertices are visited, as
+    its deleted ones count as seen from the start.
     """
-    seen = [False] * len(g.adj)
+    seen = [False] * len(g.adj) if isinstance(g, Graph) else [not a for a in g.alive]
     comps: list[list[int]] = []
     for start in g.vertices():
         if seen[start]:

@@ -7,10 +7,11 @@ certificate is a true lower bound on the optimum, and the chosen set always
 has at least ceil(certificate) vertices — that invariant is what makes these
 greedies "certified" rather than heuristic.
 
-One round loop runs every algorithm on a single `Residual`: zeta is computed once
-per Graph, by the peel that the Graph keeps and each run's Residual copies, and
-repaired locally after each round's deletion, so a round costs its finder's
-search plus work near N[S], with no rebuild.  The search is heap
+One round loop runs every algorithm on a single `Residual`, which reads the
+Graph's frozen neighbour sets: zeta is computed once per Graph, by the peel
+that the Graph keeps and each run's Residual copies, and repaired locally
+after each round's deletion, so a round costs its finder's search plus work
+near N[S], with no rebuild.  The search is heap
 operations for min_greedy and for the 1-cheap and 2-cheap rounds that the
 residual's kept cheap layers answer (C on the residual, the second layer D on
 a residual of its own, brought up to date in one batch when a round reads
@@ -21,19 +22,23 @@ plus leaf repairs that recount N[S] over the tree processed so far.
 
 Each greedy runs its whole call with Python's cyclic garbage collector
 paused (`graph._nogc`), and leaves the collector as it found it.  A run
-keeps O(n) long-lived containers (the residual's live-neighbour sets, the
-second layer's copy, the trace), and unpaused, its allocations started 2-18
-collections per call at n = 2000, each of which traversed those containers
-without being able to free anything: the only reference cycles a run makes
-are its own kept cheap layers, live until it returns.  At return the layers
-of a cheap_greedy, 1-cheap or 2-cheap run become one garbage island, which
-the first collection after the call frees: 2,010 objects for cheap_greedy's
-C and about 4,000 for a 1- or 2-cheap run at n = 2000 (G(n, 8/n) or a random
-tree); min_greedy and forest_k_greedy leave none.  The pause
-took greedy-sparse's `graphs_per_s` from 9.45 to 9.85 (median of twelve
-alternating pairs, each won) and, on G(10^5, 4 * 10^5 edges) in a plain
-process, `min_greedy` from 2.1-2.4 s to 1.4-1.6 s and `two_cheap_greedy`
-from 5.0-5.3 s to 4.1-4.6 s (CPython 3.11, 2-vCPU Xeon).
+keeps long-lived containers (the trace, the kept layers' sets and heaps),
+and unpaused, its allocations started 2-18 collections per call at n = 2000
+when each residual still copied every neighbour set, each of which
+traversed those containers without being able to free anything: the only
+reference cycles a run makes are its own kept cheap layers, live until it
+returns.  At return the layers of a cheap_greedy, 1-cheap or 2-cheap run
+become one garbage island, which the first collection after the call
+frees.  The residuals read the Graph's frozen neighbour sets and keep only
+per-vertex lists, so the island is a few dozen containers whatever n: 10
+objects for cheap_greedy's C and 35 or 48 for a 1- or 2-cheap run, at
+n = 1000 to 4000 (G(n, 8/n) or a random tree), where a neighbour set copied
+per residual made it n + 10 and 2n + 35 to 2n + 48; min_greedy and
+forest_k_greedy leave none.  The pause took greedy-sparse's `graphs_per_s`
+from 9.45 to 9.85 (median of twelve alternating pairs, each won) and, on
+G(10^5, 4 * 10^5 edges) in a plain process, `min_greedy` from 2.1-2.4 s to
+1.4-1.6 s and `two_cheap_greedy` from 5.0-5.3 s to 4.1-4.6 s (CPython 3.11,
+2-vCPU Xeon).
 """
 from __future__ import annotations
 
@@ -86,7 +91,8 @@ def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep]) -> Greed
     r = Residual(g)
     chosen: set[int] = set()
     trace: list[TraceStep] = []
-    isolated = [v for v in r.vertices() if not r.adj[v]]
+    deg = r.deg
+    isolated = [v for v in r.vertices() if not deg[v]]
     while r.n:
         if isolated:
             block = tuple(isolated)
@@ -95,7 +101,7 @@ def _drive(g: Graph, level: int, pick: Callable[[Residual], TraceStep]) -> Greed
             step = pick(r)
         chosen.update(step.picked)
         trace.append(step)
-        isolated = sorted(v for v in r.delete(step.removed) if not r.adj[v])
+        isolated = sorted(v for v in r.delete(step.removed) if not deg[v])
     den = lcm(*(step.contribution.denominator for step in trace))
     num = sum(t.contribution.numerator * (den // t.contribution.denominator) for t in trace)
     return GreedyRun(frozenset(chosen), Fraction(num, den), level, tuple(trace))
@@ -131,10 +137,10 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
     fell: set[int] = set()                 # vertices next to the last removed N[v]
 
     def pick(r: Residual) -> TraceStep:
-        adj, alive = r.adj, r.alive
+        adj, alive, deg = r.adj, r.alive, r.deg
         for x in fell:
             if alive[x]:
-                heappush(heap, (len(adj[x]), x))
+                heappush(heap, (deg[x], x))
         low, v = heappop(heap)
         while not alive[v]:
             low, v = heappop(heap)
@@ -150,7 +156,8 @@ def min_greedy(g: Graph, seed: int | None = None) -> GreedyRun:
                     heappush(heap, (low, u))
         fell.clear()
         for w in adj[v]:
-            fell.update(adj[w])
+            if alive[w]:
+                fell.update(adj[w])
         fell.difference_update(adj[v])
         fell.discard(v)
         closed, num, den = _weighed_neighborhood(r, r.zeta, (v,), 0)

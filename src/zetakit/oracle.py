@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .bounds import z_bound
 from .degeneracy import Residual, zeta_profile
-from .graph import Graph, GraphInputError, build_graph
+from .graph import Graph, GraphInputError, build_graph, closed_neighborhood
 
 _ALPHA0_LIMIT = 40
 _ALPHAK_LIMIT = 20
@@ -183,12 +183,12 @@ def _peel_clique_cover(g: Graph) -> tuple[frozenset[int], ...] | None:
     parts: list[frozenset[int]] = []
     work = Residual(g)
     while work.n:
-        dmin = min(len(work.adj[v]) for v in work.vertices())
+        dmin = min(map(work.degree, work.vertices()))
         seen: set[frozenset[int]] = set()
         for u in work.vertices():
-            if len(work.adj[u]) != dmin:
+            if work.degree(u) != dmin:
                 continue
-            block = frozenset(work.adj[u]) | {u}
+            block = closed_neighborhood(work, (u,))
             if block in seen:
                 continue
             if len(seen) >= _PEEL_TRIES:
@@ -210,13 +210,13 @@ def _keeps_zeta(r: Residual, block: frozenset[int], dmin: int) -> bool:
 
     dmin is r's minimum degree and every member of block has zeta dmin.
     Every live vertex has zeta >= dmin, so a delete of block takes support
-    (see Residual) only from the outside vertices u of zeta dmin, one for
-    each neighbour in block.  Support is exact, and a vertex falls iff its
+    (see Residual) only from the live outside vertices u of zeta dmin, one
+    for each neighbour in block.  Support is exact, and a vertex falls iff its
     support drops below its zeta (see Residual.delete), so no zeta moves
     iff each such u keeps support >= dmin.
     """
     return all(r.support[u] - len(r.adj[u] & block) >= dmin
-               for a in block for u in r.adj[a] - block if r.zeta[u] == dmin)
+               for a in block for u in r.adj[a] - block if r.zeta[u] == dmin and r.alive[u])
 
 
 def is_in_family_F(g: Graph, limit: int = 4096) -> tuple[bool, tuple[frozenset[int], ...] | None]:

@@ -54,6 +54,18 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     return build_graph(n, edges)
 
 
+def gnm(n: int, m: int, seed: int) -> Graph:
+    """G(n, m): m distinct edges drawn uniformly, in O(m) expected time while m
+    is well below n^2/4 (gnp above tests every pair, O(n^2))."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return build_graph(n, sorted(edges))
+
+
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform-ish attachment tree on n vertices (n >= 1)."""
     rng = random.Random(seed)
@@ -154,15 +166,16 @@ def count_fractions(monkeypatch) -> tuple[list, list]:
 
 def count_strips(monkeypatch) -> list:
     """Record each layer that a cheap-layer strip removes, i.e. each layer whose
-    reader asks for the next one: one (adjacency stripped, layer size) entry
-    per layer removed, in the order the strips remove them."""
+    reader asks for the next one: one (first layer of the strip, layer size)
+    entry per layer removed, in the order the strips remove them."""
     real = zetakit.degeneracy._strip
     removed = []
 
     def counted(adj, *args):
+        first = args[-1]
         for layer in real(adj, *args):
             yield layer
-            removed.append((adj, len(layer)))
+            removed.append((first, len(layer)))
 
     monkeypatch.setattr(zetakit.degeneracy, "_strip", counted)
     return removed

@@ -312,7 +312,7 @@ def test_greedy_mis_matches_scan_twin_at_scale(sparse2000):
     r = Residual(g)
     for v in (0, 7, 300, 1999):
         if r.alive[v]:
-            r.delete(r.adj[v] | {v})
+            r.delete(closed_neighborhood(r, {v}))
     cheap = cheap_vertices(r)
     assert cheap - cheap_vertices(g)      # the deletes made new cheap vertices
     assert _greedy_mis(r, cheap) == rebuild_greedy.greedy_mis(r, cheap)

@@ -204,7 +204,7 @@ def test_1_cheap_type_certificates_exhaustive(dedup_suite):
 
 
 def residual_state(r):
-    return [set(a) for a in r.adj], r.zeta[:], r.alive[:], r.n, r.m
+    return r.deg[:], r.zeta[:], r.alive[:], r.n, r.m
 
 
 def test_finders_strip_a_residual_only_for_the_second_layer(monkeypatch):
@@ -230,9 +230,9 @@ def test_finders_strip_a_residual_only_for_the_second_layer(monkeypatch):
         assert len(strips) == expected, (finder.__name__, kind, len(strips))
         assert residual_state(r) == before
         if strips:
-            second = r.cheap_state().second().r
-            assert all(adj is second.adj for adj, _ in strips)
-            assert residual_state(second) == residual_state(Residual(g).cheap_state().second().r)
+            second = r.cheap_state().second()
+            assert all(first == second.cheap for first, _ in strips)
+            assert residual_state(second.r) == residual_state(Residual(g).cheap_state().second().r)
 
 
 def test_finders_profile_a_graph_once(monkeypatch):
@@ -274,7 +274,7 @@ def test_finders_match_scan_twins(g, data):
         if len(live) < 3:
             break
         r.delete(data.draw(st.sets(st.sampled_from(live), min_size=1, max_size=2)))
-        stray = [v for v in r.vertices() if not r.adj[v]]
+        stray = [v for v in r.vertices() if not r.deg[v]]
         if stray:
             r.delete(stray)
     if not r.n:

@@ -1,6 +1,7 @@
 """Zeta profiles, cheap vertices, and the layer decomposition."""
 
 import pickle
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scan_finders
-from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnp,
+from conftest import (complete_bipartite, complete_graph, count_calls, cycle_graph, gnm, gnp,
                       graphs, path_graph, random_tree, star_graph)
 from zetakit import degeneracy, greedy
 from zetakit.bounds import full_bound_report
@@ -136,10 +137,18 @@ def test_min_degree_vertices_are_cheap(g):
             assert v in cheap
 
 
+def live_adj(g):
+    """The live neighbour sets of a Graph or a Residual by vertex id, empty for a
+    deleted vertex: a Residual reads its Graph's adjacency, deleted vertices included."""
+    alive = g.alive if isinstance(g, Residual) else [True] * g.n
+    return [{w for w in a if alive[w]} if alive[v] else set() for v, a in enumerate(g.adj)]
+
+
 def defined_cheap(g, zeta):
     """The cheap vertices by the definition: zeta(u) == deg(u) and zeta(u) minimal on N[u]."""
+    adj = live_adj(g)
     return {u for u in g.vertices()
-            if zeta[u] == len(g.adj[u]) and all(zeta[w] >= zeta[u] for w in g.adj[u])}
+            if zeta[u] == len(adj[u]) and all(zeta[w] >= zeta[u] for w in adj[u])}
 
 
 @given(graphs(max_n=16), st.data())
@@ -166,10 +175,11 @@ def rebuilt_layers(g):
 
 
 def every_strip(g):
-    """layer_decomposition of g by both strips: on a Graph, with and without a
-    profile handed in, and on a Residual."""
-    return (layer_decomposition(g), layer_decomposition(g, zeta_profile(g)),
-            layer_decomposition(Residual(g)))
+    """layer_decomposition of g by both strips: on a Graph, and on a Residual,
+    without and with its kept cheap set as the first layer."""
+    kept = Residual(g)
+    kept.cheap_state()
+    return layer_decomposition(g), layer_decomposition(Residual(g)), layer_decomposition(kept)
 
 
 @given(graphs(max_n=16))
@@ -196,7 +206,7 @@ def test_graph_layers_build_no_residual(monkeypatch):
     """A Graph is stripped on plain lists: no Residual is built and no
     zeta_profile called.  The strip reads the Graph's kept peel, so the first
     strip of a Graph peels once, counting zeta and support, and no strip or
-    profile of it peels again, with or without the profile handed in."""
+    profile of it peels again."""
     g = gnp(300, 8 / 300, 3)
     residuals, init = [], Residual.__init__
 
@@ -210,8 +220,6 @@ def test_graph_layers_build_no_residual(monkeypatch):
     plain = layer_decomposition(g)
     assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
     assert layer_decomposition(g) == plain
-    assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
-    assert layer_decomposition(g, zeta_profile(g)) == plain
     assert (len(residuals), len(profiles), len(peels)) == (0, 0, 1)
 
 
@@ -237,7 +245,7 @@ def check_kept_peel(g, drop):
     r.delete(drop)
     layer_decomposition(r)
     for v in sorted(drop):
-        r.insert(v, [u for u in g.adj[v] if r.alive[u]])
+        r.insert(v)
     layer_decomposition(g)
     full_bound_report(g)
     assert degeneracy._core(g) == (prof, before) and prof.zeta == zeta_oracle(g)
@@ -279,7 +287,7 @@ def test_residual_repairs_coreness_under_deletions(g, data):
     while r.n:
         live = sorted(set(range(g.n)) - gone)
         drop = data.draw(st.sets(st.sampled_from(live), min_size=1, max_size=4))
-        before_deg = {v: len(r.adj[v]) for v in live}
+        before_deg = {v: r.deg[v] for v in live}
         before_zeta = list(r.zeta)
         changed = r.delete(drop)
         gone |= drop
@@ -287,21 +295,23 @@ def test_residual_repairs_coreness_under_deletions(g, data):
         expect = zeta_oracle(sub.graph)
         assert list(r.vertices()) == list(sub.old_of)
         assert (r.n, r.m) == (sub.graph.n, sub.graph.m)
+        adj = live_adj(r)
         for x, v in enumerate(sub.old_of):
             assert r.zeta[v] == expect[x]
-            assert r.adj[v] == {sub.old_of[y] for y in sub.graph.adj[x]}
+            assert adj[v] == {sub.old_of[y] for y in sub.graph.adj[x]}
+            assert r.deg[v] == sub.graph.degree(x)
         assert changed == {v for v in sub.old_of
-                           if len(r.adj[v]) != before_deg[v]
+                           if r.deg[v] != before_deg[v]
                            or r.zeta[v] != before_zeta[v]}
         assert all(r.support[v] == recomputed_support(r, v) for v in sub.old_of)
 
 
 def recomputed_support(r, v):
-    return sum(r.zeta[w] >= r.zeta[v] for w in r.adj[v])
+    return sum(r.alive[w] and r.zeta[w] >= r.zeta[v] for w in r.adj[v])
 
 
 def residual_state(r):
-    return [set(a) for a in r.adj], r.zeta[:], r.support[:], r.alive[:], r.n, r.m
+    return r.deg[:], r.zeta[:], r.support[:], r.alive[:], r.n, r.m
 
 
 def cheap_state_answers(r):
@@ -313,11 +323,11 @@ def cheap_state_answers(r):
 
 def recomputed_cheap_answers(r):
     """The same answers from a fresh cheap_vertices scan of the live graph."""
-    cheap = cheap_vertices(r)
-    count = [len(r.adj[v] & cheap) for v in r.vertices()]
-    isolated = sum(not r.adj[v] for v in r.vertices())
-    edge = min(((u, min(r.adj[u] & cheap)) for u in cheap if r.adj[u] & cheap), default=None)
-    hubs = [min((v for v in r.vertices() if len(r.adj[v] & cheap) >= k), default=None)
+    cheap, adj = cheap_vertices(r), live_adj(r)
+    count = [len(adj[v] & cheap) for v in r.vertices()]
+    isolated = sum(not adj[v] for v in r.vertices())
+    edge = min(((u, min(adj[u] & cheap)) for u in cheap if adj[u] & cheap), default=None)
+    hubs = [min((v for v in r.vertices() if len(adj[v] & cheap) >= k), default=None)
             for k in (2, 3)]
     return (set(cheap), count, isolated, edge, *hubs)
 
@@ -345,7 +355,8 @@ def kept_layer_answers(r):
     support, the layer counts `count` over r, and the four heap answers."""
     layer = r.cheap_state().second()
     res, live = layer.r, list(r.vertices())
-    return (set(layer.cheap), set(res.vertices()), [res.adj[v] for v in live],
+    adj = live_adj(res)
+    return (set(layer.cheap), set(res.vertices()), [adj[v] for v in live],
             [res.zeta[v] for v in res.vertices()], [res.support[v] for v in res.vertices()],
             [layer.count[v] for v in live],
             layer.least(), layer.least_pair(), layer.least_up(), layer.least_edge())
@@ -518,7 +529,7 @@ def test_kept_layers_follow_an_insert_into_the_residual(g, data):
     assert kept_layer_answers(r) == recomputed_layer(g, r)
     state = r.cheap_state()
     for v in data.draw(st.permutations(gone)):
-        r.insert(v, [u for u in g.adj[v] if r.alive[u]])
+        r.insert(v)
         assert all(key[0] in (None, state) for key in state._reads)
         assert all(m is None or m is state.cheap for fs in state._feeds.values() for m, _ in fs)
         assert all(counts is state.count for counts, _, _ in state._joins)
@@ -549,7 +560,7 @@ def test_cheap_layers_leave_the_residual_unchanged(g, data):
 @given(graphs(max_n=18), st.data())
 @settings(max_examples=120, deadline=None)
 def test_residual_insert_repairs_coreness(g, data):
-    """Deleted vertices put back one by one, in any order, each joined to its
+    """Deleted vertices put back one by one, in any order, each next to its
     live neighbours: after each insert the coreness and support counts equal a
     recompute and a kept cheap state equals a scan, and once all are back the
     residual is as it was before the delete."""
@@ -561,7 +572,7 @@ def test_residual_insert_repairs_coreness(g, data):
     gone = data.draw(st.lists(st.sampled_from(range(g.n)), unique=True, min_size=1))
     r.delete(gone)
     for v in data.draw(st.permutations(gone)):
-        r.insert(v, [u for u in g.adj[v] if r.alive[u]])
+        r.insert(v)
         expect = zeta_oracle(remove_vertices(g, {x for x in range(g.n) if not r.alive[x]}).graph)
         assert [r.zeta[x] for x in r.vertices()] == list(expect)
         assert all(r.support[x] == recomputed_support(r, x) for x in r.vertices())
@@ -569,13 +580,14 @@ def test_residual_insert_repairs_coreness(g, data):
             assert cheap_state_answers(r) == recomputed_cheap_answers(r)
     assert residual_state(r) == before
     with pytest.raises(GraphInputError):
-        r.insert(gone[0], [])
+        r.insert(gone[0])
 
 
 def live_zeta_oracle(r):
     """zeta_oracle of r's live graph on r's vertex ids; a deleted vertex is isolated."""
-    return list(zeta_oracle(build_graph(len(r.adj), [(u, v) for u in r.vertices()
-                                                     for v in r.adj[u] if u < v])))
+    adj = live_adj(r)
+    return list(zeta_oracle(build_graph(len(adj), [(u, v) for u in r.vertices()
+                                                   for v in adj[u] if u < v])))
 
 
 def test_min_degree_deletes_repair_multi_level_falls():
@@ -586,9 +598,9 @@ def test_min_degree_deletes_repair_multi_level_falls():
     r = Residual(layered_example_graph(8))
     deepest = 0
     while r.n:
-        v = min(r.vertices(), key=lambda u: (len(r.adj[u]), u))
+        v = min(r.vertices(), key=lambda u: (r.deg[u], u))
         before = r.zeta[:]
-        r.delete({v, *r.adj[v]})
+        r.delete({v, *live_adj(r)[v]})
         assert r.zeta == live_zeta_oracle(r)
         assert all(r.support[u] == recomputed_support(r, u) for u in r.vertices())
         deepest = max(deepest, *(before[u] - r.zeta[u] for u in r.vertices()), 0)
@@ -612,7 +624,7 @@ def test_vertex_left_without_neighbours_drops_to_zero_in_one_step():
             return super().pop()
 
     zeta, support, changed = [7], [0], set()
-    degeneracy._settle([set()], zeta, support, CountingSet({0}), changed)
+    degeneracy._settle([set()], [0], zeta, support, CountingSet({0}), changed)
     assert (zeta, support, changed, CountingSet.pops) == ([0], [0], {0}, 1)
 
 
@@ -620,7 +632,7 @@ def test_vertex_left_without_neighbours_drops_to_zero_in_one_step():
 @settings(max_examples=120, deadline=None)
 def test_support_stays_exact_under_every_operation(g, data):
     """Through random deletes, reads of the cheap layers, and inserts of deleted
-    vertices next to any live vertices, support[v] stays the number of v's
+    vertices, support[v] stays the number of v's
     neighbours with zeta >= zeta[v] and zeta stays the live graph's oracle; a
     read of the layers changes nothing."""
     r = Residual(g)
@@ -628,9 +640,7 @@ def test_support_stays_exact_under_every_operation(g, data):
         op = data.draw(st.sampled_from(("delete", "strip", "insert")))
         dead = [v for v in range(g.n) if not r.alive[v]]
         if op == "insert" and dead:
-            live = sorted(r.vertices())
-            r.insert(data.draw(st.sampled_from(dead)),
-                     data.draw(st.sets(st.sampled_from(live))) if live else ())
+            r.insert(data.draw(st.sampled_from(dead)))
         elif op == "strip":
             before = residual_state(r)
             read_layers(data, r)
@@ -641,20 +651,43 @@ def test_support_stays_exact_under_every_operation(g, data):
         assert r.zeta == live_zeta_oracle(r)
 
 
-def test_insert_refuses_repeated_or_bad_neighbours():
-    """A repeated neighbour would count its edge twice in m and raise coreness
-    twice, and an id out of range would index another vertex or none; each is
-    refused before anything changes."""
+def test_residual_and_kept_layers_take_a_fraction_of_the_graph():
+    """A Residual reads its Graph's frozen neighbour sets and keeps four
+    per-vertex lists, and D's residual is four list copies.  At n = 2 * 10^4
+    with 4n edges, Residual(g) with its cheap state and kept second layer
+    allocate at most 40% of what build_graph allocated for g, the peel that
+    the first Residual makes included; a copy of every neighbour set per
+    residual took about 200%."""
+    n = 20000
+    g = gnm(n, 4 * n, 1)
+    edges = g.edges()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build_graph(n, edges)
+        graph = tracemalloc.get_traced_memory()[0] - base
+        r = Residual(g)
+        r.cheap_state().second()
+        kept = tracemalloc.get_traced_memory()[0] - base - graph
+    finally:
+        tracemalloc.stop()
+    assert r.n == n and kept <= 0.4 * graph, (kept, graph)
+
+
+def test_insert_refuses_a_live_or_bad_vertex():
+    """Only a deleted vertex comes back: a live one, or an id out of range, -1
+    included, which would index another vertex or none, is refused before
+    anything changes.  A vertex comes back next to its live neighbours only."""
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     r = Residual(g)
-    r.delete({3})
+    r.delete({1, 3})
     before = residual_state(r)
-    for nbrs in ([0, 0, 2], [-2], [4], [1, 3]):
+    for v in (0, 2, 4, -1):
         with pytest.raises(GraphInputError):
-            r.insert(3, nbrs)
+            r.insert(v)
         assert residual_state(r) == before
-    r.insert(3, [0, 2])
-    assert (r.n, r.m) == (4, 5) and r.zeta == live_zeta_oracle(r)
+    r.insert(3)
+    assert (r.n, r.m) == (3, 3) and r.zeta == live_zeta_oracle(r)
 
 
 def test_residual_delete_checks_ids():

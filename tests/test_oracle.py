@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import complete_graph, cycle_graph, gnp, graphs, path_graph
 from zetakit.bounds import z_bound
 from zetakit.degeneracy import Residual, cheap_vertices, zeta_oracle, zeta_profile
-from zetakit.graph import Graph, GraphInputError, build_graph, is_forest, remove_vertices
+from zetakit.graph import (Graph, GraphInputError, build_graph, closed_neighborhood, is_forest,
+                           remove_vertices)
 from zetakit.oracle import _keeps_zeta
 from zetakit.oracle import (GeneratorSpec, alpha_k_subset_enumeration,
                             canonical_mask, enumerate_small_graphs,
@@ -92,10 +93,10 @@ def block_tests_against_recompute(g, rng):
     r, seen = Residual(g), []
     while r.n:
         live = list(r.vertices())
-        dmin = min(len(r.adj[v]) for v in live)
+        dmin = min(r.deg[v] for v in live)
         for u in live:
-            block = frozenset(r.adj[u]) | {u}
-            if len(r.adj[u]) == dmin and all(r.zeta[v] == dmin for v in block):
+            block = closed_neighborhood(r, (u,))
+            if r.deg[u] == dmin and all(r.zeta[v] == dmin for v in block):
                 dead = {v for v in range(g.n) if not r.alive[v]} | block
                 sub = remove_vertices(g, dead)
                 kept = [r.zeta[v] for v in sub.old_of] == list(zeta_oracle(sub.graph))

@@ -49,7 +49,7 @@ class ResidualMachine(RuleBasedStateMachine):
         return zeta, nbrs, layers
 
     def snapshot(self, r):
-        return r.alive[:], r.zeta[:], r.support[:], r.n, r.m, [set(a) for a in r.adj]
+        return r.alive[:], r.deg[:], r.zeta[:], r.support[:], r.n, r.m
 
     # ── rules ────────────────────────────────────────────────────────────────
 
@@ -63,8 +63,7 @@ class ResidualMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def insert(self, data):
         r = self.r
-        v = data.draw(st.sampled_from([v for v in range(self.g.n) if not r.alive[v]]))
-        r.insert(v, [u for u in self.g.adj[v] if r.alive[u]])
+        r.insert(data.draw(st.sampled_from([v for v in range(self.g.n) if not r.alive[v]])))
 
     @rule(second=st.booleans())
     def ask(self, second):
